@@ -132,6 +132,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        print(f"configuration error: --n must be >= 1, got {args.n}", file=sys.stderr)
+        return 2
     try:
         ps = sphere.random_separated_set(
             args.n, math.radians(args.min_sep), seed=args.seed
@@ -148,6 +151,9 @@ def _cmd_energy(args) -> int:
         ps = sphere.parse_points(args.points.read_text())
     except (OSError, ValueError) as exc:
         print(f"cannot read point set: {exc}", file=sys.stderr)
+        return 2
+    if len(ps) == 0:
+        print(f"cannot read point set: {args.points} holds no points", file=sys.stderr)
         return 2
     summary = energy(ps, build_certificate())
     print(json.dumps(energy_to_json_dict(summary), sort_keys=True, indent=2))

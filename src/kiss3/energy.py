@@ -12,7 +12,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .errors import SeparationViolation
-from .legendre import gegenbauer_sum
+from .legendre import gegenbauer_sum, gegenbauer_sums
 from .sphere import PointSet, min_separation
 
 SIXTY_DEG = math.pi / 3.0
@@ -89,7 +89,7 @@ def check_lemma1(ps: PointSet, kmax: int = 9) -> list[float]:
     """The Gegenbauer sums for k = 0 ... kmax; each is >= 0 up to rounding."""
     if kmax > 12:
         raise ValueError("kmax capped at 12")
-    return [gegenbauer_sum(ps, k) for k in range(kmax + 1)]
+    return gegenbauer_sums(ps.cos_matrix(), range(kmax + 1))
 
 
 def linearity_gap(ps: PointSet, c: Certificate) -> float:

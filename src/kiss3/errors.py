@@ -26,7 +26,14 @@ class TooFewPoints(Kiss3Error):
 
 
 class SaturationError(Kiss3Error):
-    """Rejection sampling could not place another point at the required separation."""
+    """Rejection sampling could not place another point at the required separation.
+
+    `placed` is the PointSet accepted before saturation, in order.
+    """
+
+    def __init__(self, message: str, placed):
+        super().__init__(message)
+        self.placed = placed
 
 
 class CertificateInvalid(Kiss3Error):

@@ -150,12 +150,20 @@ def addition_theorem_residual(k: int, theta1: float, theta2: float, phi: float) 
     return abs(lhs - rhs)
 
 
+def gegenbauer_sums(cos_matrix: np.ndarray, degrees) -> list[float]:
+    """Double sums of P_k over a matrix of pairwise cosines, one per k in
+    degrees; the matrix is read once for all of them."""
+    sums = []
+    for k in degrees:
+        _check_degree(k)
+        coeffs = [float(c) for c in reversed(legendre(k).coeffs)]
+        sums.append(float(np.polyval(coeffs, cos_matrix).sum()))
+    return sums
+
+
 def gegenbauer_sum(points, k: int) -> float:
     """Double sum of P_k(cos dist(x_i, x_j)) over all ordered pairs, i = j
     included (each diagonal term is P_k(1) = 1).  Nonnegative for every point
     set on the sphere; this is the positive-definiteness the proof rests on.
     """
-    _check_degree(k)
-    cos_matrix = points.cos_matrix()
-    coeffs = [float(c) for c in reversed(legendre(k).coeffs)]
-    return float(np.polyval(coeffs, cos_matrix).sum())
+    return gegenbauer_sums(points.cos_matrix(), (k,))[0]

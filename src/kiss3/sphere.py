@@ -129,27 +129,49 @@ def random_separated_set(
     n: int, min_sep: float, seed: int, max_tries: int = 20000
 ) -> PointSet:
     """n area-uniform points accepted by rejection against the separation
-    constraint; deterministic for a fixed seed.  Raises SaturationError after
-    max_tries consecutive rejections.
+    constraint; deterministic for a fixed seed.
+
+    The draw sequence is part of the output contract.  Each candidate takes
+    two draws from random.Random(seed): colatitude acos(uniform(-1, 1)), then
+    azimuth uniform(0, 2pi).  It is accepted when its law-of-cosines distance
+    to every point already accepted is at least min_sep.  A seed therefore
+    places the same points in the same order whatever n is, and the set for
+    n is a prefix of the set for any larger n.
+
+    Raises SaturationError after max_tries consecutive rejections; its
+    `placed` attribute is the PointSet accepted before saturation, in order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = random.Random(seed)
-    accepted: list[SphericalPoint] = []
+    uniform = random.Random(seed).uniform
+    acos, cos, sin = math.acos, math.cos, math.sin
+    # (theta, phi, cos theta, sin theta) of each accepted point; the sums are
+    # the ones cos_law forms, in the same operand order, so the acceptance
+    # test agrees bit for bit with angular_distance.
+    accepted: list[tuple[float, float, float, float]] = []
     rejections = 0
     while len(accepted) < n:
-        cand = random_point(rng)
-        if all(angular_distance(cand, p) >= min_sep for p in accepted):
-            accepted.append(cand)
-            rejections = 0
+        theta = acos(uniform(-1.0, 1.0))
+        phi = uniform(0.0, TWO_PI) % TWO_PI
+        ct, st = cos(theta), sin(theta)
+        for _, q_phi, q_ct, q_st in accepted:
+            if not acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep:
+                rejections += 1
+                if rejections >= max_tries:
+                    raise SaturationError(
+                        f"placed {len(accepted)}/{n} points before {max_tries} "
+                        f"consecutive rejections at separation {min_sep}",
+                        placed=_point_set(accepted),
+                    )
+                break
         else:
-            rejections += 1
-            if rejections >= max_tries:
-                raise SaturationError(
-                    f"placed {len(accepted)}/{n} points before {max_tries} "
-                    f"consecutive rejections at separation {min_sep}"
-                )
-    return PointSet(accepted)
+            accepted.append((theta, phi, ct, st))
+            rejections = 0
+    return _point_set(accepted)
+
+
+def _point_set(accepted) -> PointSet:
+    return PointSet(SphericalPoint(theta, phi) for theta, phi, _, _ in accepted)
 
 
 def rotated(ps: PointSet, matrix: np.ndarray) -> PointSet:

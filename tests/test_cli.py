@@ -52,6 +52,16 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite, flag", [("lemma1", "--lemma1-sets"), ("lemma3", "--lemma3-sets")]
+    )
+    def test_negative_set_count(self, capsys, suite, flag):
+        code = main(["verify", "--suite", suite, flag, "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+
 
 class TestSampleAndEnergy:
     def test_sample_output_is_separated(self, capsys):
@@ -65,6 +75,14 @@ class TestSampleAndEnergy:
         code = main(["sample", "--n", "13", "--min-sep", "60", "--seed", "0"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_nonpositive_n(self, capsys, n):
+        code = main(["sample", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
     def test_energy_round_trip(self, tmp_path, capsys):
         code = main(["sample", "--n", "5", "--min-sep", "70", "--seed", "8"])
@@ -83,6 +101,15 @@ class TestSampleAndEnergy:
         code = main(["energy", "--points", str(tmp_path / "absent.txt")])
         capsys.readouterr()
         assert code == 2
+
+    def test_energy_no_points(self, tmp_path, capsys):
+        pts = tmp_path / "empty.txt"
+        pts.write_text("# theta_deg phi_deg\n\n")
+        code = main(["energy", "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
 
 
 class TestTable:

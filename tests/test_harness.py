@@ -35,6 +35,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(output_format="yaml").validate()
 
+    @pytest.mark.parametrize("field", ["lemma1_sets", "lemma3_sets"])
+    def test_negative_set_count(self, field):
+        RunConfig(**{field: 0}).validate()
+        with pytest.raises(ValueError):
+            RunConfig(**{field: -5}).validate()
+
 
 class TestPartialRuns:
     def test_lemma1_only_has_no_conclusion(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -162,6 +163,62 @@ class TestRandomSeparatedSet:
         for seed in range(5):
             with pytest.raises(SaturationError):
                 random_separated_set(13, math.pi / 3, seed=seed, max_tries=1500)
+
+
+def _reference_separated_set(n, min_sep, seed, max_tries):
+    """The sampler as first written, on random_point and angular_distance;
+    returns None where it saturates."""
+    rng = random.Random(seed)
+    accepted = []
+    rejections = 0
+    while len(accepted) < n:
+        cand = random_point(rng)
+        if all(angular_distance(cand, p) >= min_sep for p in accepted):
+            accepted.append(cand)
+            rejections = 0
+        else:
+            rejections += 1
+            if rejections >= max_tries:
+                return None
+    return PointSet(accepted)
+
+
+def _reference_shrink_and_retry(n, min_sep, seed, max_tries):
+    """Shrink the target after each saturation until a set is placed."""
+    while n >= 2:
+        ps = _reference_separated_set(n, min_sep, seed, max_tries)
+        if ps is not None:
+            return ps
+        n -= 1
+    return None
+
+
+class TestSamplerContract:
+    MAX_TRIES = 500
+
+    def test_one_pass_matches_shrink_and_retry(self):
+        saturated = 0
+        for seed in range(30):
+            for n in range(2, 13):
+                try:
+                    ps = random_separated_set(n, math.pi / 3, seed, self.MAX_TRIES)
+                except SaturationError as exc:
+                    saturated += 1
+                    placed = re.search(r"placed (\d+)/", str(exc)).group(1)
+                    assert placed == str(len(exc.placed))
+                    ps = exc.placed
+                expected = _reference_shrink_and_retry(n, math.pi / 3, seed, self.MAX_TRIES)
+                assert expected is not None
+                assert ps.points == expected.points
+        assert saturated > 0
+
+    def test_carried_points_are_separated_and_in_draw_order(self):
+        with pytest.raises(SaturationError) as info:
+            random_separated_set(13, math.pi / 3, seed=0, max_tries=1500)
+        placed = info.value.placed
+        assert isinstance(placed, PointSet) and 2 <= len(placed) < 13
+        assert min_separation(placed) >= math.pi / 3
+        assert placed.points == random_separated_set(len(placed), math.pi / 3, 0).points
 
 
 class TestTextFormat:
