@@ -14,6 +14,6 @@ print(table_to_text(table))
 print()
 print("non-rigorous refined estimates (direct maximization over the")
 print("extremal triangle and rhombus configurations):")
-h3_est, h4_est = refine_h34(cert, grid_density=256, seed=42)
+h3_est, h4_est = refine_h34(cert, grid_density=256)
 print(f"  h3 ~ {h3_est.mid:.6f}   (rigorous upper enclosure {table.h[3].hi:.6f})")
 print(f"  h4 ~ {h4_est.mid:.6f}   (rigorous upper enclosure {table.h[4].hi:.6f})")

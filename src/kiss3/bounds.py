@@ -155,6 +155,29 @@ def F2(c: Certificate, psi: float, tol: float = 1e-7) -> Interval:
     return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, tol)
 
 
+class ProfileMaxima:
+    """The evaluation map (profile, psi) -> enclosure for one certificate and
+    tolerance.  Each F1 or F2 value is computed on its first use and read
+    back after that, so a table that needs a value twice evaluates it once.
+    """
+
+    def __init__(self, c: Certificate, tol: float):
+        self.c = c
+        self.tol = tol
+        self._f1: dict[float, Interval] = {}  # psi (radians) -> enclosure
+        self._f2: dict[float, Interval] = {}
+
+    def F1(self, psi: float) -> Interval:
+        if psi not in self._f1:
+            self._f1[psi] = F1(self.c, psi, self.tol)
+        return self._f1[psi]
+
+    def F2(self, psi: float) -> Interval:
+        if psi not in self._f2:
+            self._f2[psi] = F2(self.c, psi, self.tol)
+        return self._f2[psi]
+
+
 def mu_angle(c: Certificate) -> float:
     """Lower bound (degrees) on the azimuthal separation of two cap points:
     arccos((1/2 - t0^2) / (1 - t0^2)) at the conservative t0 endpoint."""
@@ -171,31 +194,43 @@ def mu_upper_bound(c: Certificate) -> int:
     return int(360.0 // angle)
 
 
-def h_small(c: Certificate, tol: float = 1e-7) -> tuple[Interval, Interval, Interval]:
-    """h_0 = f(1) and h_1 = f(1) + f(-1), exact; h_2 = f(1) + F1(60deg)."""
+def h_small(
+    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
+) -> tuple[Interval, Interval, Interval]:
+    """h_0 = f(1) and h_1 = f(1) + f(-1), exact; h_2 = f(1) + F1(60deg).
+
+    Here and in `h4_cases`, `h4_bound` and `h3_bound`, a given `maxima`
+    supplies the profile enclosures (and its own tolerance); without one
+    they are evaluated afresh at `tol`."""
+    maxima = maxima or ProfileMaxima(c, tol)
     f1 = float(c.f.eval(1))
     h0 = Interval.point(f1)
     h1 = Interval.point(float(c.f.eval(1) + c.f.eval(-1)))
-    h2 = F1(c, 60.0 * DEG, tol).shift(f1)
+    h2 = maxima.F1(60.0 * DEG).shift(f1)
     return h0, h1, h2
 
 
-def h4_cases(c: Certificate, tol: float = 1e-7) -> tuple[Interval, Interval]:
+def h4_cases(
+    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
+) -> tuple[Interval, Interval]:
     """The two case bounds for h_4 from the split on the short rhombus
     diagonal d1: below the split F1(rho(2 theta0)) + F1(rho(split)) applies,
     above it F1(split) + F1(90deg)."""
+    maxima = maxima or ProfileMaxima(c, tol)
     f1_at_1 = float(c.f.eval(1))
     split = RHOMBUS_SPLIT_DEG * DEG
     case1 = (
-        F1(c, sphere.rho(2.0 * c.theta0.hi), tol) + F1(c, sphere.rho(split), tol)
+        maxima.F1(sphere.rho(2.0 * c.theta0.hi)) + maxima.F1(sphere.rho(split))
     ).shift(f1_at_1)
-    case2 = (F1(c, split, tol) + F1(c, 90.0 * DEG, tol)).shift(f1_at_1)
+    case2 = (maxima.F1(split) + maxima.F1(90.0 * DEG)).shift(f1_at_1)
     return case1, case2
 
 
-def h4_bound(c: Certificate, tol: float = 1e-7) -> Interval:
+def h4_bound(
+    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
+) -> Interval:
     """Upper enclosure of h_4; both case bounds must stay under 13."""
-    case1, case2 = h4_cases(c, tol)
+    case1, case2 = h4_cases(c, tol, maxima)
     for label, case in (("case 1", case1), ("case 2", case2)):
         if case.hi >= 13.0:
             raise BoundFailure(f"h4 {label} bound {case.hi} reaches 13")
@@ -208,15 +243,18 @@ def psi_grid(c: Certificate) -> list[float]:
     return [R0 if x is None else x * DEG for x in PSI_GRID_DEG[:-1]] + [c.theta0.hi]
 
 
-def h3_bound(c: Certificate, tol: float = 1e-7) -> tuple[list[Interval], Interval]:
+def h3_bound(
+    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
+) -> tuple[list[Interval], Interval]:
     """The five piecewise bounds w_i = f(1) + F2(psi_{i+1}) + f(-cos psi_i)
     over the grid, and their maximum as the h_3 upper enclosure."""
+    maxima = maxima or ProfileMaxima(c, tol)
     grid = psi_grid(c)
     f1_at_1 = float(c.f.eval(1))
     ws = []
     for i in range(5):
         tail = c.f.eval_real(-math.cos(grid[i]))
-        w = F2(c, grid[i + 1], tol).shift(f1_at_1 + tail)
+        w = maxima.F2(grid[i + 1]).shift(f1_at_1 + tail)
         # pad for the floating tail evaluation
         w = Interval(w.lo - 1e-11, w.hi + 1e-11)
         if w.hi >= 13.0:
@@ -227,12 +265,14 @@ def h3_bound(c: Certificate, tol: float = 1e-7) -> tuple[list[Interval], Interva
 
 def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
     """Assemble mu and the h_0 ... h_4 enclosures; verdict is true iff every
-    upper endpoint is strictly below 13."""
+    upper endpoint is strictly below 13.  F1 and F2 are evaluated once per
+    distinct psi (five each) and every entry reads those enclosures."""
     mu = mu_upper_bound(c)
-    h0, h1, h2 = h_small(c, tol)
-    ws, h3 = h3_bound(c, tol)
-    cases = h4_cases(c, tol)
-    h4 = h4_bound(c, tol)
+    maxima = ProfileMaxima(c, tol)
+    h0, h1, h2 = h_small(c, tol, maxima)
+    ws, h3 = h3_bound(c, tol, maxima)
+    cases = h4_cases(c, tol, maxima)
+    h4 = h4_bound(c, tol, maxima)
     hs = [h0, h1, h2, h3, h4]
     table = BoundTable(
         mu=mu,
@@ -252,20 +292,28 @@ def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
         split,
         90.0 * DEG,
     ):
-        table.f1_values[round(math.degrees(psi), 6)] = F1(c, psi, tol)
+        table.f1_values[round(math.degrees(psi), 6)] = maxima.F1(psi)
     for psi in table.psi_grid[1:]:
-        table.f2_values[round(math.degrees(psi), 6)] = F2(c, psi, tol)
+        table.f2_values[round(math.degrees(psi), 6)] = maxima.F2(psi)
     return table
 
 
-def verify_theorem(c: Certificate, tol: float = 1e-7) -> TheoremReport:
+def verify_theorem(
+    c: Certificate, tol: float = 1e-7, table: BoundTable | None = None
+) -> TheoremReport:
     """The full chain: nonnegative Legendre expansion (lower side n^2), the
     bound table (upper side 13n), the arithmetic n^2 < 13n => n <= 12, and
-    the icosahedron as the 12-point witness."""
+    the icosahedron as the 12-point witness.
+
+    `table` is the bound table of `c` when the caller already holds it, for
+    example from `compute_bound_table(c, tol)`; it is used as given, not
+    recomputed or checked against `c`.  Without one, the table is computed
+    here at `tol`."""
     from .certificate import verify_expansion
 
     expansion_ok = verify_expansion(c)
-    table = compute_bound_table(c, tol)
+    if table is None:
+        table = compute_bound_table(c, tol)
     ico = sphere.icosahedron()
     witness_sep = sphere.min_separation(ico)
     summary = energy(ico, c)
@@ -289,12 +337,13 @@ def verify_theorem(c: Certificate, tol: float = 1e-7) -> TheoremReport:
 # -- non-rigorous refined estimates (informative only) -----------------------
 
 
-def _triangle_score(c: Certificate, psi: float, u: float) -> float:
+def _triangle_score(c: Certificate, f_at_1: float, psi: float, u: float) -> float:
+    """The triangle profile at (psi, u) plus f_at_1 = float(f(1))."""
     c1 = sphere.cos_law(60.0 * DEG, psi, R0 - u)
     c2 = sphere.cos_law(60.0 * DEG, psi, R0 + u)
     f = c.f
     return (
-        float(f.eval(1))
+        f_at_1
         + f.eval_real(-c1)
         + f.eval_real(-c2)
         + f.eval_real(-math.cos(psi))
@@ -316,21 +365,21 @@ def _rhombus_cosines(d1: float, te: float, pe: float) -> np.ndarray:
     return np.clip(verts @ e0, -1.0, 1.0)
 
 
-def _rhombus_score(c: Certificate, d1: float, te: float, pe: float) -> float:
-    cos_th = _rhombus_cosines(d1, te, pe)
+def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray) -> float:
+    """The rhombus profile at the vertex cosines `_rhombus_cosines` gives,
+    plus f_at_1 = float(f(1))."""
     f = c.f
-    return float(f.eval(1)) + sum(f.eval_real(-x) for x in cos_th)
+    return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
 
 
-def refine_h34(
-    c: Certificate, grid_density: int = 256, seed: int = 42
-) -> tuple[Interval, Interval]:
+def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Interval]:
     """Non-rigorous point estimates of the true suprema h_3 and h_4 by direct
     maximization over the extremal configuration spaces (regular triangle and
     unit-edge rhombus).  Reported separately from the rigorous enclosures."""
     if grid_density < 64:
         raise ValueError("grid_density must be >= 64")
     theta0 = c.theta0.mid
+    f_at_1 = float(c.f.eval(1))
     # m = 3: parameters (psi, u)
     n_psi = max(int(math.sqrt(grid_density)) * 2, 16)
 
@@ -342,7 +391,7 @@ def refine_h34(
         u0 = max(math.acos(min(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
         if not 0.0 <= u <= u0:
             return 1e6
-        return -_triangle_score(c, psi, u)
+        return -_triangle_score(c, f_at_1, psi, u)
 
     best3 = -math.inf
     for psi in np.linspace(R0 + 1e-9, theta0 - 1e-9, n_psi):
@@ -355,18 +404,28 @@ def refine_h34(
     # constraint is active at the optimum, so use an SLSQP polish instead of
     # penalty walls
     d1_lo = sphere.rho(2.0 * theta0)
+    # SLSQP evaluates the objective and the constraint at the same points;
+    # both read the vertex cosines from here, keyed by the bits of x
+    cosines_at: dict[bytes, np.ndarray] = {}
+
+    def cosines(x):
+        key = np.asarray(x, dtype=float).tobytes()
+        if key not in cosines_at:
+            cosines_at[key] = _rhombus_cosines(*x)
+        return cosines_at[key]
 
     def neg4(x):
-        return -_rhombus_score(c, *x)
+        return -_rhombus_score(c, f_at_1, cosines(x))
 
     def cap_slack(x):
-        return theta0 - np.arccos(_rhombus_cosines(*x))
+        return theta0 - np.arccos(cosines(x))
 
     best4 = -math.inf
     n_d1 = max(grid_density // 24, 10)
     for d1 in np.linspace(d1_lo, math.pi / 2.0, n_d1):
         for te in np.linspace(0.0, 0.4, 6):
             for pe in np.linspace(0.0, math.pi / 2.0, 5):
+                cosines_at.clear()
                 res = minimize(
                     neg4,
                     [d1, te, pe],

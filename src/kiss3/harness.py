@@ -286,7 +286,7 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
 
 def _suite_theorem(report: VerificationReport, cert, tol: float) -> SuiteResult:
     s = SuiteResult("theorem")
-    theorem = bounds_mod.verify_theorem(cert, tol)
+    theorem = bounds_mod.verify_theorem(cert, tol, report.bound_table)
     if report.bound_table is None:
         report.bound_table = theorem.table
     s.check(theorem.expansion_ok, "expansion side (S >= n^2) failed")
@@ -315,7 +315,7 @@ def _suite_theorem(report: VerificationReport, cert, tol: float) -> SuiteResult:
 
 def _suite_refine(report: VerificationReport, cert, config: RunConfig) -> SuiteResult:
     s = SuiteResult("refine")
-    h3_est, h4_est = bounds_mod.refine_h34(cert, config.grid_density, config.seed)
+    h3_est, h4_est = bounds_mod.refine_h34(cert, config.grid_density)
     report.refined = {"h3": h3_est.mid, "h4": h4_est.mid}
     s.check(
         abs(h3_est.mid - REFERENCE_VALUES["h3_refined"]) <= 1e-3,

@@ -138,15 +138,16 @@ def addition_theorem_residual(k: int, theta1: float, theta2: float, phi: float) 
     ) * math.cos(phi)
     c = max(-1.0, min(1.0, c))
     lhs = legendre(k).eval_real(c)
-    t1, t2 = math.cos(theta1), math.cos(theta2)
+
+    def polar(m: int, theta: float) -> float:
+        # assoc_legendre at cos(theta), with (1 - t^2)^{m/2} taken as
+        # sin(theta)^m: near a pole 1 - cos(theta)^2 rounds to 0 and would
+        # drop every m >= 1 term
+        return _legendre_deriv(k, m).eval_real(math.cos(theta)) * math.sin(theta) ** m
+
     rhs = 0.0
     for m, w in enumerate(addition_weights(k)):
-        rhs += (
-            float(w)
-            * assoc_legendre(k, m, t1)
-            * assoc_legendre(k, m, t2)
-            * math.cos(m * phi)
-        )
+        rhs += float(w) * polar(m, theta1) * polar(m, theta2) * math.cos(m * phi)
     return abs(lhs - rhs)
 
 

@@ -74,13 +74,14 @@ class Interval:
 class RationalPoly:
     """Univariate polynomial with exact rational coefficients, lowest first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_real")
 
     def __init__(self, coeffs: Sequence):
         cs = [_to_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RationalPoly is immutable")
@@ -114,10 +115,24 @@ class RationalPoly:
         return acc
 
     def eval_real(self, t: float) -> float:
-        """Floating Horner evaluation."""
+        """Floating Horner evaluation.
+
+        Runs on a float image of the coefficients, highest power first, built
+        on the first call and kept on the polynomial.  Each entry is
+        `float(c)`, so every value is bit-identical to converting the
+        coefficients afresh on each call.  The image is lazy because exact
+        intermediates (Sturm chains, gcds) may lie beyond the float range and
+        never need it.  No exact verdict input goes through this method; the
+        one float input, the padded h_3 tail in `bounds.h3_bound`, keeps the
+        bits it had with per-call conversion.
+        """
+        real = self._real
+        if real is None:
+            real = tuple(float(c) for c in reversed(self.coeffs))
+            object.__setattr__(self, "_real", real)
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in real:
+            acc = acc * t + c
         return acc
 
     def __call__(self, t):
@@ -254,6 +269,15 @@ class SturmChain:
         return n
 
 
+def _deflate(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
+    """p with every root at a or b divided out exactly (zero stays zero)."""
+    for endpoint in (a, b):
+        while not p.is_zero() and p.eval(endpoint) == 0:
+            p, r = p.divmod(RationalPoly([-endpoint, 1]))
+            assert r.is_zero()
+    return p
+
+
 def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
     """Exact number of distinct real roots of p in the open interval (a, b).
 
@@ -263,10 +287,7 @@ def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
     a, b = _to_fraction(a), _to_fraction(b)
     if a >= b:
         raise ValueError("require a < b")
-    for endpoint in (a, b):
-        while not p.is_zero() and p.eval(endpoint) == 0:
-            p, r = p.divmod(RationalPoly([-endpoint, 1]))
-            assert r.is_zero()
+    p = _deflate(p, a, b)
     if p.is_zero():
         raise DegenerateEndpoint("polynomial vanishes identically after deflation")
     return SturmChain(p).count_open(a, b)
@@ -279,9 +300,7 @@ def isolate_root(p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9) -> 
     endpoints are exact evaluation points, so the enclosure is rigorous.
     """
     lo, hi = _to_fraction(a), _to_fraction(b)
-    for endpoint in (lo, hi):
-        while not p.is_zero() and p.eval(endpoint) == 0:
-            p, _ = p.divmod(RationalPoly([-endpoint, 1]))
+    p = _deflate(p, lo, hi)
     if p.is_zero():
         raise DegenerateEndpoint("polynomial vanishes identically after deflation")
     n = SturmChain(p).count_open(lo, hi)
@@ -312,9 +331,7 @@ def isolate_all_roots(
 ) -> list[Interval]:
     """Disjoint enclosures (each of width <= width) of every root in (a, b)."""
     a, b = _to_fraction(a), _to_fraction(b)
-    for endpoint in (a, b):
-        while not p.is_zero() and p.eval(endpoint) == 0:
-            p, _ = p.divmod(RationalPoly([-endpoint, 1]))
+    p = _deflate(p, a, b)
     if p.is_zero() or p.degree <= 0:
         return []
     chain = SturmChain(p)

@@ -71,7 +71,7 @@ class TestCriterion3BoundPipeline:
 
 class TestCriterion4RefinedEstimates:
     def test_refined_estimates(self, cert, bound_table):
-        h3_est, h4_est = bounds_mod.refine_h34(cert, grid_density=256, seed=42)
+        h3_est, h4_est = bounds_mod.refine_h34(cert, grid_density=256)
         ok = (
             abs(h3_est.mid - 12.8721) <= 1e-3
             and abs(h4_est.mid - 12.4849) <= 1e-3

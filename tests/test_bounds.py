@@ -1,15 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kiss3 import bounds, harness, sphere
 from kiss3.bounds import (
     DEG,
     R0,
     F1,
     F2,
+    _rhombus_cosines,
+    _rhombus_score,
+    _triangle_score,
     build_omega,
     build_triangle_profile,
+    compute_bound_table,
     h3_bound,
     h4_bound,
     h4_cases,
@@ -247,7 +253,7 @@ class TestTheorem:
 
 class TestRefine:
     def test_estimates_and_dominance(self, cert, bound_table):
-        h3_est, h4_est = refine_h34(cert, grid_density=256, seed=42)
+        h3_est, h4_est = refine_h34(cert, grid_density=256)
         assert abs(h3_est.mid - 12.8721) < 1e-3
         assert abs(h4_est.mid - 12.4849) < 1e-3
         assert h3_est.mid <= bound_table.h[3].hi
@@ -256,6 +262,93 @@ class TestRefine:
     def test_grid_density_floor(self, cert):
         with pytest.raises(ValueError):
             refine_h34(cert, grid_density=32)
+
+
+class TestRefineScores:
+    """The objectives with f(1) hoisted match the formulas that evaluate f(1)
+    exactly on every call, bit for bit."""
+
+    def test_triangle(self, cert):
+        f = cert.f
+        f_at_1 = float(f.eval(1))
+        rng = random.Random(47)
+        for _ in range(300):
+            psi = rng.uniform(R0, cert.theta0.mid)
+            u = rng.uniform(0.0, 0.3)
+            c1 = sphere.cos_law(60.0 * DEG, psi, R0 - u)
+            c2 = sphere.cos_law(60.0 * DEG, psi, R0 + u)
+            original = (
+                float(f.eval(1))
+                + f.eval_real(-c1)
+                + f.eval_real(-c2)
+                + f.eval_real(-math.cos(psi))
+            )
+            assert _triangle_score(cert, f_at_1, psi, u).hex() == original.hex()
+
+    def test_rhombus(self, cert):
+        f = cert.f
+        f_at_1 = float(f.eval(1))
+        rng = random.Random(48)
+        for _ in range(300):
+            x = np.array(
+                [rng.uniform(1.0, math.pi / 2.0), rng.uniform(0.0, 0.9), rng.uniform(0.0, math.pi)]
+            )
+            cos_th = _rhombus_cosines(*x)
+            original = float(f.eval(1)) + sum(f.eval_real(-v) for v in cos_th)
+            assert _rhombus_score(cert, f_at_1, cos_th).hex() == original.hex()
+
+
+class TestOneEvaluation:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record the psi of every F1 and F2 call made through the module."""
+        log = {"F1": [], "F2": []}
+        for name, psis in log.items():
+            original = getattr(bounds, name)
+
+            def counted(c, psi, tol=1e-7, _original=original, _psis=psis):
+                _psis.append(psi)
+                return _original(c, psi, tol)
+
+            monkeypatch.setattr(bounds, name, counted)
+        return log
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        built = []
+        original = bounds.compute_bound_table
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "compute_bound_table", counted)
+        return built
+
+    def test_table_evaluates_each_psi_once(self, cert, calls, bound_table):
+        table = compute_bound_table(cert, tol=1e-7)
+        for name in ("F1", "F2"):
+            assert len(calls[name]) == 5
+            assert len(set(calls[name])) == 5
+        assert table == bound_table
+
+    def test_bounds_and_theorem_share_one_table(self, calls, tables):
+        report = harness.run(harness.RunConfig(suites=("bounds", "theorem")))
+        assert len(tables) == 1
+        assert len(calls["F1"]) == len(calls["F2"]) == 5
+        assert report.conclusion == 12
+
+    def test_theorem_alone_builds_its_table(self, tables):
+        report = harness.run(harness.RunConfig(suites=("theorem",)))
+        assert len(tables) == 1
+        assert report.bound_table is not None and report.bound_table.verdict
+        assert report.conclusion == 12
+
+    def test_given_table_is_used(self, cert, bound_table, tables):
+        report = verify_theorem(cert, table=bound_table)
+        assert report.table is bound_table
+        assert tables == []
+        assert report.conclusion == 12
 
 
 class TestProfilesCsv:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,22 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == 1
         assert payload["suites"]["certificate"]["failed"] == 0
+
+    def test_exact_report_matches_golden(self, capsys):
+        # the report of the rigorous suites, byte for byte as recorded
+        code = main(
+            [
+                "verify",
+                "--suite", "certificate",
+                "--suite", "bounds",
+                "--suite", "theorem",
+                "--seed", "42",
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "exact_seed42.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

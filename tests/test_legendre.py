@@ -120,6 +120,14 @@ class TestAdditionTheorem:
     def test_degree_nine(self):
         assert addition_theorem_residual(9, 0.7, 1.1, 2.3) < 1e-9
 
+    def test_near_pole(self):
+        # cos(6e-9) rounds to 1.0, so sin(theta2) cannot come from cos(theta2)
+        residual = addition_theorem_residual(
+            6, 2.3528959582159104, 6.154754835645296e-09, 0.416688972194398
+        )
+        assert residual < 1e-9
+        assert addition_theorem_residual(9, math.pi - 3e-9, 1.1, 2.3) < 1e-9
+
     def test_random_inputs(self):
         rng = random.Random(13)
         for _ in range(1000):

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from kiss3.certificate import certificate_poly
-from kiss3.errors import MultipleRoots, NoRoot
+from kiss3.errors import DegenerateEndpoint, MultipleRoots, NoRoot
+from kiss3.legendre import legendre
 from kiss3.polynomial import (
     Interval,
     RationalPoly,
@@ -55,6 +57,58 @@ class TestEvalReal:
 
     def test_f_near_root(self):
         assert abs(F.eval_real(-0.5907)) < 1e-3
+
+
+def per_call_horner(p, t):
+    """Float Horner converting each coefficient on every call: the reference
+    for the cached float image."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * t + float(c)
+    return acc
+
+
+class TestFloatImage:
+    @pytest.mark.parametrize(
+        "poly", [F] + [legendre(k) for k in range(10)], ids=["f"] + [f"P{k}" for k in range(10)]
+    )
+    def test_bit_identical_to_per_call_conversion(self, poly):
+        rng = random.Random(11)
+        fresh = RationalPoly(poly.coeffs)  # the first call builds the image
+        for i in range(300):
+            t = rng.uniform(-1.2, 1.2)
+            if i % 2:
+                t = np.float64(t)  # the refine objectives pass numpy scalars
+            assert fresh.eval_real(t).hex() == per_call_horner(poly, t).hex()
+
+    def test_beyond_float_range_is_exact(self):
+        big = Fr(10**400, 3)
+        p = RationalPoly([big, -1, 1])  # t^2 - t + big has no real root
+        assert p.eval(Fr(1, 2)) == big - Fr(1, 4)
+        assert sturm_count(p, -10, 10) == 0
+        q, r = (p * p).divmod(p)
+        assert q == p and r.is_zero()
+        with pytest.raises(OverflowError):  # as per-call conversion raises
+            p.eval_real(0.5)
+
+
+class TestEndpointDeflation:
+    # t (t - 1/2) (t - 1): roots at both endpoints of (0, 1) and one inside
+    P = RationalPoly([0, Fr(1, 2), Fr(-3, 2), 1])
+
+    def test_endpoint_roots_ignored_everywhere(self):
+        assert sturm_count(self.P, 0, 1) == 1
+        assert isolate_root(self.P, 0, 1).contains(0.5)
+        roots = isolate_all_roots(self.P, 0, 1, 1e-9)
+        assert len(roots) == 1 and roots[0].contains(0.5)
+
+    def test_zero_polynomial(self):
+        zero = RationalPoly([])
+        with pytest.raises(DegenerateEndpoint):
+            sturm_count(zero, 0, 1)
+        with pytest.raises(DegenerateEndpoint):
+            isolate_root(zero, 0, 1)
+        assert isolate_all_roots(zero, 0, 1, 1e-9) == []
 
 
 class TestDerivative:
