@@ -1,19 +1,13 @@
 """Compute the full bound table: mu <= 4 and the five cap-configuration
-maxima h_0 ... h_4, each with a rigorous enclosure strictly below 13.
+maxima h_0 ... h_4, each with a rigorous enclosure strictly below 13, next
+to the printed reference values, then the non-rigorous refined estimates of
+h_3 and h_4 by direct maximization over the extremal triangle and rhombus
+configurations.  `kiss3 table` prints the same table with the theorem check.
 
 Run:  python3 demos/bound_table_tour.py
 """
 
-from kiss3.bounds import compute_bound_table, refine_h34, table_to_text
-from kiss3.certificate import build_certificate
+from kiss3.harness import RunConfig, emit_table, run
 
-cert = build_certificate()
-table = compute_bound_table(cert, tol=1e-7)
-print(table_to_text(table))
-
-print()
-print("non-rigorous refined estimates (direct maximization over the")
-print("extremal triangle and rhombus configurations):")
-h3_est, h4_est = refine_h34(cert, grid_density=256)
-print(f"  h3 ~ {h3_est.mid:.6f}   (rigorous upper enclosure {table.h[3].hi:.6f})")
-print(f"  h4 ~ {h4_est.mid:.6f}   (rigorous upper enclosure {table.h[4].hi:.6f})")
+report = run(RunConfig(suites=("certificate", "bounds", "refine")))
+print(emit_table(report))

@@ -155,29 +155,6 @@ def F2(c: Certificate, psi: float, tol: float = 1e-7) -> Interval:
     return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, tol)
 
 
-class ProfileMaxima:
-    """The evaluation map (profile, psi) -> enclosure for one certificate and
-    tolerance.  Each F1 or F2 value is computed on its first use and read
-    back after that, so a table that needs a value twice evaluates it once.
-    """
-
-    def __init__(self, c: Certificate, tol: float):
-        self.c = c
-        self.tol = tol
-        self._f1: dict[float, Interval] = {}  # psi (radians) -> enclosure
-        self._f2: dict[float, Interval] = {}
-
-    def F1(self, psi: float) -> Interval:
-        if psi not in self._f1:
-            self._f1[psi] = F1(self.c, psi, self.tol)
-        return self._f1[psi]
-
-    def F2(self, psi: float) -> Interval:
-        if psi not in self._f2:
-            self._f2[psi] = F2(self.c, psi, self.tol)
-        return self._f2[psi]
-
-
 def mu_angle(c: Certificate) -> float:
     """Lower bound (degrees) on the azimuthal separation of two cap points:
     arccos((1/2 - t0^2) / (1 - t0^2)) at the conservative t0 endpoint."""
@@ -194,126 +171,79 @@ def mu_upper_bound(c: Certificate) -> int:
     return int(360.0 // angle)
 
 
-def h_small(
-    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
-) -> tuple[Interval, Interval, Interval]:
-    """h_0 = f(1) and h_1 = f(1) + f(-1), exact; h_2 = f(1) + F1(60deg).
-
-    Here and in `h4_cases`, `h4_bound` and `h3_bound`, a given `maxima`
-    supplies the profile enclosures (and its own tolerance); without one
-    they are evaluated afresh at `tol`."""
-    maxima = maxima or ProfileMaxima(c, tol)
-    f1 = float(c.f.eval(1))
-    h0 = Interval.point(f1)
-    h1 = Interval.point(float(c.f.eval(1) + c.f.eval(-1)))
-    h2 = maxima.F1(60.0 * DEG).shift(f1)
-    return h0, h1, h2
-
-
-def h4_cases(
-    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
-) -> tuple[Interval, Interval]:
-    """The two case bounds for h_4 from the split on the short rhombus
-    diagonal d1: below the split F1(rho(2 theta0)) + F1(rho(split)) applies,
-    above it F1(split) + F1(90deg)."""
-    maxima = maxima or ProfileMaxima(c, tol)
-    f1_at_1 = float(c.f.eval(1))
-    split = RHOMBUS_SPLIT_DEG * DEG
-    case1 = (
-        maxima.F1(sphere.rho(2.0 * c.theta0.hi)) + maxima.F1(sphere.rho(split))
-    ).shift(f1_at_1)
-    case2 = (maxima.F1(split) + maxima.F1(90.0 * DEG)).shift(f1_at_1)
-    return case1, case2
-
-
-def h4_bound(
-    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
-) -> Interval:
-    """Upper enclosure of h_4; both case bounds must stay under 13."""
-    case1, case2 = h4_cases(c, tol, maxima)
-    for label, case in (("case 1", case1), ("case 2", case2)):
-        if case.hi >= 13.0:
-            raise BoundFailure(f"h4 {label} bound {case.hi} reaches 13")
-    return Interval.hull([case1, case2])
-
-
 def psi_grid(c: Certificate) -> list[float]:
     """The colatitude grid {R0, 38, 41, 44, 48, theta0} (radians), with the
     top endpoint taken from the conservative end of the theta0 enclosure."""
     return [R0 if x is None else x * DEG for x in PSI_GRID_DEG[:-1]] + [c.theta0.hi]
 
 
-def h3_bound(
-    c: Certificate, tol: float = 1e-7, maxima: ProfileMaxima | None = None
-) -> tuple[list[Interval], Interval]:
-    """The five piecewise bounds w_i = f(1) + F2(psi_{i+1}) + f(-cos psi_i)
-    over the grid, and their maximum as the h_3 upper enclosure."""
-    maxima = maxima or ProfileMaxima(c, tol)
+def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
+    """Assemble mu and the h_0 ... h_4 enclosures; verdict is true iff every
+    upper endpoint is strictly below 13.
+
+    F1 and F2 are evaluated once per distinct psi: F1(60deg), then F2 over
+    the grid, then F1 at the rhombus diagonals.  From those, h_0 = f(1),
+    h_1 = f(1) + f(-1) and h_2 = f(1) + F1(60deg); h_3 is the hull of the
+    w_i = f(1) + F2(psi_{i+1}) + f(-cos psi_i); h_4 is the hull of the two
+    cases of the split on the short rhombus diagonal d1, each plus f(1):
+    F1(rho(2 theta0)) + F1(rho(split)) below it, F1(split) + F1(90deg)
+    above.  The first w_i, then h_4 case, to reach 13 raises `BoundFailure`.
+    """
+    mu = mu_upper_bound(c)
+    f_at_1 = float(c.f.eval(1))
     grid = psi_grid(c)
-    f1_at_1 = float(c.f.eval(1))
+    split = RHOMBUS_SPLIT_DEG * DEG
+    rhombus = (sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG)
+    f1 = {60.0 * DEG: F1(c, 60.0 * DEG, tol)}  # psi (radians) -> enclosure
+    f2 = {psi: F2(c, psi, tol) for psi in grid[1:]}
+    for psi in rhombus:
+        if psi not in f1:
+            f1[psi] = F1(c, psi, tol)
+
+    h0 = Interval.point(f_at_1)
+    h1 = Interval.point(float(c.f.eval(1) + c.f.eval(-1)))
+    h2 = f1[60.0 * DEG].shift(f_at_1)
     ws = []
     for i in range(5):
         tail = c.f.eval_real(-math.cos(grid[i]))
-        w = maxima.F2(grid[i + 1]).shift(f1_at_1 + tail)
+        w = f2[grid[i + 1]].shift(f_at_1 + tail)
         # pad for the floating tail evaluation
         w = Interval(w.lo - 1e-11, w.hi + 1e-11)
         if w.hi >= 13.0:
             raise BoundFailure(f"w_{i + 1} bound {w.hi} reaches 13")
         ws.append(w)
-    return ws, Interval.hull(ws)
-
-
-def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
-    """Assemble mu and the h_0 ... h_4 enclosures; verdict is true iff every
-    upper endpoint is strictly below 13.  F1 and F2 are evaluated once per
-    distinct psi (five each) and every entry reads those enclosures."""
-    mu = mu_upper_bound(c)
-    maxima = ProfileMaxima(c, tol)
-    h0, h1, h2 = h_small(c, tol, maxima)
-    ws, h3 = h3_bound(c, tol, maxima)
-    cases = h4_cases(c, tol, maxima)
-    h4 = h4_bound(c, tol, maxima)
-    hs = [h0, h1, h2, h3, h4]
-    table = BoundTable(
+    cases = (
+        (f1[rhombus[0]] + f1[rhombus[1]]).shift(f_at_1),
+        (f1[split] + f1[90.0 * DEG]).shift(f_at_1),
+    )
+    for label, case in zip(("case 1", "case 2"), cases):
+        if case.hi >= 13.0:
+            raise BoundFailure(f"h4 {label} bound {case.hi} reaches 13")
+    hs = [h0, h1, h2, Interval.hull(ws), Interval.hull(cases)]
+    return BoundTable(
         mu=mu,
         h=hs,
         h_max=Interval.hull(hs),
-        psi_grid=psi_grid(c),
+        f1_values={round(math.degrees(psi), 6): iv for psi, iv in f1.items()},
+        f2_values={round(math.degrees(psi), 6): iv for psi, iv in f2.items()},
+        psi_grid=grid,
         w=ws,
         h4_case_bounds=cases,
         mu_angle_deg=mu_angle(c),
         verdict=all(h.hi < 13.0 for h in hs),
     )
-    split = RHOMBUS_SPLIT_DEG * DEG
-    for psi in (
-        60.0 * DEG,
-        sphere.rho(2.0 * c.theta0.hi),
-        sphere.rho(split),
-        split,
-        90.0 * DEG,
-    ):
-        table.f1_values[round(math.degrees(psi), 6)] = maxima.F1(psi)
-    for psi in table.psi_grid[1:]:
-        table.f2_values[round(math.degrees(psi), 6)] = maxima.F2(psi)
-    return table
 
 
-def verify_theorem(
-    c: Certificate, tol: float = 1e-7, table: BoundTable | None = None
-) -> TheoremReport:
+def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
     """The full chain: nonnegative Legendre expansion (lower side n^2), the
     bound table (upper side 13n), the arithmetic n^2 < 13n => n <= 12, and
     the icosahedron as the 12-point witness.
 
-    `table` is the bound table of `c` when the caller already holds it, for
-    example from `compute_bound_table(c, tol)`; it is used as given, not
-    recomputed or checked against `c`.  Without one, the table is computed
-    here at `tol`."""
+    `table` is the bound table of `c`, from `compute_bound_table`; it is
+    used as given, not recomputed or checked against `c`."""
     from .certificate import verify_expansion
 
     expansion_ok = verify_expansion(c)
-    if table is None:
-        table = compute_bound_table(c, tol)
     ico = sphere.icosahedron()
     witness_sep = sphere.min_separation(ico)
     summary = energy(ico, c)
@@ -468,32 +398,6 @@ def table_to_json_dict(table: BoundTable) -> dict:
         "unit": "degrees",
         "verdict": table.verdict,
     }
-
-
-def table_to_text(table: BoundTable) -> str:
-    rows = [
-        ("mu", f"{table.mu}", ""),
-        ("mu-angle (deg)", f"{table.mu_angle_deg:.4f}", "> 72"),
-    ]
-    for m in range(5):
-        iv = table.h[m]
-        rows.append((f"h{m}", f"[{iv.lo:.7f}, {iv.hi:.7f}]", f"{13.0 - iv.hi:+.4f}"))
-    for i, iv in enumerate(table.w, start=1):
-        rows.append((f"w{i}", f"[{iv.lo:.7f}, {iv.hi:.7f}]", f"{13.0 - iv.hi:+.4f}"))
-    rows.append(
-        (
-            "h_max",
-            f"[{table.h_max.lo:.7f}, {table.h_max.hi:.7f}]",
-            f"{13.0 - table.h_max.hi:+.4f}",
-        )
-    )
-    rows.append(("verdict (< 13)", "PASS" if table.verdict else "FAIL", ""))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
-    header = f"{'quantity':<{widths[0]}}  {'value':<{widths[1]}}  margin to 13"
-    lines = [header, "-" * len(header)]
-    for name, val, margin in rows:
-        lines.append(f"{name:<{widths[0]}}  {val:<{widths[1]}}  {margin}")
-    return "\n".join(lines)
 
 
 def profiles_csv(c: Certificate, n: int = 64, tol: float = 1e-6) -> str:

@@ -84,12 +84,34 @@ def _parse_perturbation(spec: str):
     return harness.perturbed_coeffs(int(idx_str), Fraction(delta_str))
 
 
+def _run(config: harness.RunConfig, output_format: str, out: Path | None = None) -> int:
+    """Run `config` and print its report, also to `out` when given.  A bad
+    configuration or an `out` that cannot be opened exits 2 before the run."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if out:
+        try:
+            out.open("a").close()  # fail now, not after the suites have run
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
+    report = harness.run(config)
+    text = harness.emit_table(report, output_format)
+    if out:
+        out.write_text(text + "\n")
+    print(text)
+    return 0 if report.ok else 1
+
+
 def _cmd_verify(args) -> int:
     coeffs = harness.F_COEFFS
     if args.perturb:
         try:
             coeffs = _parse_perturbation(args.perturb)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             print(f"bad --perturb argument: {exc}", file=sys.stderr)
             return 2
     config = harness.RunConfig(
@@ -97,23 +119,11 @@ def _cmd_verify(args) -> int:
         grid_density=args.grid,
         seed=args.seed,
         suites=tuple(args.suite) if args.suite else harness.ALL_SUITES,
-        output_format=args.format,
-        output_path=str(args.out) if args.out else None,
         lemma1_sets=args.lemma1_sets,
         lemma3_sets=args.lemma3_sets,
         f_coeffs=coeffs,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    report = harness.run(config)
-    text = harness.emit_table(report, args.format)
-    if args.out:
-        args.out.write_text(text + "\n")
-    print(text)
-    return 0 if report.ok else 1
+    return _run(config, args.format, args.out)
 
 
 def _cmd_table(args) -> int:
@@ -126,9 +136,7 @@ def _cmd_table(args) -> int:
         seed=args.seed,
         suites=suites,
     )
-    report = harness.run(config)
-    print(harness.emit_table(report, "text"))
-    return 0 if report.ok else 1
+    return _run(config, "text")
 
 
 def _cmd_sample(args) -> int:

@@ -62,22 +62,18 @@ class RunConfig:
     grid_density: int = 256
     seed: int = 42
     suites: tuple[str, ...] = ALL_SUITES
-    output_format: str = "text"
-    output_path: str | None = None
     lemma1_sets: int = 1000
     lemma3_sets: int = 500
     f_coeffs: tuple = F_COEFFS  # override only for negative controls
 
     def validate(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.grid_density < 64:
             raise ValueError("grid_density must be >= 64")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         for name in ("lemma1_sets", "lemma3_sets"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -185,10 +181,17 @@ def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
     return s
 
 
+def _bound_table(report: VerificationReport, cert, tol: float) -> bounds_mod.BoundTable:
+    """The run's bound table, built by whichever of the bounds and theorem
+    suites runs first and read by the other."""
+    if report.bound_table is None:
+        report.bound_table = bounds_mod.compute_bound_table(cert, tol)
+    return report.bound_table
+
+
 def _suite_bounds(report: VerificationReport, cert, tol: float) -> SuiteResult:
     s = SuiteResult("bounds")
-    table = bounds_mod.compute_bound_table(cert, tol)
-    report.bound_table = table
+    table = _bound_table(report, cert, tol)
     s.check(table.mu == 4, f"mu = {table.mu}, expected 4")
     s.check(
         abs(table.mu_angle_deg - REFERENCE_VALUES["mu_angle_deg"]) <= 1e-3,
@@ -286,9 +289,7 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
 
 def _suite_theorem(report: VerificationReport, cert, tol: float) -> SuiteResult:
     s = SuiteResult("theorem")
-    theorem = bounds_mod.verify_theorem(cert, tol, report.bound_table)
-    if report.bound_table is None:
-        report.bound_table = theorem.table
+    theorem = bounds_mod.verify_theorem(cert, _bound_table(report, cert, tol))
     s.check(theorem.expansion_ok, "expansion side (S >= n^2) failed")
     s.check(theorem.table.verdict, "bound side (S < 13n) failed")
     s.check(theorem.witness_size == 12, "witness is not 12 points")

@@ -123,8 +123,8 @@ class RationalPoly:
         coefficients afresh on each call.  The image is lazy because exact
         intermediates (Sturm chains, gcds) may lie beyond the float range and
         never need it.  No exact verdict input goes through this method; the
-        one float input, the padded h_3 tail in `bounds.h3_bound`, keeps the
-        bits it had with per-call conversion.
+        one float input, the padded w_i tail in `compute_bound_table`, keeps
+        the bits it had with per-call conversion.
         """
         real = self._real
         if real is None:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,20 +17,15 @@ from kiss3.bounds import (
     build_omega,
     build_triangle_profile,
     compute_bound_table,
-    h3_bound,
-    h4_bound,
-    h4_cases,
-    h_small,
     mu_angle,
     mu_upper_bound,
     profiles_csv,
     psi_grid,
     refine_h34,
     table_to_json_dict,
-    table_to_text,
     verify_theorem,
 )
-from kiss3.errors import DomainError
+from kiss3.errors import BoundFailure, DomainError
 
 
 class TestMu:
@@ -187,22 +183,22 @@ class TestF2:
 
 
 class TestHBounds:
-    def test_h_small(self, cert):
-        h0, h1, h2 = h_small(cert)
+    def test_h_small(self, bound_table):
+        h0, h1, h2 = bound_table.h[:3]
         assert h0.mid == pytest.approx(10.11, abs=1e-12)
         assert h1.mid == pytest.approx(12.88, abs=1e-12)
         assert abs(h2.mid - 12.8749) < 5e-4
 
-    def test_h4_cases(self, cert):
-        case1, case2 = h4_cases(cert)
+    def test_h4_cases(self, bound_table):
+        case1, case2 = bound_table.h4_case_bounds
         assert abs(case1.mid - 12.9171) < 5e-4
         assert abs(case2.mid - 12.9182) < 5e-4
 
-    def test_h4_under_13(self, cert):
-        assert h4_bound(cert).hi < 13.0
+    def test_h4_under_13(self, bound_table):
+        assert bound_table.h[4].hi < 13.0
 
-    def test_w_values(self, cert):
-        ws, h3 = h3_bound(cert)
+    def test_w_values(self, bound_table):
+        ws, h3 = bound_table.w, bound_table.h[3]
         expected = (12.9425, 12.9648, 12.9508, 12.9606, 12.9519)
         assert len(ws) == 5
         for w, e in zip(ws, expected):
@@ -233,27 +229,52 @@ class TestBoundTable:
         assert d["h2"][0] <= 12.8749 <= d["h2"][1] + 5e-4
         assert d["unit"] == "degrees"
 
-    def test_text_export(self, bound_table):
-        text = table_to_text(bound_table)
-        assert "h2" in text and "PASS" in text
+
+class TestBoundFailure:
+    """A profile maximum pushed up by 1 makes a bound reach 13: the w_i are
+    checked before the h_4 cases, and the bounds suite records the message."""
+
+    @staticmethod
+    def shift_up(monkeypatch, name):
+        original = getattr(bounds, name)
+        monkeypatch.setattr(
+            bounds, name, lambda c, psi, tol=1e-7: original(c, psi, tol).shift(1.0)
+        )
+
+    def test_w1_reaches_13(self, cert, monkeypatch):
+        self.shift_up(monkeypatch, "F2")
+        with pytest.raises(BoundFailure, match=r"^w_1 bound [\d.]+ reaches 13$"):
+            compute_bound_table(cert)
+
+    def test_bounds_suite_records_failure(self, monkeypatch):
+        self.shift_up(monkeypatch, "F2")
+        report = harness.run(harness.RunConfig(suites=("bounds",)))
+        (failure,) = report.suites["bounds"].failures
+        assert re.fullmatch(r"BoundFailure: w_1 bound [\d.]+ reaches 13", failure)
+        assert report.bound_table is None and not report.ok
+
+    def test_h4_case1_reaches_13(self, cert, monkeypatch):
+        self.shift_up(monkeypatch, "F1")
+        with pytest.raises(BoundFailure, match=r"^h4 case 1 bound [\d.]+ reaches 13$"):
+            compute_bound_table(cert)
 
 
 class TestTheorem:
-    def test_conclusion(self, cert):
-        report = verify_theorem(cert)
+    def test_conclusion(self, cert, bound_table):
+        report = verify_theorem(cert, bound_table)
         assert report.conclusion == 12
         assert report.ok
 
-    def test_witness(self, cert):
-        report = verify_theorem(cert)
+    def test_witness(self, cert, bound_table):
+        report = verify_theorem(cert, bound_table)
         assert report.witness_size == 12
         assert math.degrees(report.witness_min_sep) == pytest.approx(63.4349, abs=1e-3)
         assert 144.0 * (1 - 1e-9) <= report.witness_energy < 156.0
 
 
 class TestRefine:
-    def test_estimates_and_dominance(self, cert, bound_table):
-        h3_est, h4_est = refine_h34(cert, grid_density=256)
+    def test_estimates_and_dominance(self, refined, bound_table):
+        h3_est, h4_est = refined
         assert abs(h3_est.mid - 12.8721) < 1e-3
         assert abs(h4_est.mid - 12.4849) < 1e-3
         assert h3_est.mid <= bound_table.h[3].hi

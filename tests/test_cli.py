@@ -59,10 +59,22 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
-    def test_bad_perturb_spec(self, capsys):
-        code = main(["verify", "--perturb", "nonsense"])
-        capsys.readouterr()
+    @pytest.mark.parametrize("spec", ["nonsense", "9:1/0"])
+    def test_bad_perturb_spec(self, capsys, spec):
+        code = main(["verify", "--perturb", spec])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.err.startswith("bad --perturb argument:")
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "absent" / "report.json"
+        code = main(["verify", "--suite", "certificate", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write report:")
+        assert captured.err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_bad_grid_config(self, capsys):
         code = main(["verify", "--grid", "3"])
@@ -136,3 +148,11 @@ class TestTable:
         out = capsys.readouterr().out
         assert "h2" in out
         assert "conclusion" in out
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--grid", "10")])
+    def test_bad_config(self, capsys, flag, value):
+        code = main(["table", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -19,9 +20,10 @@ class TestRunConfig:
     def test_defaults_valid(self):
         RunConfig().validate()
 
-    def test_bad_tolerance(self):
+    @pytest.mark.parametrize("tolerance", [0.0, math.nan, math.inf])
+    def test_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError):
-            RunConfig(tolerance=0.0).validate()
+            RunConfig(tolerance=tolerance).validate()
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
@@ -30,10 +32,6 @@ class TestRunConfig:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             RunConfig(suites=("certificate", "nope")).validate()
-
-    def test_bad_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(output_format="yaml").validate()
 
     @pytest.mark.parametrize("field", ["lemma1_sets", "lemma3_sets"])
     def test_negative_set_count(self, field):
