@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import sphere
 from .certificate import Certificate
@@ -34,6 +33,9 @@ RHOMBUS_SPLIT_DEG = 77.0
 #: The colatitude grid for the m = 3 analysis, in radians; the last entry is
 #: replaced by the certificate's theta0 upper endpoint at run time.
 PSI_GRID_DEG = (None, 38.0, 41.0, 44.0, 48.0, None)  # R0, ..., theta0
+
+#: Optimizer starts per configuration space in `refine_h34`.
+POLISH_STARTS = 4
 
 
 @dataclass(frozen=True)
@@ -267,73 +269,132 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
 # -- non-rigorous refined estimates (informative only) -----------------------
 
 
-def _triangle_score(c: Certificate, f_at_1: float, psi: float, u: float) -> float:
-    """The triangle profile at (psi, u) plus f_at_1 = float(f(1))."""
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: only
+    `refine_h34` optimizes, and the import costs more than most commands."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def _triangle_u0(psi):
+    """The largest pole offset u of the regular triangle with farthest
+    vertex at colatitude psi: arccos(cot(psi)/sqrt(3)) - R0, floored at 0."""
+    cot = np.cos(psi) / np.sin(psi)
+    return np.maximum(np.arccos(np.minimum(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
+
+
+def _triangle_score(c: Certificate, f_at_1: float, psi, u):
+    """The triangle profile at (psi, u) plus f_at_1 = float(f(1)).  Takes
+    floats, or numpy arrays that broadcast together."""
     c1 = sphere.cos_law(60.0 * DEG, psi, R0 - u)
     c2 = sphere.cos_law(60.0 * DEG, psi, R0 + u)
+    cos_psi = sphere.array_module(psi).cos(psi)
     f = c.f
-    return (
-        f_at_1
-        + f.eval_real(-c1)
-        + f.eval_real(-c2)
-        + f.eval_real(-math.cos(psi))
-    )
+    return f_at_1 + f.eval_real(-c1) + f.eval_real(-c2) + f.eval_real(-cos_psi)
 
 
-def _rhombus_cosines(d1: float, te: float, pe: float) -> np.ndarray:
+def _rhombus_cosines(d1, te, pe) -> np.ndarray:
     """Cosines of the pole distances to the four vertices of the unit-edge
     rhombus with diagonals d1 and rho(d1), pole at colatitude te / azimuth pe
-    relative to the rhombus center."""
-    d1 = min(max(d1, 1e-9), 2.0 * math.pi / 3.0 - 1e-9)
+    relative to the rhombus center.  Floats give the four cosines; numpy
+    arrays that broadcast together give them along a new first axis."""
+    xp = sphere.array_module(d1, te, pe)
+    d1 = np.clip(d1, 1e-9, 2.0 * math.pi / 3.0 - 1e-9)
     d2 = sphere.rho(d1)
-    s1, c1 = math.sin(d1 / 2.0), math.cos(d1 / 2.0)
-    s2, c2 = math.sin(d2 / 2.0), math.cos(d2 / 2.0)
-    verts = np.array([[s1, 0, c1], [0, s2, c2], [-s1, 0, c1], [0, -s2, c2]])
-    e0 = np.array(
-        [math.sin(te) * math.cos(pe), math.sin(te) * math.sin(pe), math.cos(te)]
-    )
-    return np.clip(verts @ e0, -1.0, 1.0)
+    s1, c1 = xp.sin(d1 / 2.0), xp.cos(d1 / 2.0)
+    s2, c2 = xp.sin(d2 / 2.0), xp.cos(d2 / 2.0)
+    ex, ey, ez = xp.sin(te) * xp.cos(pe), xp.sin(te) * xp.sin(pe), xp.cos(te)
+    verts = [s1 * ex + c1 * ez, s2 * ey + c2 * ez, c1 * ez - s1 * ex, c2 * ez - s2 * ey]
+    return np.clip(np.array(verts), -1.0, 1.0)
 
 
-def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray) -> float:
+def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray):
     """The rhombus profile at the vertex cosines `_rhombus_cosines` gives,
-    plus f_at_1 = float(f(1))."""
+    plus f_at_1 = float(f(1)); one score per cell for array cosines."""
     f = c.f
     return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
 
 
+def _best_cells(scores: np.ndarray) -> list[tuple[int, ...]]:
+    """The grid indices of the POLISH_STARTS largest distinct finite scores,
+    best first; each chosen value is overwritten with -inf in `scores`.
+    Cells of equal score count once: the pole-at-center plane te = 0 of the
+    rhombus scan, where pe has no effect, is one start."""
+    cells = []
+    for _ in range(POLISH_STARTS):
+        i = np.argmax(scores)
+        best = scores.flat[i]
+        if not np.isfinite(best):
+            break
+        cells.append(np.unravel_index(i, scores.shape))
+        scores[scores == best] = -np.inf
+    return cells
+
+
 def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Interval]:
-    """Non-rigorous point estimates of the true suprema h_3 and h_4 by direct
-    maximization over the extremal configuration spaces (regular triangle and
-    unit-edge rhombus).  Reported separately from the rigorous enclosures."""
+    """Non-rigorous estimates of the true suprema h_3 and h_4 over the
+    extremal configuration spaces: the regular triangle (psi, u) and the
+    unit-edge rhombus (d1, pole colatitude te, pole azimuth pe).  Each value
+    is the score of a configuration the search reached, so it is a lower
+    value for the supremum, not a bound; it is reported beside the rigorous
+    enclosures and feeds no verdict.
+
+    Scan then polish: each space is scored once on a numpy grid of
+    2 * isqrt(grid_density) points per axis, with the rhombus cells that break
+    the cap constraint masked out.  From the best `POLISH_STARTS` cells a
+    Nelder-Mead (triangle) or SLSQP (rhombus, under the cap constraint that
+    is active at its optimum) run polishes the estimate.  scipy is imported
+    by the first polish."""
     if grid_density < 64:
         raise ValueError("grid_density must be >= 64")
     theta0 = c.theta0.mid
     f_at_1 = float(c.f.eval(1))
-    # m = 3: parameters (psi, u)
-    n_psi = max(int(math.sqrt(grid_density)) * 2, 16)
+    n = 2 * math.isqrt(grid_density)
+
+    # m = 3: parameters (psi, u), u in [0, u0(psi)]
+    psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
+    u = t * _triangle_u0(psi)
 
     def neg3(x):
         psi, u = x
         if not R0 <= psi <= theta0:
             return 1e6
-        cot = math.cos(psi) / max(math.sin(psi), 1e-12)
-        u0 = max(math.acos(min(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
-        if not 0.0 <= u <= u0:
+        if not 0.0 <= u <= _triangle_u0(psi):
             return 1e6
         return -_triangle_score(c, f_at_1, psi, u)
 
     best3 = -math.inf
-    for psi in np.linspace(R0 + 1e-9, theta0 - 1e-9, n_psi):
-        for u in np.linspace(0.0, 0.3, 8):
-            res = minimize(neg3, [psi, u], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-            if -res.fun > best3:
-                best3 = -res.fun
+    for i, j in _best_cells(_triangle_score(c, f_at_1, psi, u)):
+        res = minimize(
+            neg3,
+            [psi[i, 0], u[i, j]],
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12},
+        )
+        best3 = max(best3, -res.fun)
 
-    # m = 4: parameters (d1, pole colatitude, pole azimuth); the cap
-    # constraint is active at the optimum, so use an SLSQP polish instead of
-    # penalty walls
+    # m = 4: parameters (d1, te, pe); the cap constraint is active at the
+    # optimum, so use an SLSQP polish instead of penalty walls
     d1_lo = sphere.rho(2.0 * theta0)
+    axes = (
+        np.linspace(d1_lo, math.pi / 2.0, n),
+        np.linspace(0.0, theta0, n),
+        np.linspace(0.0, math.pi, n),
+    )
+
+    def slack(cos_th):
+        return theta0 - np.arccos(cos_th)
+
+    # one d1 slice at a time: the four vertex cosines of the whole grid and
+    # their temporaries would hold several megabytes at the default density
+    te, pe = np.ix_(axes[1], axes[2])
+    scores = np.empty((n, n, n))
+    for k, d1 in enumerate(axes[0]):
+        cos_th = _rhombus_cosines(d1, te, pe)
+        feasible = np.all(slack(cos_th) >= 0.0, axis=0)
+        scores[k] = np.where(feasible, _rhombus_score(c, f_at_1, cos_th), -np.inf)
+
     # SLSQP evaluates the objective and the constraint at the same points;
     # both read the vertex cosines from here, keyed by the bits of x
     cosines_at: dict[bytes, np.ndarray] = {}
@@ -348,27 +409,22 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
         return -_rhombus_score(c, f_at_1, cosines(x))
 
     def cap_slack(x):
-        return theta0 - np.arccos(cosines(x))
+        return slack(cosines(x))
 
     best4 = -math.inf
-    n_d1 = max(grid_density // 24, 10)
-    for d1 in np.linspace(d1_lo, math.pi / 2.0, n_d1):
-        for te in np.linspace(0.0, 0.4, 6):
-            for pe in np.linspace(0.0, math.pi / 2.0, 5):
-                cosines_at.clear()
-                res = minimize(
-                    neg4,
-                    [d1, te, pe],
-                    method="SLSQP",
-                    bounds=[(d1_lo, math.pi / 2.0), (0.0, theta0), (0.0, math.pi)],
-                    constraints=[{"type": "ineq", "fun": cap_slack}],
-                    options={"maxiter": 200, "ftol": 1e-14},
-                )
-                if not np.all(cap_slack(res.x) >= -1e-9):
-                    continue
-                if -res.fun > best4:
-                    best4 = -res.fun
-    return Interval.point(best3), Interval.point(best4)
+    for cell in _best_cells(scores):
+        cosines_at.clear()
+        res = minimize(
+            neg4,
+            [axis[k] for axis, k in zip(axes, cell)],
+            method="SLSQP",
+            bounds=[(axis[0], axis[-1]) for axis in axes],
+            constraints=[{"type": "ineq", "fun": cap_slack}],
+            options={"maxiter": 200, "ftol": 1e-14},
+        )
+        if np.all(cap_slack(res.x) >= -1e-9):
+            best4 = max(best4, -res.fun)
+    return Interval.point(float(best3)), Interval.point(float(best4))
 
 
 # -- export ------------------------------------------------------------------
@@ -398,15 +454,3 @@ def table_to_json_dict(table: BoundTable) -> dict:
         "unit": "degrees",
         "verdict": table.verdict,
     }
-
-
-def profiles_csv(c: Certificate, n: int = 64, tol: float = 1e-6) -> str:
-    """CSV dump of F1 and F2 over n-point grids of their domains."""
-    lines = ["profile,psi_deg,lo,hi"]
-    for psi in np.linspace(60.0 * DEG, 2.0 * c.theta0.lo, n):
-        iv = F1(c, float(psi), tol)
-        lines.append(f"F1,{math.degrees(psi):.6f},{iv.lo!r},{iv.hi!r}")
-    for psi in np.linspace(R0 + 1e-9, c.theta0.lo, n):
-        iv = F2(c, float(psi), tol)
-        lines.append(f"F2,{math.degrees(psi):.6f},{iv.lo!r},{iv.hi!r}")
-    return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@
 
     kiss3 verify [--suite NAME]... [--tol X] [--grid N] [--seed S]
                  [--format text|json] [--out PATH] [--perturb IDX:DELTA]
-    kiss3 table
+    kiss3 table [--tol X] [--grid N] [--skip-refine]
     kiss3 sample --n N --min-sep DEG --seed S
     kiss3 energy --points FILE
 
@@ -25,6 +25,9 @@ from .energy import energy, energy_to_json_dict
 from .errors import Kiss3Error
 
 
+_GRID_HELP = "size of the refine scan grid: 2*isqrt(N) points per axis (minimum 64)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kiss3",
@@ -41,9 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to the named suite (repeatable; default: all)",
     )
     verify.add_argument("--tol", type=float, default=1e-7, help="enclosure tolerance")
-    verify.add_argument(
-        "--grid", type=int, default=256, help="grid density for refinement"
-    )
+    verify.add_argument("--grid", type=int, default=256, metavar="N", help=_GRID_HELP)
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", type=Path, default=None, help="write report here")
@@ -63,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="print the reference-constant comparison table")
     table.add_argument("--tol", type=float, default=1e-7)
-    table.add_argument("--seed", type=int, default=42)
-    table.add_argument("--grid", type=int, default=256)
+    table.add_argument("--grid", type=int, default=256, metavar="N", help=_GRID_HELP)
     table.add_argument(
         "--skip-refine", action="store_true", help="omit the non-rigorous estimates"
     )
@@ -130,12 +130,7 @@ def _cmd_table(args) -> int:
     suites = ("certificate", "bounds", "theorem")
     if not args.skip_refine:
         suites += ("refine",)
-    config = harness.RunConfig(
-        tolerance=args.tol,
-        grid_density=args.grid,
-        seed=args.seed,
-        suites=suites,
-    )
+    config = harness.RunConfig(tolerance=args.tol, grid_density=args.grid, suites=suites)
     return _run(config, "text")
 
 

@@ -76,28 +76,36 @@ class PointSet:
         return np.arccos(self.cos_matrix())
 
 
-def cos_law(theta1: float, theta2: float, dphi: float) -> float:
-    """Spherical law of cosines: cosine of the side opposite the angle dphi."""
-    c = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(
-        theta2
-    ) * math.cos(dphi)
-    return _clamp(c)
+def array_module(*xs):
+    """numpy if any argument is a numpy array, else math.  Floats keep math's
+    bits: numpy's vectorised trigonometry may differ in the last place."""
+    return np if any(isinstance(x, np.ndarray) for x in xs) else math
+
+
+def cos_law(theta1, theta2, dphi):
+    """Spherical law of cosines: cosine of the side opposite the angle dphi.
+    Takes floats, or numpy arrays that broadcast together."""
+    xp = array_module(theta1, theta2, dphi)
+    c = xp.cos(theta1) * xp.cos(theta2) + xp.sin(theta1) * xp.sin(theta2) * xp.cos(dphi)
+    return _clamp(c) if xp is math else np.clip(c, -1.0, 1.0)
 
 
 def angular_distance(p: SphericalPoint, q: SphericalPoint) -> float:
     return math.acos(cos_law(p.theta, q.theta, p.phi - q.phi))
 
 
-def rho(s: float) -> float:
+def rho(s):
     """Companion diagonal of a unit-edge (60 degree) spherical rhombus.
 
     The diagonals d1, d2 satisfy cos(d1/2) cos(d2/2) = 1/2, so
     rho(s) = 2 arccos(1 / (2 cos(s/2))); an involution with rho(pi/2) = pi/2.
+    Takes a float or a numpy array.
     """
-    c = math.cos(s / 2.0)
-    if c <= 0.5:
+    xp = array_module(s)
+    c = xp.cos(s / 2.0)
+    if np.any(c <= 0.5):
         raise DomainError(f"rho requires cos(s/2) > 1/2, got s = {s}")
-    return 2.0 * math.acos(1.0 / (2.0 * c))
+    return 2.0 * (math.acos if xp is math else np.arccos)(1.0 / (2.0 * c))
 
 
 def min_separation(ps: PointSet) -> float:

@@ -19,7 +19,6 @@ from kiss3.bounds import (
     compute_bound_table,
     mu_angle,
     mu_upper_bound,
-    profiles_csv,
     psi_grid,
     refine_h34,
     table_to_json_dict,
@@ -284,6 +283,29 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine_h34(cert, grid_density=32)
 
+    @pytest.mark.parametrize("grid_density", [64, 256, 1024])
+    def test_same_optimum_at_every_density(self, cert, bound_table, grid_density):
+        # the estimates of the 556-start multistart search that the scan and
+        # polish replaced
+        h3_est, h4_est = refine_h34(cert, grid_density)
+        assert abs(h3_est.mid - 12.87211978609106) <= 1e-9
+        assert abs(h4_est.mid - 12.484941253936224) <= 1e-9
+        assert h3_est.mid <= bound_table.h[3].hi
+        assert h4_est.mid <= bound_table.h[4].hi
+
+    def test_few_optimizer_starts(self, cert, monkeypatch):
+        starts = []
+        original = bounds.minimize
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs["method"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "minimize", counted)
+        refine_h34(cert)
+        k = bounds.POLISH_STARTS
+        assert starts == ["Nelder-Mead"] * k + ["SLSQP"] * k
+
 
 class TestRefineScores:
     """The objectives with f(1) hoisted match the formulas that evaluate f(1)
@@ -317,6 +339,37 @@ class TestRefineScores:
             cos_th = _rhombus_cosines(*x)
             original = float(f.eval(1)) + sum(f.eval_real(-v) for v in cos_th)
             assert _rhombus_score(cert, f_at_1, cos_th).hex() == original.hex()
+
+
+class TestRefineScan:
+    """The scan scores whole grids with the same formulas the polish calls
+    on floats; numpy's vectorised trigonometry may move the last bits."""
+
+    def test_triangle_grid(self, cert):
+        f_at_1 = float(cert.f.eval(1))
+        psi, u = np.ix_(np.linspace(R0, cert.theta0.mid, 7), np.linspace(0.0, 0.3, 5))
+        grid = _triangle_score(cert, f_at_1, psi, u)
+        assert grid.shape == (7, 5)
+        for i, j in np.ndindex(grid.shape):
+            expected = _triangle_score(cert, f_at_1, float(psi[i, 0]), float(u[0, j]))
+            assert grid[i, j] == pytest.approx(expected, rel=1e-12)
+
+    def test_rhombus_grid(self, cert):
+        f_at_1 = float(cert.f.eval(1))
+        axes = (
+            np.linspace(1.0, math.pi / 2.0, 4),
+            np.linspace(0.0, 0.9, 3),
+            np.linspace(0.0, math.pi, 5),
+        )
+        cos_th = _rhombus_cosines(*np.ix_(*axes))
+        grid = _rhombus_score(cert, f_at_1, cos_th)
+        assert cos_th.shape == (4, 4, 3, 5) and grid.shape == (4, 3, 5)
+        for cell in np.ndindex(grid.shape):
+            point = [float(axis[k]) for axis, k in zip(axes, cell)]
+            cos_point = _rhombus_cosines(*point)
+            assert cos_th[(slice(None),) + cell] == pytest.approx(cos_point, abs=1e-14)
+            expected = _rhombus_score(cert, f_at_1, cos_point)
+            assert grid[cell] == pytest.approx(expected, rel=1e-12)
 
 
 class TestOneEvaluation:
@@ -370,12 +423,3 @@ class TestOneEvaluation:
         assert report.table is bound_table
         assert tables == []
         assert report.conclusion == 12
-
-
-class TestProfilesCsv:
-    def test_header_and_rows(self, cert):
-        csv = profiles_csv(cert, n=8, tol=1e-5)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "profile,psi_deg,lo,hi"
-        assert sum(1 for ln in lines if ln.startswith("F1,")) == 8
-        assert sum(1 for ln in lines if ln.startswith("F2,")) == 8

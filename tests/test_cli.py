@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kiss3
 from kiss3.cli import main
 from kiss3.sphere import min_separation, parse_points
 
@@ -156,3 +160,13 @@ class TestTable:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("configuration error:")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the first refine polish, not by the CLI import
+    env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))
+    probe = "import sys, kiss3.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
