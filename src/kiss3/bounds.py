@@ -11,7 +11,7 @@ maximum is a valid upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,13 +56,13 @@ class BoundTable:
     mu: int
     h: list[Interval]  # h_0 ... h_4 upper enclosures
     h_max: Interval
-    f1_values: dict[float, Interval] = field(default_factory=dict)  # psi deg -> enclosure
-    f2_values: dict[float, Interval] = field(default_factory=dict)
-    psi_grid: list[float] = field(default_factory=list)  # radians
-    w: list[Interval] = field(default_factory=list)
-    h4_case_bounds: tuple[Interval, Interval] | None = None
-    mu_angle_deg: float = 0.0
-    verdict: bool = False
+    f1_values: dict[float, Interval]  # psi deg -> enclosure
+    f2_values: dict[float, Interval]
+    psi_grid: list[float]  # radians
+    w: list[Interval]
+    h4_case_bounds: tuple[Interval, Interval]
+    mu_angle_deg: float
+    verdict: bool
 
 
 @dataclass(frozen=True)
@@ -395,25 +395,14 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
         feasible = np.all(slack(cos_th) >= 0.0, axis=0)
         scores[k] = np.where(feasible, _rhombus_score(c, f_at_1, cos_th), -np.inf)
 
-    # SLSQP evaluates the objective and the constraint at the same points;
-    # both read the vertex cosines from here, keyed by the bits of x
-    cosines_at: dict[bytes, np.ndarray] = {}
-
-    def cosines(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in cosines_at:
-            cosines_at[key] = _rhombus_cosines(*x)
-        return cosines_at[key]
-
     def neg4(x):
-        return -_rhombus_score(c, f_at_1, cosines(x))
+        return -_rhombus_score(c, f_at_1, _rhombus_cosines(*x))
 
     def cap_slack(x):
-        return slack(cosines(x))
+        return slack(_rhombus_cosines(*x))
 
     best4 = -math.inf
     for cell in _best_cells(scores):
-        cosines_at.clear()
         res = minimize(
             neg4,
             [axis[k] for axis, k in zip(axes, cell)],
@@ -444,9 +433,7 @@ def table_to_json_dict(table: BoundTable) -> dict:
         "h3": _pair(table.h[3]),
         "h4": _pair(table.h[4]),
         "h_max": _pair(table.h_max),
-        "h4_cases": [_pair(iv) for iv in table.h4_case_bounds]
-        if table.h4_case_bounds
-        else None,
+        "h4_cases": [_pair(iv) for iv in table.h4_case_bounds],
         "f1": {f"{k:.6f}": _pair(v) for k, v in sorted(table.f1_values.items())},
         "f2": {f"{k:.6f}": _pair(v) for k, v in sorted(table.f2_values.items())},
         "psi_grid_deg": [math.degrees(p) for p in table.psi_grid],

@@ -7,7 +7,6 @@ The polynomial is fixed data; searching for certificates is out of scope.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,20 +137,3 @@ def classic_delsarte_gap(c: Certificate) -> Fraction:
     method's cap analysis.
     """
     return c.f.eval(-1)
-
-
-def certificate_to_json(c: Certificate) -> str:
-    payload = {
-        "monomial_coefficients": [
-            {"numerator": str(x.numerator), "denominator": str(x.denominator)}
-            for x in c.f.coeffs
-        ],
-        "legendre_coefficients": [
-            {"numerator": str(x.numerator), "denominator": str(x.denominator)}
-            for x in c.legendre_coeffs.coefficients
-        ],
-        "t0": [c.t0.lo, c.t0.hi],
-        "theta0_rad": [c.theta0.lo, c.theta0.hi],
-        "theta0_deg": [math.degrees(c.theta0.lo), math.degrees(c.theta0.hi)],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)

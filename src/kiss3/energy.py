@@ -13,7 +13,7 @@ import numpy as np
 from .certificate import Certificate
 from .errors import SeparationViolation
 from .legendre import gegenbauer_sum, gegenbauer_sums
-from .sphere import PointSet, min_separation
+from .sphere import PointSet, min_angle
 
 SIXTY_DEG = math.pi / 3.0
 
@@ -43,6 +43,7 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     """
     n = len(ps)
     cosm = ps.cos_matrix()
+    sep = min_angle(cosm) if n >= 2 else math.nan
     np.fill_diagonal(cosm, 1.0)
     fcoeffs = [float(x) for x in reversed(c.f.coeffs)]
     values = np.polyval(fcoeffs, cosm)
@@ -55,7 +56,6 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
         J_i = tuple(j for j in range(n) if j != i and cosm[i, j] < threshold)
         T_i = f_at_1 + float(sum(values[i, j] for j in J_i))
         per_point.append(PerPoint(S_i=S_i, T_i=T_i, J_i=J_i))
-    sep = min_separation(ps) if n >= 2 else math.nan
     return EnergySummary(
         n=n, S=float(values.sum()), per_point=tuple(per_point), min_sep=sep
     )

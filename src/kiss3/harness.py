@@ -420,9 +420,8 @@ def emit_table(report: VerificationReport, output_format: str = "text") -> str:
         row("h0", REFERENCE_VALUES["h0"], table.h[0])
         row("h1", REFERENCE_VALUES["h1"], table.h[1])
         row("h2", REFERENCE_VALUES["h2"], table.h[2])
-        if table.h4_case_bounds:
-            row("h4/1", REFERENCE_VALUES["h4_case1"], table.h4_case_bounds[0])
-            row("h4/2", REFERENCE_VALUES["h4_case2"], table.h4_case_bounds[1])
+        row("h4/1", REFERENCE_VALUES["h4_case1"], table.h4_case_bounds[0])
+        row("h4/2", REFERENCE_VALUES["h4_case2"], table.h4_case_bounds[1])
         for i, (w, expected) in enumerate(zip(table.w, REFERENCE_VALUES["w"]), start=1):
             row(f"w{i}", expected, w)
         lines.append(f"  verdict: {'h_max < 13' if table.verdict else 'FAILED'}")

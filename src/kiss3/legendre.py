@@ -1,5 +1,5 @@
-"""Legendre polynomials, the Legendre basis, associated functions, and the
-classical addition theorem.
+"""Legendre polynomials, the Legendre basis, and the classical addition
+theorem.
 
 The exact routines (recurrence, Rodrigues, basis conversion) are capped at
 degree 12; everything the proof needs stops at degree 9.
@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
 from .polynomial import RationalPoly, X
 
 DEGREE_CAP = 12
@@ -56,19 +55,6 @@ def _legendre_deriv(k: int, m: int) -> RationalPoly:
     for _ in range(m):
         p = p.derivative()
     return p
-
-
-def assoc_legendre(k: int, m: int, t: float) -> float:
-    """Associated Legendre function (1-t^2)^{m/2} d^m/dt^m P_k at t."""
-    _check_degree(k)
-    if not 0 <= m <= k:
-        raise ValueError("require 0 <= m <= k")
-    if abs(t) > 1:
-        raise DomainError(f"assoc_legendre requires |t| <= 1, got {t}")
-    value = _legendre_deriv(k, m).eval_real(t)
-    if m == 0:
-        return value
-    return value * (1.0 - t * t) ** (m / 2.0)
 
 
 def addition_weights(k: int) -> tuple[Fraction, ...]:
@@ -140,9 +126,9 @@ def addition_theorem_residual(k: int, theta1: float, theta2: float, phi: float) 
     lhs = legendre(k).eval_real(c)
 
     def polar(m: int, theta: float) -> float:
-        # assoc_legendre at cos(theta), with (1 - t^2)^{m/2} taken as
-        # sin(theta)^m: near a pole 1 - cos(theta)^2 rounds to 0 and would
-        # drop every m >= 1 term
+        # the associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
+        # t = cos(theta), with (1 - t^2)^{m/2} taken as sin(theta)^m: near a
+        # pole 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
         return _legendre_deriv(k, m).eval_real(math.cos(theta)) * math.sin(theta) ** m
 
     rhs = 0.0

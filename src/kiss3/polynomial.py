@@ -135,9 +135,6 @@ class RationalPoly:
             acc = acc * t + c
         return acc
 
-    def __call__(self, t):
-        return self.eval_real(t) if isinstance(t, float) else self.eval(t)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
@@ -212,43 +209,32 @@ def _primitive(p: RationalPoly) -> RationalPoly:
     return RationalPoly([Fraction(v // g) for v in ints])
 
 
-def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
-    """Monic gcd via the Euclidean algorithm with primitive rescaling."""
-    a, b = _primitive(p), _primitive(q)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, _primitive(r)
-    if a.is_zero():
-        return a
-    return a * (1 / a.coeffs[-1])
-
-
-def squarefree_part(p: RationalPoly) -> RationalPoly:
-    """p divided by gcd(p, p'); shares the roots of p, all simple."""
-    if p.degree <= 0:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    assert r.is_zero()
-    return q
-
-
 class SturmChain:
-    """Sturm sequence of the squarefree part of a polynomial."""
+    """Sturm sequence of the squarefree part of p, from one Euclidean pass.
+
+    The signed remainder sequence of p and p' (each term rescaled by a
+    positive rational) ends in g = gcd(p, p') up to a constant.  Every term
+    is a multiple of g, so dividing each by g leaves the sign variations
+    unchanged wherever g is nonzero, and the quotients form a Sturm sequence
+    of the squarefree part p/g (Basu, Pollack and Roy, *Algorithms in Real
+    Algebraic Geometry*, section 2.2).  `chain[0]`, also `.squarefree`, is
+    that part: the roots of p, all simple.
+    """
 
     def __init__(self, p: RationalPoly):
-        self.squarefree = _primitive(squarefree_part(p))
-        chain = [self.squarefree]
-        if self.squarefree.degree >= 1:
-            chain.append(_primitive(self.squarefree.derivative()))
+        chain = [_primitive(p)]
+        if p.degree >= 1:
+            chain.append(_primitive(p.derivative()))
             while chain[-1].degree >= 1:
                 _, r = chain[-2].divmod(chain[-1])
                 if r.is_zero():
                     break
                 chain.append(_primitive(-r))
+        g = chain[-1]
+        if g.degree >= 1:
+            chain = [_primitive(_exact_quotient(q, g)) for q in chain]
         self.chain = chain
+        self.squarefree = chain[0]
 
     def variations(self, t: Scalar) -> int:
         signs = []
@@ -269,12 +255,17 @@ class SturmChain:
         return n
 
 
+def _exact_quotient(p: RationalPoly, d: RationalPoly) -> RationalPoly:
+    q, r = p.divmod(d)
+    assert r.is_zero()
+    return q
+
+
 def _deflate(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
     """p with every root at a or b divided out exactly (zero stays zero)."""
     for endpoint in (a, b):
         while not p.is_zero() and p.eval(endpoint) == 0:
-            p, r = p.divmod(RationalPoly([-endpoint, 1]))
-            assert r.is_zero()
+            p = _exact_quotient(p, RationalPoly([-endpoint, 1]))
     return p
 
 
@@ -296,40 +287,30 @@ def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
 def isolate_root(p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9) -> Interval:
     """Shrink (a, b), known to hold exactly one root of p, to the given width.
 
-    Bisection on the squarefree part with exact sign evaluation; the returned
-    endpoints are exact evaluation points, so the enclosure is rigorous.
+    The enclosure is the one `isolate_all_roots` finds; this adds the checks
+    that p is nonzero and has exactly one root in (a, b).
     """
-    lo, hi = _to_fraction(a), _to_fraction(b)
-    p = _deflate(p, lo, hi)
     if p.is_zero():
         raise DegenerateEndpoint("polynomial vanishes identically after deflation")
-    n = SturmChain(p).count_open(lo, hi)
-    if n == 0:
+    roots = isolate_all_roots(p, a, b, width)
+    if not roots:
         raise NoRoot(f"no root of p in ({a}, {b})")
-    if n > 1:
-        raise MultipleRoots(f"{n} roots of p in ({a}, {b})")
-    q = squarefree_part(p)
-    slo, shi = q.eval(lo), q.eval(hi)
-    if slo * shi > 0:
-        raise MultipleRoots("no sign change despite unit Sturm count")
-    while float(hi - lo) > width:
-        mid = (lo + hi) / 2
-        smid = q.eval(mid)
-        if smid == 0:
-            return Interval(float(mid), float(mid))
-        if slo * smid < 0:
-            hi, shi = mid, smid
-        else:
-            lo, slo = mid, smid
-    return Interval(
-        math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
-    )
+    if len(roots) > 1:
+        raise MultipleRoots(f"{len(roots)} roots of p in ({a}, {b})")
+    return roots[0]
 
 
 def isolate_all_roots(
     p: RationalPoly, a: Scalar, b: Scalar, width: float
 ) -> list[Interval]:
-    """Disjoint enclosures (each of width <= width) of every root in (a, b)."""
+    """Disjoint enclosures (each of width <= width) of every root in (a, b).
+
+    One Sturm chain of the deflated p counts the roots in each cell.  A cell
+    with one root and a sign change of the squarefree part q is bisected with
+    exact signs; its endpoints are exact evaluation points, so the enclosure
+    is rigorous.  After deflation q is nonzero at a and b, so a single root
+    in (a, b) is bisected at once.
+    """
     a, b = _to_fraction(a), _to_fraction(b)
     p = _deflate(p, a, b)
     if p.is_zero() or p.degree <= 0:
@@ -338,11 +319,26 @@ def isolate_all_roots(
     q = chain.squarefree
     out: list[Interval] = []
 
+    def bisect(lo: Fraction, hi: Fraction) -> Interval:
+        slo = q.eval(lo)
+        while float(hi - lo) > width:
+            mid = (lo + hi) / 2
+            smid = q.eval(mid)
+            if smid == 0:
+                return Interval(float(mid), float(mid))
+            if slo * smid < 0:
+                hi = mid
+            else:
+                lo, slo = mid, smid
+        return Interval(
+            math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+        )
+
     def recurse(lo: Fraction, hi: Fraction, count: int):
         if count == 0:
             return
         if count == 1 and q.eval(lo) * q.eval(hi) < 0:
-            out.append(isolate_root(q, lo, hi, width))
+            out.append(bisect(lo, hi))
             return
         mid = (lo + hi) / 2
         if q.eval(mid) == 0:

@@ -108,12 +108,16 @@ def rho(s):
     return 2.0 * (math.acos if xp is math else np.arccos)(1.0 / (2.0 * c))
 
 
+def min_angle(cosm: np.ndarray) -> float:
+    """Smallest angle arccos(cosm[i, j]) over the pairs i < j of a matrix of
+    pairwise cosines."""
+    return float(np.arccos(cosm[np.triu_indices(len(cosm), 1)]).min())
+
+
 def min_separation(ps: PointSet) -> float:
     if len(ps) < 2:
         raise TooFewPoints("min_separation needs at least two points")
-    d = ps.distance_matrix()
-    n = len(ps)
-    return float(min(d[i, j] for i in range(n) for j in range(i + 1, n)))
+    return min_angle(ps.cos_matrix())
 
 
 def icosahedron() -> PointSet:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kiss3 import bounds, harness, sphere
+from kiss3 import bounds, harness, polynomial, sphere
 from kiss3.bounds import (
     DEG,
     R0,
@@ -405,6 +405,32 @@ class TestOneEvaluation:
             assert len(calls[name]) == 5
             assert len(set(calls[name])) == 5
         assert table == bound_table
+
+    def test_one_sturm_chain_per_profile_maximum(self, cert, monkeypatch):
+        """Each F1/F2 value isolates the critical points of its profile with
+        one Sturm chain, so the table builds 10 chains for its 10 calls."""
+        chains = []
+        init = polynomial.SturmChain.__init__
+
+        def counted_init(chain, p):
+            chains.append(p)
+            init(chain, p)
+
+        monkeypatch.setattr(polynomial.SturmChain, "__init__", counted_init)
+        per_call = []
+        for name in ("F1", "F2"):
+            original = getattr(bounds, name)
+
+            def counted(c, psi, tol=1e-7, _original=original):
+                before = len(chains)
+                result = _original(c, psi, tol)
+                per_call.append(len(chains) - before)
+                return result
+
+            monkeypatch.setattr(bounds, name, counted)
+        compute_bound_table(cert, tol=1e-7)
+        assert per_call == [1] * 10
+        assert len(chains) == 10
 
     def test_bounds_and_theorem_share_one_table(self, calls, tables):
         report = harness.run(harness.RunConfig(suites=("bounds", "theorem")))

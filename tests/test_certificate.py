@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction as Fr
 
@@ -9,7 +8,6 @@ from kiss3.certificate import (
     EXPECTED_LEGENDRE_COEFFS,
     build_certificate,
     certificate_poly,
-    certificate_to_json,
     classic_delsarte_gap,
     verify_expansion,
     verify_property_i,
@@ -116,23 +114,5 @@ class TestClassicGap:
 
 
 class TestJsonExport:
-    def test_round_trip_fields(self, cert):
-        payload = json.loads(certificate_to_json(cert))
-        assert len(payload["monomial_coefficients"]) == 10
-        assert payload["monomial_coefficients"][9] == {
-            "numerator": "2431",
-            "denominator": "80",
-        }
-        assert payload["legendre_coefficients"][1] == {
-            "numerator": "8",
-            "denominator": "5",
-        }
-        t0_lo, t0_hi = payload["t0"]
-        assert t0_lo <= t0_hi
-        assert abs(0.5 * (t0_lo + t0_hi) - 0.59069) < 5e-5
-        th_lo, th_hi = payload["theta0_deg"]
-        assert th_lo <= th_hi
-        assert abs(0.5 * (th_lo + th_hi) - 53.794) < 1e-3
-
     def test_certificate_poly_default(self):
         assert certificate_poly() == RationalPoly(F_COEFFS)

@@ -5,12 +5,10 @@ from fractions import Fraction as Fr
 import pytest
 
 from kiss3.certificate import EXPECTED_LEGENDRE_COEFFS, certificate_poly
-from kiss3.errors import DomainError
 from kiss3.legendre import (
     LegendreExpansion,
     addition_theorem_residual,
     addition_weights,
-    assoc_legendre,
     from_legendre_basis,
     gegenbauer_sum,
     legendre,
@@ -71,32 +69,6 @@ class TestBasisConversion:
 
 
 class TestAssocLegendre:
-    def test_m_zero_reduces_to_legendre(self):
-        for k in range(10):
-            for t in (-0.9, -0.3, 0.0, 0.4, 1.0):
-                assert assoc_legendre(k, 0, t) == pytest.approx(
-                    legendre(k).eval_real(t), abs=1e-12
-                )
-
-    def test_p11_at_zero(self):
-        assert assoc_legendre(1, 1, 0.0) == pytest.approx(1.0)
-
-    def test_p21_finite_difference(self):
-        # central 7-point finite difference of d/dt P_2 at t = 0.5
-        t, h = 0.5, 1e-3
-        p2 = legendre(2)
-        stencil = [
-            (-3, -1 / 60), (-2, 3 / 20), (-1, -3 / 4),
-            (1, 3 / 4), (2, -3 / 20), (3, 1 / 60),
-        ]
-        deriv = sum(w * p2.eval_real(t + i * h) for i, w in stencil) / h
-        expected = (1 - t * t) ** 0.5 * deriv
-        assert assoc_legendre(2, 1, t) == pytest.approx(expected, abs=1e-9)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            assoc_legendre(3, 1, 1.5)
-
     def test_weights(self):
         w = addition_weights(3)
         assert w[0] == 1

@@ -11,6 +11,9 @@ from kiss3.legendre import legendre
 from kiss3.polynomial import (
     Interval,
     RationalPoly,
+    SturmChain,
+    _deflate,
+    _primitive,
     isolate_all_roots,
     isolate_root,
     max_on_interval,
@@ -236,6 +239,185 @@ class TestIsolateAllRoots:
         assert len(roots) == 3
         for iv, expected in zip(roots, (-0.5, 0.0, 1.0)):
             assert abs(iv.mid - expected) < 1e-9
+
+
+# -- two-pass reference -------------------------------------------------------
+# The root machinery as it was before Sturm chains took one Euclidean pass: a
+# gcd-based squarefree part, then the Sturm chain of that part, and a
+# bisection of its own in `ref_isolate_root`.
+
+
+def ref_gcd(p, q):
+    a, b = _primitive(p), _primitive(q)
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, _primitive(r)
+    if a.is_zero():
+        return a
+    return a * (1 / a.coeffs[-1])
+
+
+def ref_squarefree(p):
+    if p.degree <= 0:
+        return p
+    g = ref_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p
+    q, r = p.divmod(g)
+    assert r.is_zero()
+    return q
+
+
+class RefChain:
+    def __init__(self, p):
+        self.squarefree = _primitive(ref_squarefree(p))
+        chain = [self.squarefree]
+        if self.squarefree.degree >= 1:
+            chain.append(_primitive(self.squarefree.derivative()))
+            while chain[-1].degree >= 1:
+                _, r = chain[-2].divmod(chain[-1])
+                if r.is_zero():
+                    break
+                chain.append(_primitive(-r))
+        self.chain = chain
+
+    count_open = SturmChain.count_open
+    variations = SturmChain.variations
+
+
+def ref_sturm_count(p, a, b):
+    a, b = Fr(a), Fr(b)
+    if a >= b:
+        raise ValueError("require a < b")
+    p = _deflate(p, a, b)
+    if p.is_zero():
+        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+    return RefChain(p).count_open(a, b)
+
+
+def ref_isolate_root(p, a, b, width=1e-9):
+    lo, hi = Fr(a), Fr(b)
+    p = _deflate(p, lo, hi)
+    if p.is_zero():
+        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+    n = RefChain(p).count_open(lo, hi)
+    if n == 0:
+        raise NoRoot(f"no root of p in ({a}, {b})")
+    if n > 1:
+        raise MultipleRoots(f"{n} roots of p in ({a}, {b})")
+    q = ref_squarefree(p)
+    slo, shi = q.eval(lo), q.eval(hi)
+    if slo * shi > 0:
+        raise MultipleRoots("no sign change despite unit Sturm count")
+    while float(hi - lo) > width:
+        mid = (lo + hi) / 2
+        smid = q.eval(mid)
+        if smid == 0:
+            return Interval(float(mid), float(mid))
+        if slo * smid < 0:
+            hi, shi = mid, smid
+        else:
+            lo, slo = mid, smid
+    return Interval(math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf))
+
+
+def ref_isolate_all_roots(p, a, b, width):
+    a, b = Fr(a), Fr(b)
+    p = _deflate(p, a, b)
+    if p.is_zero() or p.degree <= 0:
+        return []
+    chain = RefChain(p)
+    q = chain.squarefree
+    out = []
+
+    def recurse(lo, hi, count):
+        if count == 0:
+            return
+        if count == 1 and q.eval(lo) * q.eval(hi) < 0:
+            out.append(ref_isolate_root(q, lo, hi, width))
+            return
+        mid = (lo + hi) / 2
+        if q.eval(mid) == 0:
+            out.append(Interval(float(mid), float(mid)))
+        recurse(lo, mid, chain.count_open(lo, mid))
+        recurse(mid, hi, chain.count_open(mid, hi))
+
+    recurse(a, b, chain.count_open(a, b))
+    out.sort(key=lambda iv: iv.lo)
+    return out
+
+
+def outcome(fn, *args):
+    """What a call returns, in comparable form: interval endpoints as
+    `.hex()`, or the exception's type and message."""
+    try:
+        result = fn(*args)
+    except (DegenerateEndpoint, NoRoot, MultipleRoots, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Interval):
+        return result.lo.hex(), result.hi.hex()
+    if isinstance(result, list):
+        return [(iv.lo.hex(), iv.hi.hex()) for iv in result]
+    return result
+
+
+def repeated_root_poly(rng):
+    """A product of rational linear factors with multiplicities 1 to 3, a
+    random scale and, half the time, an irreducible or irrational quadratic
+    factor.  Returns the polynomial and its rational roots."""
+    roots = [Fr(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    p = RationalPoly([Fr(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))])
+    for r in roots:
+        p = p * RationalPoly([-r, 1]) ** rng.randint(1, 3)
+    if rng.random() < 0.5:
+        p = p * RationalPoly([rng.choice([-1, 1]) * rng.randint(1, 5), 0, 1])
+    return p, roots
+
+
+def comparison_intervals(rng, roots):
+    """One interval with random rational endpoints, and one for each of the
+    (possibly multiple) rational roots, with that root as an endpoint."""
+    a = Fr(rng.randint(-40, 40), rng.randint(1, 8))
+    out = [(a, a + Fr(rng.randint(1, 40), rng.randint(1, 8)))]
+    for r in roots:
+        step = Fr(rng.randint(1, 20), rng.randint(1, 4))
+        out.append(rng.choice([(r, r + step), (r - step, r)]))
+    return out
+
+
+class TestOnePassMatchesTwoPass:
+    """One Euclidean pass per chain gives the counts, exceptions and
+    enclosure endpoints of the two-pass (gcd, then chain) reference."""
+
+    CASES = [repeated_root_poly(random.Random(seed)) for seed in range(300)]
+
+    def test_cases_have_repeated_roots(self):
+        repeated = sum(ref_squarefree(p).degree < p.degree for p, _ in self.CASES)
+        assert repeated >= 200
+
+    @pytest.mark.parametrize("seed", range(0, 300, 50))
+    def test_counts_and_enclosures(self, seed):
+        for k, (p, roots) in enumerate(self.CASES[seed : seed + 50]):
+            rng = random.Random(1000 + seed + k)
+            for a, b in comparison_intervals(rng, roots):
+                width = rng.choice([1e-3, 1e-6])
+                assert outcome(sturm_count, p, a, b) == outcome(ref_sturm_count, p, a, b)
+                assert outcome(isolate_root, p, a, b, width) == outcome(
+                    ref_isolate_root, p, a, b, width
+                )
+                assert outcome(isolate_all_roots, p, a, b, width) == outcome(
+                    ref_isolate_all_roots, p, a, b, width
+                )
+
+    def test_chain_of_squarefree_input_is_unchanged(self):
+        for p in [F, F.derivative(), RationalPoly([-2, 0, 1])]:
+            assert SturmChain(p).chain == RefChain(p).chain
+
+    def test_squarefree_part_has_simple_roots(self):
+        p = RationalPoly([-1, 1]) ** 3 * RationalPoly([2, 1]) ** 2  # (t-1)^3 (t+2)^2
+        q = SturmChain(p).squarefree
+        assert q.degree == 2
+        assert q.eval(1) == 0 and q.eval(-2) == 0
 
 
 class TestInterval:

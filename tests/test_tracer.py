@@ -1,0 +1,47 @@
+"""The benchmark's per-layer tracer (`bench/tracer.py`) still hooks the
+layers it names: a refactor that renames a traced function or changes the
+Sturm chain's shape breaks `bench/run.py --trace 1`, and this catches it
+without running the benchmark."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from kiss3 import harness, polynomial
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracer")
+
+
+def test_install_trace_uninstall(tracer):
+    spans = {name: getattr(mod, attr) for name, (mod, attr) in tracer.SPANS.items()}
+    methods = {
+        attr: owner.__dict__[attr]
+        for owner, attr in [
+            (polynomial.SturmChain, "__init__"),
+            (polynomial.RationalPoly, "eval"),
+            (polynomial.RationalPoly, "eval_real"),
+        ]
+    }
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report = harness.run(harness.RunConfig(suites=("certificate", "bounds")))
+    finally:
+        t.uninstall()
+    assert report.ok
+    metrics = t.metrics()
+    assert metrics["polynomial.sturm_chain.calls"] > 0
+    assert metrics["polynomial.sturm_chain.max_bits"] > 0
+    assert metrics["polynomial.isolate_root.calls"] > 0
+    for name, (mod, attr) in tracer.SPANS.items():
+        assert getattr(mod, attr) is spans[name], name
+    assert polynomial.SturmChain.__dict__["__init__"] is methods["__init__"]
+    assert polynomial.RationalPoly.__dict__["eval"] is methods["eval"]
+    assert polynomial.RationalPoly.__dict__["eval_real"] is methods["eval_real"]
