@@ -192,7 +192,7 @@ def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
     above.  The first w_i, then h_4 case, to reach 13 raises `BoundFailure`.
     """
     mu = mu_upper_bound(c)
-    f_at_1 = float(c.f.eval(1))
+    f_at_1 = c.f_at_1
     grid = psi_grid(c)
     split = RHOMBUS_SPLIT_DEG * DEG
     rhombus = (sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG)
@@ -349,7 +349,7 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
     if grid_density < 64:
         raise ValueError("grid_density must be >= 64")
     theta0 = c.theta0.mid
-    f_at_1 = float(c.f.eval(1))
+    f_at_1 = c.f_at_1
     n = 2 * math.isqrt(grid_density)
 
     # m = 3: parameters (psi, u), u in [0, u0(psi)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CertificateInvalid
 from .legendre import LegendreExpansion, from_legendre_basis, to_legendre_basis
@@ -50,6 +51,11 @@ class Certificate:
     legendre_coeffs: LegendreExpansion
     t0: Interval  # enclosure of the positive root magnitude (f(-t0) = 0)
     theta0: Interval  # arccos(t0), radians, outward rounded
+
+    @cached_property
+    def f_at_1(self) -> float:
+        """float(f(1)), from the exact value, taken once per certificate."""
+        return float(self.f.eval(1))
 
 
 def certificate_poly(coeffs=F_COEFFS) -> RationalPoly:

@@ -138,10 +138,15 @@ def _cmd_sample(args) -> int:
     if args.n < 1:
         print(f"configuration error: --n must be >= 1, got {args.n}", file=sys.stderr)
         return 2
-    try:
-        ps = sphere.random_separated_set(
-            args.n, math.radians(args.min_sep), seed=args.seed
+    min_sep = math.radians(args.min_sep)
+    if not 0.0 <= min_sep <= math.pi:  # the range random_separated_set takes
+        print(
+            f"configuration error: --min-sep must lie in [0, 180] degrees, got {args.min_sep}",
+            file=sys.stderr,
         )
+        return 2
+    try:
+        ps = sphere.random_separated_set(args.n, min_sep, seed=args.seed)
     except Kiss3Error as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return 1

@@ -40,25 +40,28 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     J(i) collects the j with cos dist < -t0; membership is tested against the
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
     only increase T_i -- conservative for the < 13 direction.
+
+    Works on whole arrays: S_i is each row's numpy sum, and T_i is f(1) plus
+    the sequential running sum (np.add.accumulate) of the row with every
+    term outside J(i) set to zero, which adds the J(i) terms left to right
+    as a Python sum over them would.  The masking and the running sums
+    overwrite the values matrix in place once S and the S_i are taken.
     """
     n = len(ps)
     cosm = ps.cos_matrix()
     sep = min_angle(cosm) if n >= 2 else math.nan
     np.fill_diagonal(cosm, 1.0)
-    fcoeffs = [float(x) for x in reversed(c.f.coeffs)]
-    values = np.polyval(fcoeffs, cosm)
-    f_at_1 = float(c.f.eval(1))
-    np.fill_diagonal(values, f_at_1)
-    threshold = -c.t0.lo
-    per_point = []
-    for i in range(n):
-        S_i = float(values[i].sum())
-        J_i = tuple(j for j in range(n) if j != i and cosm[i, j] < threshold)
-        T_i = f_at_1 + float(sum(values[i, j] for j in J_i))
-        per_point.append(PerPoint(S_i=S_i, T_i=T_i, J_i=J_i))
-    return EnergySummary(
-        n=n, S=float(values.sum()), per_point=tuple(per_point), min_sep=sep
-    )
+    values = np.polyval(c.f.real_coeffs(), cosm)
+    np.fill_diagonal(values, c.f_at_1)
+    S = float(values.sum())
+    S_i = values.sum(axis=1).tolist()
+    deep = cosm < -c.t0.lo  # the diagonal is 1.0, never in J(i)
+    J = [tuple(row.nonzero()[0].tolist()) for row in deep]
+    np.copyto(values, 0.0, where=~deep)
+    np.add.accumulate(values, axis=1, out=values)
+    T_i = (c.f_at_1 + values[:, -1]).tolist()
+    per_point = tuple(map(PerPoint, S_i, T_i, J))
+    return EnergySummary(n=n, S=S, per_point=per_point, min_sep=sep)
 
 
 def check_lemma2(ps: PointSet, c: Certificate) -> bool:

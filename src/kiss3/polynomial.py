@@ -114,24 +114,31 @@ class RationalPoly:
             acc = acc * t + c
         return acc
 
-    def eval_real(self, t: float) -> float:
-        """Floating Horner evaluation.
+    def real_coeffs(self) -> tuple[float, ...]:
+        """The float image of the coefficients, highest power first, as
+        np.polyval takes them.
 
-        Runs on a float image of the coefficients, highest power first, built
-        on the first call and kept on the polynomial.  Each entry is
-        `float(c)`, so every value is bit-identical to converting the
-        coefficients afresh on each call.  The image is lazy because exact
+        Built on the first call and kept on the polynomial.  Each entry is
+        `float(c)`, so every value computed from it is bit-identical to
+        converting the coefficients afresh.  The image is lazy because exact
         intermediates (Sturm chains, gcds) may lie beyond the float range and
-        never need it.  No exact verdict input goes through this method; the
-        one float input, the padded w_i tail in `compute_bound_table`, keeps
-        the bits it had with per-call conversion.
+        never need it.
         """
         real = self._real
         if real is None:
             real = tuple(float(c) for c in reversed(self.coeffs))
             object.__setattr__(self, "_real", real)
+        return real
+
+    def eval_real(self, t: float) -> float:
+        """Floating Horner evaluation on `real_coeffs()`.
+
+        No exact verdict input goes through this method; the one float
+        input, the padded w_i tail in `compute_bound_table`, keeps the bits
+        it had with per-call conversion.
+        """
         acc = 0.0
-        for c in real:
+        for c in self.real_coeffs():
             acc = acc * t + c
         return acc
 

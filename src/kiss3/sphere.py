@@ -9,7 +9,9 @@ CLI boundary and in the point-set text format.
 from __future__ import annotations
 
 import math
+import operator
 import random
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +73,6 @@ class PointSet:
         """Pairwise cosines of angular distance, clamped into [-1, 1]."""
         v = self.vectors()
         return np.clip(v @ v.T, -1.0, 1.0)
-
-    def distance_matrix(self) -> np.ndarray:
-        return np.arccos(self.cos_matrix())
 
 
 def array_module(*xs):
@@ -137,6 +136,35 @@ def random_point(rng: random.Random) -> SphericalPoint:
     return SphericalPoint(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, TWO_PI))
 
 
+#: Candidates drawn and filtered together by random_separated_set.
+SAMPLER_BLOCK = 512
+#: Half-width of the cosine band around cos(min_sep) inside which
+#: random_separated_set decides a candidate by the scalar rule.
+SAMPLER_MARGIN = 1e-9
+
+_thread_state = threading.local()
+
+
+def _seeded_state(seed: int):
+    """A numpy RandomState whose random_sample stream is random.Random(seed)'s
+    random() stream.
+
+    Both seed MT19937 by init_by_array on the 32-bit words of abs(seed),
+    least significant first (one zero word for seed 0), and build each double
+    from two 32-bit outputs the same way; NumPy keeps this legacy stream
+    frozen.  One state per thread, made on the first call, so importing this
+    module does not load numpy.random.
+    """
+    state = getattr(_thread_state, "state", None)
+    if state is None:
+        from numpy.random import RandomState
+
+        state = _thread_state.state = RandomState()
+    a = abs(operator.index(seed))
+    state.seed([(a >> s) & 0xFFFFFFFF for s in range(0, max(a.bit_length(), 1), 32)])
+    return state
+
+
 def random_separated_set(
     n: int, min_sep: float, seed: int, max_tries: int = 20000
 ) -> PointSet:
@@ -146,40 +174,99 @@ def random_separated_set(
     The draw sequence is part of the output contract.  Each candidate takes
     two draws from random.Random(seed): colatitude acos(uniform(-1, 1)), then
     azimuth uniform(0, 2pi).  It is accepted when its law-of-cosines distance
+    acos(_clamp(cos t cos t' + sin t sin t' cos(phi - phi'))), on math values,
     to every point already accepted is at least min_sep.  A seed therefore
     places the same points in the same order whatever n is, and the set for
     n is a prefix of the set for any larger n.
+
+    The candidates are drawn and tested in blocks of SAMPLER_BLOCK, from a
+    numpy RandomState that reproduces random.Random(seed)'s doubles, and the
+    block test is decision-exact: it accepts and rejects exactly the
+    candidates the scalar rule does.  The test's cosine c from a candidate to
+    an accepted point is a product of unit vectors and lies within 1e-14 of
+    the scalar rule's sum.  One unit in the last place of math.acos, or of
+    math.cos(min_sep), moves the cosine at min_sep by under 1e-15 (a relative
+    error e in an angle x moves its cosine by x sin(x) e, and x sin(x) < pi).
+    So the scalar rule accepts wherever c < cos(min_sep) - SAMPLER_MARGIN
+    and rejects wherever c > cos(min_sep) + SAMPLER_MARGIN, with five orders
+    of magnitude to spare; only a candidate within the margin of
+    cos(min_sep) for some accepted point, and no rejecting one, is decided
+    by the scalar rule itself.  Accepted points keep their math.acos/cos/sin
+    values.  The argument needs 0 <= min_sep <= pi, where acos(c) >= min_sep
+    means c <= cos(min_sep); other values, NaN included, raise ValueError.
 
     Raises SaturationError after max_tries consecutive rejections; its
     `placed` attribute is the PointSet accepted before saturation, in order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    uniform = random.Random(seed).uniform
+    if not 0.0 <= min_sep <= math.pi:
+        raise ValueError(f"min_sep must lie in [0, pi], got {min_sep}")
+    state = _seeded_state(seed)
     acos, cos, sin = math.acos, math.cos, math.sin
+    cos_sep = cos(min_sep)
+    accept_below = cos_sep - SAMPLER_MARGIN
+    reject_above = cos_sep + SAMPLER_MARGIN
     # (theta, phi, cos theta, sin theta) of each accepted point; the sums are
-    # the ones cos_law forms, in the same operand order, so the acceptance
-    # test agrees bit for bit with angular_distance.
+    # the ones cos_law forms, in the same operand order, so the scalar rule
+    # agrees bit for bit with angular_distance.  `vectors` holds their unit
+    # vectors for the block test.
     accepted: list[tuple[float, float, float, float]] = []
+    vectors = np.empty((n, 3))
     rejections = 0
-    while len(accepted) < n:
-        theta = acos(uniform(-1.0, 1.0))
-        phi = uniform(0.0, TWO_PI) % TWO_PI
-        ct, st = cos(theta), sin(theta)
-        for _, q_phi, q_ct, q_st in accepted:
-            if not acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep:
+    while True:
+        draws = state.random_sample(2 * SAMPLER_BLOCK)
+        z = 2.0 * draws[0::2] - 1.0
+        s = np.sqrt((1.0 - z) * (1.0 + z))
+        azimuth = TWO_PI * draws[1::2]
+        block = np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1)
+        # largest cosine from each candidate to an accepted point
+        if accepted:
+            closest = (block @ vectors[: len(accepted)].T).max(axis=1)
+        else:
+            closest = np.full(SAMPLER_BLOCK, -np.inf)
+        j = 0
+        while j < SAMPLER_BLOCK:
+            # the run of candidates the filter rejects, up to the next that survives it
+            survives = closest[j:] <= reject_above
+            run = int(survives.argmax())
+            if not survives[run]:
+                run = SAMPLER_BLOCK - j
+            if run:
+                rejections += run
+                if rejections >= max_tries:
+                    raise _saturated(accepted, n, max_tries, min_sep)
+                j += run
+                if j == SAMPLER_BLOCK:
+                    break
+            # random.Random's uniform(-1, 1) and uniform(0, 2pi) on the same doubles
+            theta = acos(-1.0 + 2.0 * float(draws[2 * j]))
+            phi = TWO_PI * float(draws[2 * j + 1]) % TWO_PI
+            ct, st = cos(theta), sin(theta)
+            if closest[j] > accept_below and not all(
+                acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep
+                for _, q_phi, q_ct, q_st in accepted
+            ):
                 rejections += 1
                 if rejections >= max_tries:
-                    raise SaturationError(
-                        f"placed {len(accepted)}/{n} points before {max_tries} "
-                        f"consecutive rejections at separation {min_sep}",
-                        placed=_point_set(accepted),
-                    )
-                break
-        else:
-            accepted.append((theta, phi, ct, st))
-            rejections = 0
-    return _point_set(accepted)
+                    raise _saturated(accepted, n, max_tries, min_sep)
+            else:
+                vectors[len(accepted)] = (st * cos(phi), st * sin(phi), ct)
+                accepted.append((theta, phi, ct, st))
+                rejections = 0
+                if len(accepted) == n:
+                    return _point_set(accepted)
+                rest = closest[j + 1 :]
+                np.maximum(rest, block[j + 1 :] @ vectors[len(accepted) - 1], out=rest)
+            j += 1
+
+
+def _saturated(accepted, n, max_tries, min_sep) -> SaturationError:
+    return SaturationError(
+        f"placed {len(accepted)}/{n} points before {max_tries} "
+        f"consecutive rejections at separation {min_sep}",
+        placed=_point_set(accepted),
+    )
 
 
 def _point_set(accepted) -> PointSet:

@@ -45,6 +45,12 @@ class TestBuild:
         assert cert.theta0.lo <= math.acos(cert.t0.hi)
         assert cert.theta0.hi >= math.acos(cert.t0.lo)
 
+    def test_f_at_1(self, cert):
+        fresh = build_certificate()
+        assert fresh.f_at_1 == float(fresh.f.eval(1)) == 10.11
+        assert vars(fresh)["f_at_1"] == fresh.f_at_1  # taken once, then kept
+        assert fresh == cert
+
     def test_wrong_degree_rejected(self):
         with pytest.raises(CertificateInvalid):
             build_certificate((Fr(1), Fr(2)))

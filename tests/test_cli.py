@@ -117,6 +117,21 @@ class TestSampleAndEnergy:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("deg", ["nan", "inf", "-inf", "200", "-5", "180.0001"])
+    def test_sample_bad_min_sep(self, capsys, deg):
+        code = main(["sample", "--n", "3", f"--min-sep={deg}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("deg, n", [("0", 10), ("180", 1)])
+    def test_sample_min_sep_range_ends(self, capsys, deg, n):
+        code = main(["sample", "--n", str(n), "--min-sep", deg, "--seed", "2"])
+        assert code == 0
+        assert len(parse_points(capsys.readouterr().out)) == n
+
     def test_energy_round_trip(self, tmp_path, capsys):
         code = main(["sample", "--n", "5", "--min-sep", "70", "--seed", "8"])
         assert code == 0
@@ -162,11 +177,21 @@ class TestTable:
         assert captured.err.startswith("configuration error:")
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the first refine polish, not by the CLI import
+def _loaded_after_cli_import(module: str) -> bool:
+    """Whether `import kiss3.cli` in a fresh interpreter loads `module`."""
     env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))
-    probe = "import sys, kiss3.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, kiss3.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False\n"
+    return {"True\n": True, "False\n": False}[out]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the first refine polish, not by the CLI import
+    assert not _loaded_after_cli_import("scipy")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the sampler makes its RandomState on its first call
+    assert not _loaded_after_cli_import("numpy.random")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kiss3.energy import (
@@ -16,6 +17,7 @@ from kiss3.sphere import (
     PointSet,
     SphericalPoint,
     icosahedron,
+    min_angle,
     random_point,
     random_rotation,
     random_separated_set,
@@ -87,6 +89,66 @@ class TestEnergy:
             for rec in summary.per_point:
                 assert rec.S_i <= rec.T_i + 1e-9
                 assert rec.T_i < 13.0
+
+
+def _loop_energy(ps, c):
+    """energy() as a Python loop over rows and pairs, in .hex() form: the
+    per-row numpy sum, J(i) by a pair test, T_i as a Python sum over J(i)."""
+    n = len(ps)
+    cosm = ps.cos_matrix()
+    sep = min_angle(cosm) if n >= 2 else math.nan
+    np.fill_diagonal(cosm, 1.0)
+    values = np.polyval([float(x) for x in reversed(c.f.coeffs)], cosm)
+    f_at_1 = float(c.f.eval(1))
+    np.fill_diagonal(values, f_at_1)
+    threshold = -c.t0.lo
+    per_point = []
+    for i in range(n):
+        S_i = float(values[i].sum())
+        J_i = tuple(j for j in range(n) if j != i and cosm[i, j] < threshold)
+        T_i = f_at_1 + float(sum(values[i, j] for j in J_i))
+        per_point.append((S_i.hex(), T_i.hex(), J_i))
+    return n, float(values.sum()).hex(), sep.hex(), per_point
+
+
+def _hex_energy(ps, c):
+    summary = energy(ps, c)
+    per_point = [(r.S_i.hex(), r.T_i.hex(), r.J_i) for r in summary.per_point]
+    return summary.n, summary.S.hex(), summary.min_sep.hex(), per_point
+
+
+class TestWholeArrayEnergy:
+    """energy() matches the loop bit for bit."""
+
+    def test_small_sets(self, cert):
+        rng = random.Random(55)
+        empty = full = 0
+        for n in range(1, 41):
+            for _ in range(3):
+                ps = random_point_set(rng, n)
+                expected = _loop_energy(ps, cert)
+                assert _hex_energy(ps, cert) == expected
+                empty += sum(1 for _, _, J in expected[3] if not J)
+                full += sum(1 for _, _, J in expected[3] if J)
+        assert empty > 0 and full > 0
+
+    def test_icosahedron(self, cert):
+        assert _hex_energy(icosahedron(), cert) == _loop_energy(icosahedron(), cert)
+
+    def test_thousand_points(self, cert):
+        ps = random_point_set(random.Random(1), 1000)
+        assert _hex_energy(ps, cert) == _loop_energy(ps, cert)
+
+    def test_no_deep_pairs(self, cert):
+        # every point within 20 degrees of the pole: no J(i) has a member
+        rng = random.Random(56)
+        ps = PointSet(
+            SphericalPoint(rng.uniform(0.0, math.radians(10.0)), rng.uniform(0.0, 6.0))
+            for _ in range(15)
+        )
+        expected = _loop_energy(ps, cert)
+        assert all(not J for _, _, J in expected[3])
+        assert _hex_energy(ps, cert) == expected
 
 
 class TestLemma2:

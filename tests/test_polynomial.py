@@ -84,6 +84,12 @@ class TestFloatImage:
                 t = np.float64(t)  # the refine objectives pass numpy scalars
             assert fresh.eval_real(t).hex() == per_call_horner(poly, t).hex()
 
+    def test_real_coeffs(self):
+        fresh = RationalPoly(F.coeffs)
+        image = fresh.real_coeffs()
+        assert image == tuple(float(c) for c in reversed(F.coeffs))
+        assert fresh.real_coeffs() is image  # built once
+
     def test_beyond_float_range_is_exact(self):
         big = Fr(10**400, 3)
         p = RationalPoly([big, -1, 1])  # t^2 - t + big has no real root

@@ -1,11 +1,16 @@
 import math
 import random
 import re
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from kiss3 import sphere
 from kiss3.errors import DomainError, SaturationError, TooFewPoints
 from kiss3.sphere import (
+    SAMPLER_BLOCK,
     PointSet,
     SphericalPoint,
     angular_distance,
@@ -132,7 +137,7 @@ class TestIcosahedron:
 
     def test_each_vertex_has_five_nearest_neighbors(self):
         ico = icosahedron()
-        d = ico.distance_matrix()
+        d = np.arccos(ico.cos_matrix())
         for i in range(12):
             near = sum(
                 1 for j in range(12) if j != i and abs(d[i, j] - ICO_SEP) < 1e-9
@@ -219,6 +224,146 @@ class TestSamplerContract:
         assert isinstance(placed, PointSet) and 2 <= len(placed) < 13
         assert min_separation(placed) >= math.pi / 3
         assert placed.points == random_separated_set(len(placed), math.pi / 3, 0).points
+
+
+def _scalar_loop(n, min_sep, seed, max_tries):
+    """The sampler before block testing, as an outcome: one random.Random
+    draw pair and one scalar distance test per candidate and accepted point,
+    rejecting at the first accepted point that is too close."""
+    uniform = random.Random(seed).uniform
+    accepted = []
+    rejections = 0
+    while len(accepted) < n:
+        theta = math.acos(uniform(-1.0, 1.0))
+        phi = uniform(0.0, 2.0 * math.pi) % (2.0 * math.pi)
+        ct, st = math.cos(theta), math.sin(theta)
+        for _, q_phi, q_ct, q_st in accepted:
+            c = ct * q_ct + st * q_st * math.cos(phi - q_phi)
+            if not math.acos(-1.0 if c < -1.0 else (1.0 if c > 1.0 else c)) >= min_sep:
+                rejections += 1
+                if rejections >= max_tries:
+                    message = (
+                        f"placed {len(accepted)}/{n} points before {max_tries} "
+                        f"consecutive rejections at separation {min_sep}"
+                    )
+                    return "saturated", message, [(t.hex(), p.hex()) for t, p, _, _ in accepted]
+                break
+        else:
+            accepted.append((theta, phi, ct, st))
+            rejections = 0
+    return "placed", None, [(t.hex(), p.hex()) for t, p, _, _ in accepted]
+
+
+def _block_test(n, min_sep, seed, max_tries):
+    """random_separated_set's outcome in the form of `_scalar_loop`."""
+    try:
+        ps = random_separated_set(n, min_sep, seed, max_tries)
+    except SaturationError as exc:
+        assert re.search(r"placed (\d+)/", str(exc)).group(1) == str(len(exc.placed))
+        status, message, ps = "saturated", str(exc), exc.placed
+    else:
+        status, message = "placed", None
+    return status, message, [(p.theta.hex(), p.phi.hex()) for p in ps]
+
+
+class TestBlockTest:
+    """The block test accepts and rejects exactly what the scalar loop does:
+    same status, message, placed points and bits."""
+
+    BIG_SEEDS = [-1, -5, -(2**31), -(2**64), 2**32, 2**32 + 1, 2**40 + 7, 10**20 + 3, 2**64 - 1, 10**30]
+
+    def test_seeds(self):
+        saturated = 0
+        for seed in list(range(2000)) + self.BIG_SEEDS:
+            n = 2 + seed % 11
+            expected = _scalar_loop(n, math.pi / 3, seed, 300)
+            assert _block_test(n, math.pi / 3, seed, 300) == expected, seed
+            saturated += expected[0] == "saturated"
+        assert 100 < saturated < 2000
+
+    @pytest.mark.parametrize(
+        "min_sep", [0.0, 1e-6, math.pi / 6, math.pi / 3, 1.2, math.pi - 1e-6, math.pi]
+    )
+    def test_min_sep(self, min_sep):
+        for seed in list(range(40)) + self.BIG_SEEDS:
+            expected = _scalar_loop(8, min_sep, seed, 600)
+            assert _block_test(8, min_sep, seed, 600) == expected, seed
+
+    @pytest.mark.parametrize(
+        "max_tries",
+        [0, 1, 2, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1, 2000],
+    )
+    def test_max_tries(self, max_tries):
+        for seed in range(30):
+            expected = _scalar_loop(12, math.pi / 3, seed, max_tries)
+            assert _block_test(12, math.pi / 3, seed, max_tries) == expected, seed
+
+    def test_min_sep_range(self):
+        for min_sep in (-1e-300, math.nextafter(math.pi, 4.0), math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="min_sep"):
+                random_separated_set(3, min_sep, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40 + 7])
+    def test_in_band_candidate_takes_the_scalar_rule(self, monkeypatch, seed):
+        # min_sep set to the scalar distance between the seed's first two
+        # candidates puts the second one on the band's centre line
+        first, second = (
+            [float.fromhex(x) for x in pair] for pair in _scalar_loop(2, 0.0, seed, 1)[2]
+        )
+        ct, st = math.cos(first[0]), math.sin(first[0])
+        c = math.cos(second[0]) * ct + math.sin(second[0]) * st * math.cos(second[1] - first[1])
+        d = math.acos(c)
+        scalar_tests = []
+
+        def clamp(x):
+            scalar_tests.append(x)
+            return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+
+        monkeypatch.setattr(sphere, "_clamp", clamp)
+        for min_sep, status in ((d, "placed"), (math.nextafter(d, 4.0), "saturated")):
+            scalar_tests.clear()
+            got = _block_test(2, min_sep, seed, 1)
+            assert got == _scalar_loop(2, min_sep, seed, 1)
+            assert got[0] == status
+            assert scalar_tests == [c]
+
+    def test_filter_decides_ordinary_candidates(self, monkeypatch):
+        scalar_tests = []
+        monkeypatch.setattr(sphere, "_clamp", lambda x: scalar_tests.append(x) or x)
+        for seed in range(20):
+            with pytest.raises(SaturationError):
+                random_separated_set(13, math.pi / 3, seed, max_tries=2000)
+        assert scalar_tests == []
+
+    def test_threads_sample_independently(self):
+        # each thread reseeds its own RandomState, so interleaved calls from
+        # more threads than cores still give the single-threaded sets
+        seeds = range(120)
+        expected = {seed: _block_test(12, math.pi / 3, seed, 2000) for seed in seeds}
+        got = {}
+
+        def work(offset):
+            for seed in seeds[offset::6]:
+                got[seed] = _block_test(12, math.pi / 3, seed, 2000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 2**32, 2**40 + 7, 10**30, -5])
+    def test_random_state_matches_random(self, seed):
+        rng = random.Random(seed)
+        expected = [rng.random() for _ in range(10_000)]
+        assert sphere._seeded_state(seed).random_sample(10_000).tolist() == expected
 
 
 class TestTextFormat:
