@@ -12,8 +12,8 @@ import numpy as np
 
 from .certificate import Certificate
 from .errors import SeparationViolation
-from .legendre import gegenbauer_sum, gegenbauer_sums
-from .sphere import PointSet, min_angle
+from .legendre import gegenbauer_sums
+from .sphere import CosineBatch, PointSet, min_angle
 
 SIXTY_DEG = math.pi / 3.0
 
@@ -64,11 +64,24 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     return EnergySummary(n=n, S=S, per_point=per_point, min_sep=sep)
 
 
-def check_lemma2(ps: PointSet, c: Certificate) -> bool:
+def set_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
+    """S(X) of every set of a batch: one np.polyval of f over the flat
+    cosines, each diagonal term set to f(1), and one sum per set."""
+    values = np.polyval(c.f.real_coeffs(), batch.cos)
+    values[batch.diagonal] = c.f_at_1
+    return np.add.reduceat(values, batch.starts)
+
+
+def lemma2_holds(S, n):
     """S(X) >= n^2 (with relative floating slack 1e-9); holds for every point
-    set on the sphere, separated or not."""
-    summary = energy(ps, c)
-    return summary.S >= summary.n**2 * (1.0 - 1e-9)
+    set on the sphere, separated or not.  Takes the energies and sizes as
+    numbers or as arrays."""
+    return S >= n**2 * (1.0 - 1e-9)
+
+
+def check_lemma2(ps: PointSet, c: Certificate) -> bool:
+    """Lemma 2 (`lemma2_holds`) for one point set."""
+    return bool(lemma2_holds(set_energies(CosineBatch.of(ps), c)[0], len(ps)))
 
 
 def check_lemma3(ps: PointSet, c: Certificate) -> bool:
@@ -88,23 +101,32 @@ def check_lemma3(ps: PointSet, c: Certificate) -> bool:
     return True
 
 
+def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
+    """Every Gegenbauer sum of a set of n points is >= 0, with floating slack
+    1e-9 n^2.  `sums` holds one row per degree and one column per set, as
+    legendre.gegenbauer_sums gives them; `n` is the sizes, one per set."""
+    return np.all(sums >= -1e-9 * n**2, axis=0)
+
+
 def check_lemma1(ps: PointSet, kmax: int = 9) -> list[float]:
     """The Gegenbauer sums for k = 0 ... kmax; each is >= 0 up to rounding."""
     if kmax > 12:
         raise ValueError("kmax capped at 12")
-    return gegenbauer_sums(ps.cos_matrix(), range(kmax + 1))
+    batch = CosineBatch.of(ps)
+    return gegenbauer_sums(batch.cos, batch.starts, range(kmax + 1))[:, 0].tolist()
+
+
+def linearity_gaps(batch: CosineBatch, c: Certificate) -> np.ndarray:
+    """|S(X) - sum_k c_k * (Gegenbauer sum at k)| for every set of a batch;
+    the mechanized form of the lower-bound lemma's one-line proof."""
+    weights = [float(ck) for ck in c.legendre_coeffs.coefficients]
+    sums = gegenbauer_sums(batch.cos, batch.starts, range(len(weights)))
+    return np.abs(set_energies(batch, c) - np.dot(weights, sums))
 
 
 def linearity_gap(ps: PointSet, c: Certificate) -> float:
-    """|S(X) - sum_k c_k * (Gegenbauer sum at k)|; the mechanized form of the
-    lower-bound lemma's one-line proof."""
-    summary = energy(ps, c)
-    via_basis = sum(
-        float(ck) * gegenbauer_sum(ps, k)
-        for k, ck in enumerate(c.legendre_coeffs.coefficients)
-        if ck != 0
-    )
-    return abs(summary.S - via_basis)
+    """`linearity_gaps` for one point set."""
+    return float(linearity_gaps(CosineBatch.of(ps), c)[0])
 
 
 def energy_to_json_dict(summary: EnergySummary) -> dict:

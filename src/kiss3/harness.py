@@ -13,9 +13,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import sphere
-from .energy import check_lemma1, check_lemma2, check_lemma3, linearity_gap
+from .energy import check_lemma3, lemma1_holds, lemma2_holds, linearity_gaps, set_energies
 from .certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -26,10 +28,15 @@ from .certificate import (
     verify_property_ii,
 )
 from .errors import Kiss3Error
-from .legendre import addition_theorem_residual
+from .legendre import addition_theorem_residual, gegenbauer_sums
 from .polynomial import Interval
 
 SCHEMA_VERSION = 1
+
+#: Random point sets drawn and evaluated together by the lemma 1 and 2
+#: suites.  It bounds their working set (under 1 MB of arrays at 128 sets of
+#: at most 16 points), whatever --lemma1-sets is.
+LEMMA_BLOCK = 128
 
 ALL_SUITES = ("certificate", "lemma1", "lemma2", "lemma3", "bounds", "theorem", "refine")
 
@@ -148,8 +155,27 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _random_point_set(rng: random.Random, n: int) -> sphere.PointSet:
-    return sphere.PointSet(sphere.random_point(rng) for _ in range(n))
+def _random_sets(rng: random.Random, count: int):
+    """The lemma 1 and 2 suites' `count` random point sets, LEMMA_BLOCK at a
+    time: yields (index of the chunk's first set, its sphere.CosineBatch).
+
+    The draws are those of one set after another: rng.randint(1, 16) points,
+    each from rng.uniform(-1, 1), the cosine of its colatitude, then
+    rng.uniform(0, 2pi), its azimuth, as in sphere.random_point.  A chunk's
+    draws are all taken before it is yielded, so the draws that follow the
+    last chunk do not depend on LEMMA_BLOCK.
+    """
+    uniform = rng.uniform
+    for first in range(0, count, LEMMA_BLOCK):
+        sizes, draws = [], []
+        for _ in range(min(LEMMA_BLOCK, count - first)):
+            n = rng.randint(1, 16)
+            sizes.append(n)
+            for _ in range(n):
+                draws += (uniform(-1.0, 1.0), uniform(0.0, sphere.TWO_PI))
+        draws = np.array(draws)
+        vectors = sphere.unit_vectors(draws[0::2], draws[1::2])
+        yield first, sphere.CosineBatch(vectors, sizes)
 
 
 def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
@@ -224,21 +250,26 @@ def _suite_lemma1(config: RunConfig) -> SuiteResult:
     s = SuiteResult("lemma1")
     rng = random.Random(config.seed)
     bad = 0
-    for _ in range(config.lemma1_sets):
-        ps = _random_point_set(rng, rng.randint(1, 16))
-        sums = check_lemma1(ps, kmax=9)
-        if any(v < -1e-9 * len(ps) ** 2 for v in sums):
-            bad += 1
+    for _, batch in _random_sets(rng, config.lemma1_sets):
+        sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
+        bad += int(np.count_nonzero(~lemma1_holds(sums, batch.sizes)))
     s.check(bad == 0, f"{bad} point sets with a negative Gegenbauer sum")
     s.passed += config.lemma1_sets - (1 if bad else 0)
+    samples = [
+        (
+            rng.randint(0, 9),
+            rng.uniform(0.0, math.pi),
+            rng.uniform(0.0, math.pi),
+            rng.uniform(0.0, 2.0 * math.pi),
+        )
+        for _ in range(1000)
+    ]
+    degree, theta1, theta2, phi = map(np.array, zip(*samples))
     bad_residual = 0
-    for _ in range(1000):
-        k = rng.randint(0, 9)
-        theta1 = rng.uniform(0.0, math.pi)
-        theta2 = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if addition_theorem_residual(k, theta1, theta2, phi) >= 1e-9:
-            bad_residual += 1
+    for k in range(10):
+        at_k = degree == k
+        residuals = addition_theorem_residual(k, theta1[at_k], theta2[at_k], phi[at_k])
+        bad_residual += int(np.count_nonzero(residuals >= 1e-9))
     s.check(bad_residual == 0, f"{bad_residual} addition-theorem residuals >= 1e-9")
     return s
 
@@ -247,14 +278,13 @@ def _suite_lemma2(config: RunConfig, cert) -> SuiteResult:
     s = SuiteResult("lemma2")
     rng = random.Random(config.seed)
     bad = bad_bridge = 0
-    for i in range(config.lemma1_sets):
-        ps = _random_point_set(rng, rng.randint(1, 16))
-        if not check_lemma2(ps, cert):
-            bad += 1
-        # linearity bridge on a deterministic subset, it is the expensive check
-        if i % 20 == 0:
-            if linearity_gap(ps, cert) > 1e-8 * len(ps) ** 2:
-                bad_bridge += 1
+    for first, batch in _random_sets(rng, config.lemma1_sets):
+        holds = lemma2_holds(set_energies(batch, cert), batch.sizes)
+        bad += int(np.count_nonzero(~holds))
+        # linearity bridge on every 20th set, it is the expensive check
+        bridge = batch.subset((first + np.arange(len(batch.sizes))) % 20 == 0)
+        gaps = linearity_gaps(bridge, cert)
+        bad_bridge += int(np.count_nonzero(gaps > 1e-8 * bridge.sizes**2))
     s.check(bad == 0, f"{bad} point sets with S < n^2")
     s.check(bad_bridge == 0, f"{bad_bridge} linearity-bridge gaps over 1e-8 n^2")
     s.passed += config.lemma1_sets - (1 if bad else 0)

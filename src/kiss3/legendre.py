@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polynomial import RationalPoly, X
+from .sphere import CosineBatch, cos_law
 
 DEGREE_CAP = 12
 
@@ -112,39 +113,58 @@ def from_legendre_basis(e: LegendreExpansion) -> RationalPoly:
     return out
 
 
-def addition_theorem_residual(k: int, theta1: float, theta2: float, phi: float) -> float:
+@lru_cache(maxsize=None)
+def _addition_terms(k: int):
+    """The float image of the addition theorem at degree k: the coefficients
+    of P_k and, for m = 0 ... k, the weight c_{m,k} with the coefficients of
+    P_k^(m), highest power first."""
+    _check_degree(k)
+    return legendre(k).real_coeffs(), tuple(
+        (float(w), _legendre_deriv(k, m).real_coeffs())
+        for m, w in enumerate(addition_weights(k))
+    )
+
+
+def addition_theorem_residual(k: int, theta1, theta2, phi):
     """|P_k(cos of the spherical law of cosines) - the addition-theorem sum|.
 
     The theorem makes this identically zero; the residual measures only the
-    floating-point evaluation error of the two independent routes.
+    floating-point evaluation error of the two independent routes.  Takes
+    floats, or numpy arrays that broadcast together, for one degree k: the
+    weights and derivative coefficients are converted to floats once per k.
     """
-    _check_degree(k)
-    c = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(
-        theta2
-    ) * math.cos(phi)
-    c = max(-1.0, min(1.0, c))
-    lhs = legendre(k).eval_real(c)
-
-    def polar(m: int, theta: float) -> float:
-        # the associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
-        # t = cos(theta), with (1 - t^2)^{m/2} taken as sin(theta)^m: near a
-        # pole 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
-        return _legendre_deriv(k, m).eval_real(math.cos(theta)) * math.sin(theta) ** m
-
+    lhs_coeffs, terms = _addition_terms(k)
+    lhs = np.polyval(lhs_coeffs, cos_law(theta1, theta2, phi))
+    # the associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
+    # t = cos(theta), with (1 - t^2)^{m/2} taken as sin(theta)^m: near a
+    # pole 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
+    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
     rhs = 0.0
-    for m, w in enumerate(addition_weights(k)):
-        rhs += float(w) * polar(m, theta1) * polar(m, theta2) * math.cos(m * phi)
-    return abs(lhs - rhs)
+    for m, (w, coeffs) in enumerate(terms):
+        polar1 = np.polyval(coeffs, c1) * s1**m
+        polar2 = np.polyval(coeffs, c2) * s2**m
+        rhs = rhs + w * polar1 * polar2 * np.cos(m * phi)
+    return np.abs(lhs - rhs)
 
 
-def gegenbauer_sums(cos_matrix: np.ndarray, degrees) -> list[float]:
-    """Double sums of P_k over a matrix of pairwise cosines, one per k in
-    degrees; the matrix is read once for all of them."""
-    sums = []
+def gegenbauer_sums(cos: np.ndarray, starts: np.ndarray, degrees) -> np.ndarray:
+    """Segmented double sums of P_k: row r holds, for the r-th k in degrees,
+    the sum of P_k over each segment cos[starts[s] : starts[s + 1]] of a flat
+    array of cosines (the last segment runs to the end; see
+    sphere.CosineBatch).
+
+    P_0 = 1, P_1 = t and (k + 1) P_{k+1} = (2k + 1) t P_k - k P_{k-1} give
+    one pass over the array per degree, up to the highest one asked for.
+    """
+    degrees = tuple(degrees)
     for k in degrees:
         _check_degree(k)
-        coeffs = [float(c) for c in reversed(legendre(k).coeffs)]
-        sums.append(float(np.polyval(coeffs, cos_matrix).sum()))
+    sums = np.empty((len(degrees), len(starts)))
+    p_prev, p = np.zeros_like(cos), np.ones_like(cos)
+    for k in range(max(degrees, default=-1) + 1):
+        if k:
+            p_prev, p = p, ((2 * k - 1) * cos * p - (k - 1) * p_prev) / k
+        sums[[r for r, d in enumerate(degrees) if d == k]] = np.add.reduceat(p, starts)
     return sums
 
 
@@ -153,4 +173,5 @@ def gegenbauer_sum(points, k: int) -> float:
     included (each diagonal term is P_k(1) = 1).  Nonnegative for every point
     set on the sphere; this is the positive-definiteness the proof rests on.
     """
-    return gegenbauer_sums(points.cos_matrix(), (k,))[0]
+    batch = CosineBatch.of(points)
+    return float(gegenbauer_sums(batch.cos, batch.starts, (k,))[0, 0])

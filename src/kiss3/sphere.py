@@ -35,6 +35,8 @@ class SphericalPoint:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"colatitude out of range: {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"azimuth not finite: {self.phi}")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
     def to_vector(self) -> np.ndarray:
@@ -75,6 +77,56 @@ class PointSet:
         return np.clip(v @ v.T, -1.0, 1.0)
 
 
+def unit_vectors(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """One unit vector per row, from the cosines z of the colatitudes and the
+    azimuths."""
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1)
+
+
+class CosineBatch:
+    """The pairwise cosines of a run of point sets, in one flat array.
+
+    Set s, of sizes[s] = n points, holds its n x n cosine matrix row-major at
+    cos[starts[s] : starts[s] + n * n]: each off-diagonal entry is the dot
+    product of two unit vectors clamped into [-1, 1], and each diagonal entry,
+    marked in `diagonal`, is exactly 1.  Per-set sums are
+    np.add.reduceat(values, starts); every set has a point, so no segment is
+    empty.
+    """
+
+    def __init__(self, vectors: np.ndarray, sizes):
+        """`vectors` holds the sets' unit vectors, one per row, set after set."""
+        self.vectors = vectors
+        self.sizes = np.asarray(sizes, dtype=np.intp)
+        if np.any(self.sizes < 1) or self.sizes.sum() != len(vectors):
+            raise ValueError("every set needs a point, and every point a set")
+        squares = self.sizes * self.sizes
+        self.starts = np.cumsum(squares) - squares
+        # entry e of set s pairs points i, j = divmod(e - starts[s], n) of the set
+        i, j = np.divmod(
+            np.arange(squares.sum()) - np.repeat(self.starts, squares),
+            np.repeat(self.sizes, squares),
+        )
+        self.diagonal = i == j
+        first = np.repeat(np.cumsum(self.sizes) - self.sizes, squares)
+        i += first
+        j += first
+        x, y, z = vectors.T
+        self.cos = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+        np.clip(self.cos, -1.0, 1.0, out=self.cos)
+        self.cos[self.diagonal] = 1.0
+
+    @classmethod
+    def of(cls, ps: PointSet) -> "CosineBatch":
+        """The one-set batch of a point set."""
+        return cls(ps.vectors().reshape(len(ps), 3), [len(ps)])
+
+    def subset(self, chosen: np.ndarray) -> "CosineBatch":
+        """The batch of the sets that the boolean mask `chosen` marks, in order."""
+        return CosineBatch(self.vectors[np.repeat(chosen, self.sizes)], self.sizes[chosen])
+
+
 def array_module(*xs):
     """numpy if any argument is a numpy array, else math.  Floats keep math's
     bits: numpy's vectorised trigonometry may differ in the last place."""
@@ -108,9 +160,16 @@ def rho(s):
 
 
 def min_angle(cosm: np.ndarray) -> float:
-    """Smallest angle arccos(cosm[i, j]) over the pairs i < j of a matrix of
-    pairwise cosines."""
-    return float(np.arccos(cosm[np.triu_indices(len(cosm), 1)]).min())
+    """Smallest angle arccos(cosm[i, j]) over the pairs i < j of a symmetric
+    matrix of pairwise cosines (at least 2 x 2).
+
+    arccos is decreasing, so this is the arccos of the largest off-diagonal
+    cosine.  The off-diagonal entries are read as a view: after the first
+    entry, the n^2 - 1 flat entries fall into n - 1 rows of n + 1 whose last
+    entry is the next diagonal one.
+    """
+    n = len(cosm)
+    return float(np.arccos(cosm.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].max()))
 
 
 def min_separation(ps: PointSet) -> float:
@@ -216,10 +275,7 @@ def random_separated_set(
     rejections = 0
     while True:
         draws = state.random_sample(2 * SAMPLER_BLOCK)
-        z = 2.0 * draws[0::2] - 1.0
-        s = np.sqrt((1.0 - z) * (1.0 + z))
-        azimuth = TWO_PI * draws[1::2]
-        block = np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1)
+        block = unit_vectors(2.0 * draws[0::2] - 1.0, TWO_PI * draws[1::2])
         # largest cosine from each candidate to an accepted point
         if accepted:
             closest = (block @ vectors[: len(accepted)].T).max(axis=1)
@@ -307,6 +363,8 @@ def parse_points(text: str) -> PointSet:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'theta_deg phi_deg', got {raw!r}")
-        theta, phi = (math.radians(float(x)) for x in parts)
-        points.append(SphericalPoint(theta, phi))
+        try:
+            points.append(SphericalPoint(*(math.radians(float(x)) for x in parts)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return PointSet(points)

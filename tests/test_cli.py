@@ -49,6 +49,25 @@ class TestVerify:
         golden = Path(__file__).parent / "data" / "exact_seed42.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "extra, seed, name",
+        [
+            ([], "42", "lemmas_seed42.json"),
+            (["--lemma1-sets", "100", "--lemma3-sets", "50"], "7", "lemmas_sampled_seed7.json"),
+        ],
+    )
+    def test_lemma_report_matches_golden(self, capsys, extra, seed, name):
+        # the randomized suites' report, byte for byte as recorded with the
+        # one-set-at-a-time lemma 1 and 2 loops
+        code = main(
+            ["verify", "--suite", "lemma1", "--suite", "lemma2", "--suite", "lemma3"]
+            + extra
+            + ["--seed", seed, "--format", "json"]
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(
@@ -149,6 +168,17 @@ class TestSampleAndEnergy:
         code = main(["energy", "--points", str(tmp_path / "absent.txt")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("azimuth", ["nan", "inf", "-inf"])
+    def test_energy_non_finite_azimuth(self, tmp_path, capsys, azimuth):
+        pts = tmp_path / "pts.txt"
+        pts.write_text(f"# theta_deg phi_deg\n20 30\n10 {azimuth}\n")
+        code = main(["energy", "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read point set: line 3: ")
+        assert captured.err.count("\n") == 1
 
     def test_energy_no_points(self, tmp_path, capsys):
         pts = tmp_path / "empty.txt"

@@ -10,6 +10,7 @@ from kiss3.energy import (
     check_lemma3,
     energy,
     energy_to_json_dict,
+    lemma1_holds,
     linearity_gap,
 )
 from kiss3.errors import SaturationError, SeparationViolation
@@ -195,6 +196,18 @@ class TestLemma1:
     def test_kmax_cap(self):
         with pytest.raises(ValueError):
             check_lemma1(icosahedron(), kmax=13)
+
+    def test_threshold(self):
+        # an antipodal pair has a Gegenbauer sum of exactly 0 at k = 1
+        pair = PointSet([SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0)])
+        sums = np.array([check_lemma1(pair)]).T
+        assert sums[1, 0] == 0.0
+        assert lemma1_holds(sums, np.array([2])).tolist() == [True]
+        slack = 1e-9 * 2**2
+        sums[1, 0] = -0.5 * slack
+        assert lemma1_holds(sums, np.array([2])).tolist() == [True]
+        sums[1, 0] = -2.0 * slack
+        assert lemma1_holds(sums, np.array([2])).tolist() == [False]
 
 
 class TestJsonExport:

@@ -17,6 +17,7 @@ from kiss3.sphere import (
     cos_law,
     format_points,
     icosahedron,
+    min_angle,
     min_separation,
     parse_points,
     random_point,
@@ -129,6 +130,16 @@ class TestMinSeparation:
             assert min_separation(rotated(ps, random_rotation(seed))) == pytest.approx(
                 ICO_SEP, abs=1e-12
             )
+
+    def test_min_angle_matches_upper_triangle(self):
+        # the largest off-diagonal cosine gives the bits of the smallest
+        # arccos over the pairs i < j
+        rng = random.Random(57)
+        sizes = [n for n in range(2, 41) for _ in range(25)] + [1000]
+        for n in sizes:
+            cosm = PointSet(random_point(rng) for _ in range(n)).cos_matrix()
+            upper = float(np.arccos(cosm[np.triu_indices(n, 1)]).min())
+            assert min_angle(cosm).hex() == upper.hex()
 
 
 class TestIcosahedron:
@@ -383,3 +394,9 @@ class TestTextFormat:
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             parse_points("1.0\n")
+
+    @pytest.mark.parametrize("line", ["10 nan", "10 inf", "nan 10", "200 10", "10 x"])
+    def test_bad_point_names_its_line(self, line):
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            parse_points(f"0 0\n{line}\n")
+
