@@ -20,7 +20,7 @@ from . import sphere
 from .certificate import Certificate
 from .energy import energy
 from .errors import BoundFailure, DomainError
-from .polynomial import Interval, RationalPoly, max_on_interval
+from .polynomial import Interval, RationalPoly, convolve, max_on_interval
 
 DEG = math.pi / 180.0
 
@@ -84,23 +84,33 @@ def _symmetric_pair_poly(
 ) -> RationalPoly:
     """f(p + v) + f(p - v) as a polynomial in s, where p = base(s) and
     v^2 = r2 * (1 - s^2).  Odd powers of v cancel, so only v^2 appears.
+
+    Built in integers: with f = a / da, base = b / db and r2 = nw / dw on
+    their integer images, and N = deg f, each term
+    2 a_j C(j, i) base^(j-i) (v^2)^(i/2) is an integer polynomial over the
+    one denominator da db^N dw^(N//2), so the sum takes one `Fraction` per
+    coefficient.
     """
-    w = RationalPoly([r2, 0, -r2])  # r2 * (1 - s^2)
-    max_deg = f.degree
-    base_pow = [RationalPoly([1])]
-    w_pow = [RationalPoly([1])]
-    for _ in range(max_deg):
-        base_pow.append(base_pow[-1] * base)
-    for _ in range(max_deg // 2):
-        w_pow.append(w_pow[-1] * w)
+    a, da = f.integer_image()
+    b, db = base.integer_image()
+    nw, dw = r2.numerator, r2.denominator
+    n = max(f.degree, 0)
+    b_pow = [[1]]  # b^k
+    w_pow = [[1]]  # (nw (1 - s^2))^m
+    for _ in range(n):
+        b_pow.append(convolve(b_pow[-1], b))
+    for _ in range(n // 2):
+        w_pow.append(convolve(w_pow[-1], [nw, 0, -nw]))
     # (p+v)^j + (p-v)^j = 2 sum_{i even} C(j,i) p^{j-i} v^i
-    out = RationalPoly([])
-    for j, aj in enumerate(f.coeffs):
+    out = [0] * (n * max(len(b) - 1, 1) + 1)
+    for j, aj in enumerate(a):
         if aj == 0:
             continue
         for i in range(0, j + 1, 2):
-            out = out + base_pow[j - i] * w_pow[i // 2] * (2 * aj * math.comb(j, i))
-    return out
+            scale = 2 * aj * math.comb(j, i) * db ** (n - j + i) * dw ** (n // 2 - i // 2)
+            for k, v in enumerate(convolve(b_pow[j - i], w_pow[i // 2])):
+                out[k] += scale * v
+    return RationalPoly.from_integers(out, da * db**n * dw ** (n // 2))
 
 
 def build_omega(c: Certificate, psi: float) -> ProfilePoly:

@@ -5,6 +5,16 @@ that feeds a verdict runs in exact arithmetic: evaluation, derivatives, Sturm
 chains, bisection.  Floats enter only at the very edges (building coefficients
 from trig values, reporting enclosures), and every float is converted to an
 exact dyadic rational before the polynomial machinery sees it.
+
+The arithmetic runs on an integer image of each polynomial: integer
+coefficients over one common denominator (`RationalPoly.integer_image`).
+Evaluation, products, Sturm chains and exact division work on those
+integers and build a `Fraction` only for each result, so they give the same
+rationals as `Fraction` arithmetic without a gcd per operation.  A Sturm
+chain takes pseudo-remainders (Knuth, TAOCP vol. 2, section 4.6.1): the
+integer remainder of |lc(b)|^(deg a - deg b + 1) a by b is a positive
+multiple of the rational remainder, so once scaled to content 1 each chain
+term is the one the rational Euclidean pass gives.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ class Interval:
 class RationalPoly:
     """Univariate polynomial with exact rational coefficients, lowest first."""
 
-    __slots__ = ("coeffs", "_real")
+    __slots__ = ("coeffs", "_real", "_int")
 
     def __init__(self, coeffs: Sequence):
         cs = [_to_fraction(c) for c in coeffs]
@@ -82,6 +92,25 @@ class RationalPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_real", None)
+        object.__setattr__(self, "_int", None)
+
+    @classmethod
+    def from_integers(cls, ints: Sequence[int], den: int = 1) -> "RationalPoly":
+        """The polynomial sum ints[i] t^i / den, for a positive integer den.
+
+        The pair, reduced by its common factor, is kept as the integer image.
+        """
+        ints = list(ints)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = math.gcd(den, *ints)
+        if g > 1:
+            ints, den = [v // g for v in ints], den // g
+        p = cls.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(Fraction(v, den) for v in ints))
+        object.__setattr__(p, "_real", None)
+        object.__setattr__(p, "_int", (tuple(ints), den))
+        return p
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RationalPoly is immutable")
@@ -106,13 +135,38 @@ class RationalPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def integer_image(self) -> tuple[tuple[int, ...], int]:
+        """Integer coefficients, lowest power first, and the least common
+        denominator they share: `coeffs[i] == ints[i] / den`.
+
+        Built on the first call and kept on the polynomial, like
+        `real_coeffs()`.
+        """
+        image = self._int
+        if image is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            image = (ints, den)
+            object.__setattr__(self, "_int", image)
+        return image
+
     def eval(self, t: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact value at a rational point t = n/d.
+
+        A homogeneous integer Horner gives sum ints[i] n^i d^(deg - i), and
+        one `Fraction` over den * d^deg reduces it.
+        """
         t = _to_fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        ints, den = self.integer_image()
+        if not ints:
+            return Fraction(0)
+        n, d = t.numerator, t.denominator
+        coeffs = reversed(ints)
+        acc, scale = next(coeffs), 1
+        for c in coeffs:
+            scale *= d
+            acc = acc * n + c * scale
+        return Fraction(acc, den * scale)
 
     def real_coeffs(self) -> tuple[float, ...]:
         """The float image of the coefficients, highest power first, as
@@ -161,13 +215,9 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             k = _to_fraction(other)
             return RationalPoly([c * k for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return RationalPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+        a, da = self.integer_image()
+        b, db = other.integer_image()
+        return RationalPoly.from_integers(convolve(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -183,37 +233,80 @@ class RationalPoly:
             k >>= 1
         return out
 
-    def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        quo = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-        while len(rem) >= len(den):
-            k = len(rem) - len(den)
-            q = rem[-1] / den[-1]
-            quo[k] = q
-            for i, d in enumerate(den):
-                rem[k + i] -= q * d
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RationalPoly(quo), RationalPoly(rem)
-
     def derivative(self) -> "RationalPoly":
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        ints, den = self.integer_image()
+        return RationalPoly.from_integers(_derivative(ints), den)
 
 
 X = RationalPoly([0, 1])
 
 
-def _primitive(p: RationalPoly) -> RationalPoly:
-    """Scale by a positive rational to integer coefficients with content 1."""
-    if p.is_zero():
-        return p
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = math.gcd(*(abs(v) for v in ints))
-    return RationalPoly([Fraction(v // g) for v in ints])
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient sequences, lowest power first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _derivative(ints: Sequence[int]) -> list[int]:
+    return [i * v for i, v in enumerate(ints)][1:]
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """Integer coefficients divided by their content (a positive gcd)."""
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else list(ints)
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of |lc(b)|^(deg a - deg b + 1) a on division by b.
+
+    Each of the deg a - deg b + 1 steps multiplies the running remainder by
+    lc(b) before it cancels the top term, so no step divides (Knuth, TAOCP
+    vol. 2, section 4.6.1, Algorithm R).  A final sign flip when lc(b) < 0
+    and the step count is odd makes the result a positive multiple of the
+    rational remainder of a by b.
+    """
+    r = list(a)
+    lc, n = b[-1], len(b) - 1
+    steps = len(a) - n
+    for k in range(steps - 1, -1, -1):
+        q = r.pop()
+        r = [lc * v for v in r]
+        for i in range(n):
+            r[k + i] -= q * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    if lc < 0 and steps % 2:
+        r = [-v for v in r]
+    return r
+
+
+def _divide_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b of integer polynomials when it is exact and has
+    integer coefficients; raises `ArithmeticError` otherwise.
+
+    By Gauss's lemma the quotient is an integer polynomial whenever b has
+    content 1 and divides a over the rationals.
+    """
+    r = list(a)
+    lc, n = b[-1], len(b) - 1
+    quo = [0] * max(len(a) - n, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q, m = divmod(r.pop(), lc)
+        if m:
+            raise ArithmeticError("polynomial division is not exact")
+        quo[k] = q
+        for i in range(n):
+            r[k + i] -= q * b[i]
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return quo
 
 
 class SturmChain:
@@ -226,22 +319,32 @@ class SturmChain:
     of the squarefree part p/g (Basu, Pollack and Roy, *Algorithms in Real
     Algebraic Geometry*, section 2.2).  `chain[0]`, also `.squarefree`, is
     that part: the roots of p, all simple.
+
+    The pass runs on integers.  Each term is scaled to integer coefficients
+    with content 1, and the next is minus the pseudo-remainder of the two
+    before it, which is |lc|^(delta + 1) times the rational remainder
+    (Knuth, TAOCP vol. 2, section 4.6.1).  A positive factor is removed
+    again by the scaling, so every term equals, coefficient for coefficient,
+    the one a rational remainder sequence gives.  The division by g is an
+    exact integer quotient: by Gauss's lemma the quotient of two integer
+    polynomials of content 1 is an integer polynomial of content 1.
     """
 
     def __init__(self, p: RationalPoly):
-        chain = [_primitive(p)]
-        if p.degree >= 1:
-            chain.append(_primitive(p.derivative()))
-            while chain[-1].degree >= 1:
-                _, r = chain[-2].divmod(chain[-1])
-                if r.is_zero():
+        ints, _ = p.integer_image()
+        chain = [_primitive(ints)]
+        if len(ints) >= 2:
+            chain.append(_primitive(_derivative(ints)))
+            while len(chain[-1]) >= 2:
+                r = _pseudo_remainder(chain[-2], chain[-1])
+                if not r:
                     break
-                chain.append(_primitive(-r))
+                chain.append(_primitive([-v for v in r]))
         g = chain[-1]
-        if g.degree >= 1:
-            chain = [_primitive(_exact_quotient(q, g)) for q in chain]
-        self.chain = chain
-        self.squarefree = chain[0]
+        if len(g) >= 2:
+            chain = [_divide_exact(q, g) for q in chain]
+        self.chain = [RationalPoly.from_integers(q) for q in chain]
+        self.squarefree = self.chain[0]
 
     def variations(self, t: Scalar) -> int:
         signs = []
@@ -262,17 +365,19 @@ class SturmChain:
         return n
 
 
-def _exact_quotient(p: RationalPoly, d: RationalPoly) -> RationalPoly:
-    q, r = p.divmod(d)
-    assert r.is_zero()
-    return q
-
-
 def _deflate(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
-    """p with every root at a or b divided out exactly (zero stays zero)."""
+    """p with every root at a or b divided out exactly (zero stays zero).
+
+    Dividing the integer image by the content-1 factor d t - n of a root
+    t = n/d leaves an integer quotient; times d over the image's
+    denominator, it is p / (t - n/d).
+    """
     for endpoint in (a, b):
         while not p.is_zero() and p.eval(endpoint) == 0:
-            p = _exact_quotient(p, RationalPoly([-endpoint, 1]))
+            ints, den = p.integer_image()
+            n, d = endpoint.numerator, endpoint.denominator
+            quo = _divide_exact(ints, [-n, d])
+            p = RationalPoly.from_integers([v * d for v in quo], den)
     return p
 
 
@@ -337,9 +442,7 @@ def isolate_all_roots(
                 hi = mid
             else:
                 lo, slo = mid, smid
-        return Interval(
-            math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
-        )
+        return _outward(lo, hi)
 
     def recurse(lo: Fraction, hi: Fraction, count: int):
         if count == 0:
@@ -360,6 +463,14 @@ def isolate_all_roots(
     return out
 
 
+def _outward(lo: Fraction, hi: Fraction) -> Interval:
+    """A float interval holding [lo, hi]: each end rounded, then moved one
+    float outward."""
+    return Interval(
+        math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+    )
+
+
 def _abs_bound(p: RationalPoly, radius: float) -> float:
     """Upper bound on |p| over any interval inside [-radius, radius]."""
     return sum(abs(float(c)) * radius**i for i, c in enumerate(p.coeffs)) + 1e-300
@@ -375,12 +486,9 @@ def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> I
     if a > b:
         raise ValueError("require a <= b")
     qa, qb = Fraction(a), Fraction(b)
-    if p.degree <= 0:
-        v = float(p.eval(0)) if not p.is_zero() else 0.0
-        return Interval(v, v)
-    if qa == qb:
+    if p.degree <= 0 or qa == qb:
         v = p.eval(qa)
-        return Interval(float(v), math.nextafter(float(v), math.inf))
+        return _outward(v, v)
     dp = p.derivative()
     radius = max(abs(a), abs(b), 1.0)
     m1 = _abs_bound(dp, radius)
@@ -390,6 +498,4 @@ def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> I
         candidates.append(Fraction(iv.lo))
         candidates.append(Fraction(iv.hi))
     best = max(p.eval(t) for t in candidates)
-    lo = math.nextafter(float(best), -math.inf)
-    hi = math.nextafter(float(best + Fraction(width) * Fraction(m1)), math.inf)
-    return Interval(lo, hi)
+    return _outward(best, best + Fraction(width) * Fraction(m1))

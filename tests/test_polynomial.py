@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
+from kiss3 import bounds, harness
 from kiss3.certificate import certificate_poly
 from kiss3.errors import DegenerateEndpoint, MultipleRoots, NoRoot
 from kiss3.legendre import legendre
@@ -13,7 +14,7 @@ from kiss3.polynomial import (
     RationalPoly,
     SturmChain,
     _deflate,
-    _primitive,
+    _divide_exact,
     isolate_all_roots,
     isolate_root,
     max_on_interval,
@@ -95,8 +96,9 @@ class TestFloatImage:
         p = RationalPoly([big, -1, 1])  # t^2 - t + big has no real root
         assert p.eval(Fr(1, 2)) == big - Fr(1, 4)
         assert sturm_count(p, -10, 10) == 0
-        q, r = (p * p).divmod(p)
+        q, r = ref_divmod(p * p, p)
         assert q == p and r.is_zero()
+        assert SturmChain(p * p).chain == FractionChain(p * p).chain
         with pytest.raises(OverflowError):  # as per-call conversion raises
             p.eval_real(0.5)
 
@@ -219,6 +221,16 @@ class TestMaxOnInterval:
         iv = max_on_interval(RationalPoly([0, 1]), 0, 1, 1e-9)
         assert iv.contains(1.0)
 
+    def test_constant_enclosed_outward(self):
+        for v in (Fr(1, 3), Fr(-2, 3), Fr(0)):
+            iv = max_on_interval(RationalPoly([v]), 0.0, 1.0)
+            assert Fr(iv.lo) < v < Fr(iv.hi)
+
+    def test_point_interval_enclosed_outward(self):
+        p = RationalPoly([Fr(1, 3), 1])  # p(1/2) = 5/6, and float(5/6) > 5/6
+        iv = max_on_interval(p, 0.5, 0.5)
+        assert Fr(iv.lo) < Fr(5, 6) < Fr(iv.hi)
+
     def test_dominates_endpoints(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -247,6 +259,110 @@ class TestIsolateAllRoots:
             assert abs(iv.mid - expected) < 1e-9
 
 
+# -- Fraction reference --------------------------------------------------------
+# The polynomial arithmetic as it was before it ran on the integer image: each
+# operation in `Fraction`s, the Sturm chain by rational polynomial division.
+# The integer code must give the same rationals, term for term.
+
+
+def ref_eval(p, t):
+    """Horner evaluation in `Fraction`s."""
+    t = Fr(t)
+    acc = Fr(0)
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def ref_mul(p, q):
+    if p.is_zero() or q.is_zero():
+        return RationalPoly([])
+    out = [Fr(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return RationalPoly(out)
+
+
+def ref_divmod(p, d):
+    """Quotient and remainder of rational polynomial division."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    den = d.coeffs
+    quo = [Fr(0)] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        k = len(rem) - len(den)
+        q = rem[-1] / den[-1]
+        quo[k] = q
+        for i, c in enumerate(den):
+            rem[k + i] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RationalPoly(quo), RationalPoly(rem)
+
+
+def ref_exact_quotient(p, d):
+    q, r = ref_divmod(p, d)
+    assert r.is_zero()
+    return q
+
+
+def ref_primitive(p):
+    """p scaled by a positive rational to integer coefficients with content 1."""
+    if p.is_zero():
+        return p
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*(abs(v) for v in ints))
+    return RationalPoly([Fr(v // g) for v in ints])
+
+
+def ref_deflate(p, a, b):
+    for endpoint in (a, b):
+        while not p.is_zero() and ref_eval(p, endpoint) == 0:
+            p = ref_exact_quotient(p, RationalPoly([-endpoint, 1]))
+    return p
+
+
+class FractionChain:
+    """The one-pass Sturm chain with rational remainders."""
+
+    def __init__(self, p):
+        chain = [ref_primitive(p)]
+        if p.degree >= 1:
+            dp = RationalPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+            chain.append(ref_primitive(dp))
+            while chain[-1].degree >= 1:
+                _, r = ref_divmod(chain[-2], chain[-1])
+                if r.is_zero():
+                    break
+                chain.append(ref_primitive(-r))
+        g = chain[-1]
+        if g.degree >= 1:
+            chain = [ref_primitive(ref_exact_quotient(q, g)) for q in chain]
+        self.chain = chain
+
+
+def ref_symmetric_pair_poly(f, base, r2):
+    """`bounds._symmetric_pair_poly` in `Fraction` polynomial arithmetic."""
+    w = RationalPoly([r2, 0, -r2])
+    base_pow = [RationalPoly([1])]
+    w_pow = [RationalPoly([1])]
+    for _ in range(f.degree):
+        base_pow.append(ref_mul(base_pow[-1], base))
+    for _ in range(f.degree // 2):
+        w_pow.append(ref_mul(w_pow[-1], w))
+    out = RationalPoly([])
+    for j, aj in enumerate(f.coeffs):
+        if aj == 0:
+            continue
+        for i in range(0, j + 1, 2):
+            term = ref_mul(base_pow[j - i], w_pow[i // 2])
+            out = out + term * (2 * aj * math.comb(j, i))
+    return out
+
+
 # -- two-pass reference -------------------------------------------------------
 # The root machinery as it was before Sturm chains took one Euclidean pass: a
 # gcd-based squarefree part, then the Sturm chain of that part, and a
@@ -254,10 +370,10 @@ class TestIsolateAllRoots:
 
 
 def ref_gcd(p, q):
-    a, b = _primitive(p), _primitive(q)
+    a, b = ref_primitive(p), ref_primitive(q)
     while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, _primitive(r)
+        _, r = ref_divmod(a, b)
+        a, b = b, ref_primitive(r)
     if a.is_zero():
         return a
     return a * (1 / a.coeffs[-1])
@@ -269,22 +385,22 @@ def ref_squarefree(p):
     g = ref_gcd(p, p.derivative())
     if g.degree <= 0:
         return p
-    q, r = p.divmod(g)
+    q, r = ref_divmod(p, g)
     assert r.is_zero()
     return q
 
 
 class RefChain:
     def __init__(self, p):
-        self.squarefree = _primitive(ref_squarefree(p))
+        self.squarefree = ref_primitive(ref_squarefree(p))
         chain = [self.squarefree]
         if self.squarefree.degree >= 1:
-            chain.append(_primitive(self.squarefree.derivative()))
+            chain.append(ref_primitive(self.squarefree.derivative()))
             while chain[-1].degree >= 1:
-                _, r = chain[-2].divmod(chain[-1])
+                _, r = ref_divmod(chain[-2], chain[-1])
                 if r.is_zero():
                     break
-                chain.append(_primitive(-r))
+                chain.append(ref_primitive(-r))
         self.chain = chain
 
     count_open = SturmChain.count_open
@@ -424,6 +540,125 @@ class TestOnePassMatchesTwoPass:
         q = SturmChain(p).squarefree
         assert q.degree == 2
         assert q.eval(1) == 0 and q.eval(-2) == 0
+
+
+# -- integer image against the Fraction reference ----------------------------
+
+
+def sparse_poly(rng):
+    """A polynomial of degree 2 to 9 with about half its lower coefficients
+    zero, so remainders can drop by more than one degree."""
+    deg = rng.randint(2, 9)
+    cs = [Fr(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.5 else 0
+          for _ in range(deg)]
+    lead = Fr(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+    return RationalPoly(cs + [lead])
+
+
+def dyadic_poly(rng):
+    """Float coefficients, exact as dyadic rationals, as the profiles have."""
+    return RationalPoly([rng.uniform(-30.0, 30.0) for _ in range(rng.randint(1, 10))])
+
+
+def equivalence_cases():
+    out = [F, F.derivative(), RationalPoly([]), RationalPoly([Fr(-2, 3)])]
+    for seed in range(100):
+        rng = random.Random(7000 + seed)
+        out.append(random_poly(rng))
+        out.append(repeated_root_poly(rng)[0])
+        out.append(sparse_poly(rng))
+        if seed % 4 == 0:
+            out.append(dyadic_poly(rng))
+    return out
+
+
+class TestIntegerImageMatchesFraction:
+    """The integer image gives the rationals of `Fraction` arithmetic: Sturm
+    chains term for term, products, deflation and evaluation."""
+
+    CASES = equivalence_cases()
+
+    def test_cases_cover_each_kind(self):
+        assert len(self.CASES) >= 300
+        chains = [FractionChain(p).chain for p in self.CASES]
+        assert sum(ch[0].degree < p.degree for p, ch in zip(self.CASES, chains)) >= 50
+        # a term two or more degrees below the one before it: the next
+        # pseudo-remainder takes delta + 1 >= 3 steps
+        skips = [any(a.degree - b.degree > 1 for a, b in zip(ch, ch[1:])) for ch in chains]
+        assert sum(skips) >= 20
+        assert sum(p.coeffs[-1] < 0 for p in self.CASES if p.coeffs) >= 50
+        assert any(c.denominator % 3 == 0 for p in self.CASES for c in p.coeffs)
+
+    @pytest.mark.parametrize("start", range(0, len(CASES), 66))
+    def test_chains_equal_term_for_term(self, start):
+        for p in self.CASES[start : start + 66]:
+            got = [q.coeffs for q in SturmChain(p).chain]
+            assert got == [q.coeffs for q in FractionChain(p).chain], p
+
+    def test_products(self):
+        rng = random.Random(17)
+        for p in self.CASES:
+            q = rng.choice(self.CASES)
+            assert (p * q).coeffs == ref_mul(p, q).coeffs
+            assert (p * q).integer_image() == RationalPoly((p * q).coeffs).integer_image()
+
+    def test_deflation(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            p, roots = repeated_root_poly(rng)
+            a = rng.choice(roots)
+            b = rng.choice(roots + [a + Fr(1, 3), a - Fr(5, 2)])
+            assert _deflate(p, a, b).coeffs == ref_deflate(p, a, b).coeffs
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            _divide_exact([1, 0, 1], [-1, 1])  # t^2 + 1 has no root at 1
+        with pytest.raises(ArithmeticError):
+            _divide_exact([1, 1], [0, 2])  # quotient 1/2 is not an integer
+
+    def test_eval_at_rational_points(self):
+        rng = random.Random(23)
+        points = [Fr(0), Fr(-1), Fr(3, 8), Fr(-5, 1024), Fr(1, 3), Fr(-22, 7)]
+        points += [Fr(rng.uniform(-2.0, 2.0)) for _ in range(4)]
+        points += [Fr(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(4)]
+        for p in self.CASES:
+            for t in points:
+                v = p.eval(t)
+                assert type(v) is Fr and v == ref_eval(p, t)
+        zero = RationalPoly([])
+        for t in points + [0, -3, 0.25]:
+            assert zero.eval(t) == 0 and type(zero.eval(t)) is Fr
+
+    def test_eval_takes_ints_and_floats(self):
+        for t in (0, -3, 7, 0.1, -2.5):
+            assert F.eval(t) == ref_eval(F, t)
+
+    def test_profiles_of_the_bound_table(self, cert, monkeypatch):
+        built = []
+        integer_build = bounds._symmetric_pair_poly
+
+        def checked(f, base, r2):
+            poly = integer_build(f, base, r2)
+            built.append(poly.coeffs == ref_symmetric_pair_poly(f, base, r2).coeffs)
+            return poly
+
+        monkeypatch.setattr(bounds, "_symmetric_pair_poly", checked)
+        bounds.compute_bound_table(cert)
+        assert built == [True] * 10
+        rng = random.Random(29)
+        for _ in range(10):
+            bounds.build_omega(cert, rng.uniform(60.0 * bounds.DEG, 2.0 * cert.theta0.lo))
+            bounds.build_triangle_profile(cert, rng.uniform(bounds.R0, cert.theta0.lo))
+        assert built == [True] * 30
+
+    def test_profile_of_non_dyadic_inputs(self):
+        rng = random.Random(31)
+        f = certificate_poly(harness.perturbed_coeffs(9, Fr(1, 100)))
+        for p in [f] + [random_poly(rng) for _ in range(20)]:
+            base = RationalPoly([Fr(rng.randint(-9, 9), rng.randint(1, 9)), Fr(1, 7)])
+            r2 = Fr(rng.randint(0, 9), rng.randint(1, 9))
+            got = bounds._symmetric_pair_poly(p, base, r2)
+            assert got.coeffs == ref_symmetric_pair_poly(p, base, r2).coeffs
 
 
 class TestInterval:

@@ -37,8 +37,11 @@ def test_install_trace_uninstall(tracer):
         t.uninstall()
     assert report.ok
     metrics = t.metrics()
-    assert metrics["polynomial.sturm_chain.calls"] > 0
-    assert metrics["polynomial.sturm_chain.max_bits"] > 0
+    # four chains for the certificate and its two properties, one per F1/F2
+    # maximum; the widest coefficient is in an F2 profile's chain
+    assert metrics["polynomial.sturm_chain.calls"] == 14
+    assert metrics["polynomial.sturm_chain.max_bits"] == 8058
+    assert metrics["polynomial.eval.calls"] > 0
     assert metrics["polynomial.isolate_root.calls"] > 0
     for name, (mod, attr) in tracer.SPANS.items():
         assert getattr(mod, attr) is spans[name], name
