@@ -34,7 +34,8 @@ RHOMBUS_SPLIT_DEG = 77.0
 #: replaced by the certificate's theta0 upper endpoint at run time.
 PSI_GRID_DEG = (None, 38.0, 41.0, 44.0, 48.0, None)  # R0, ..., theta0
 
-#: Optimizer starts per configuration space in `refine_h34`.
+#: SLSQP starts of the rhombus polish in `refine_h34`; the triangle takes its
+#: scan's best cell unpolished.
 POLISH_STARTS = 4
 
 
@@ -350,12 +351,13 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
     value for the supremum, not a bound; it is reported beside the rigorous
     enclosures and feeds no verdict.
 
-    Scan then polish: each space is scored once on a numpy grid of
-    2 * isqrt(grid_density) points per axis, with the rhombus cells that break
-    the cap constraint masked out.  From the best `POLISH_STARTS` cells a
-    Nelder-Mead (triangle) or SLSQP (rhombus, under the cap constraint that
-    is active at its optimum) run polishes the estimate.  scipy is imported
-    by the first polish."""
+    Each space is scored once on a numpy grid of 2 * isqrt(grid_density)
+    points per axis, with the rhombus cells that break the cap constraint
+    masked out.  The triangle estimate is the best cell of its scan: the
+    profile peaks at psi = theta0, u = 0, a corner of the grid.  The rhombus
+    optimum lies on the cap constraint, between grid points, so an SLSQP run
+    under that constraint polishes it from each of the best `POLISH_STARTS`
+    cells.  scipy is imported by the first polish."""
     if grid_density < 64:
         raise ValueError("grid_density must be >= 64")
     theta0 = c.theta0.mid
@@ -364,28 +366,9 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
 
     # m = 3: parameters (psi, u), u in [0, u0(psi)]
     psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
-    u = t * _triangle_u0(psi)
+    best3 = _triangle_score(c, f_at_1, psi, t * _triangle_u0(psi)).max()
 
-    def neg3(x):
-        psi, u = x
-        if not R0 <= psi <= theta0:
-            return 1e6
-        if not 0.0 <= u <= _triangle_u0(psi):
-            return 1e6
-        return -_triangle_score(c, f_at_1, psi, u)
-
-    best3 = -math.inf
-    for i, j in _best_cells(_triangle_score(c, f_at_1, psi, u)):
-        res = minimize(
-            neg3,
-            [psi[i, 0], u[i, j]],
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12},
-        )
-        best3 = max(best3, -res.fun)
-
-    # m = 4: parameters (d1, te, pe); the cap constraint is active at the
-    # optimum, so use an SLSQP polish instead of penalty walls
+    # m = 4: parameters (d1, te, pe), polished under the cap constraint
     d1_lo = sphere.rho(2.0 * theta0)
     axes = (
         np.linspace(d1_lo, math.pi / 2.0, n),

@@ -116,17 +116,19 @@ def check_lemma1(ps: PointSet, kmax: int = 9) -> list[float]:
     return gegenbauer_sums(batch.cos, batch.starts, range(kmax + 1))[:, 0].tolist()
 
 
-def linearity_gaps(batch: CosineBatch, c: Certificate) -> np.ndarray:
-    """|S(X) - sum_k c_k * (Gegenbauer sum at k)| for every set of a batch;
-    the mechanized form of the lower-bound lemma's one-line proof."""
+def expansion_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
+    """sum_k c_k * (Gegenbauer sum at k) for every set of a batch, with c_k
+    the Legendre coefficients of f.  The lower-bound lemma's one-line proof
+    is that this equals S(X); its distance from `set_energies` is the
+    linearity-bridge gap."""
     weights = [float(ck) for ck in c.legendre_coeffs.coefficients]
-    sums = gegenbauer_sums(batch.cos, batch.starts, range(len(weights)))
-    return np.abs(set_energies(batch, c) - np.dot(weights, sums))
+    return np.dot(weights, gegenbauer_sums(batch.cos, batch.starts, range(len(weights))))
 
 
 def linearity_gap(ps: PointSet, c: Certificate) -> float:
-    """`linearity_gaps` for one point set."""
-    return float(linearity_gaps(CosineBatch.of(ps), c)[0])
+    """|S(X) - `expansion_energies`| for one point set."""
+    batch = CosineBatch.of(ps)
+    return float(abs(set_energies(batch, c) - expansion_energies(batch, c))[0])
 
 
 def energy_to_json_dict(summary: EnergySummary) -> dict:

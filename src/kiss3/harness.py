@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import sphere
-from .energy import check_lemma3, lemma1_holds, lemma2_holds, linearity_gaps, set_energies
+from .energy import check_lemma3, expansion_energies, lemma1_holds, lemma2_holds, set_energies
 from .certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -157,7 +157,7 @@ class VerificationReport:
 
 def _random_sets(rng: random.Random, count: int):
     """The lemma 1 and 2 suites' `count` random point sets, LEMMA_BLOCK at a
-    time: yields (index of the chunk's first set, its sphere.CosineBatch).
+    time, each chunk as one sphere.CosineBatch.
 
     The draws are those of one set after another: rng.randint(1, 16) points,
     each from rng.uniform(-1, 1), the cosine of its colatitude, then
@@ -175,7 +175,7 @@ def _random_sets(rng: random.Random, count: int):
                 draws += (uniform(-1.0, 1.0), uniform(0.0, sphere.TWO_PI))
         draws = np.array(draws)
         vectors = sphere.unit_vectors(draws[0::2], draws[1::2])
-        yield first, sphere.CosineBatch(vectors, sizes)
+        yield sphere.CosineBatch(vectors, sizes)
 
 
 def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
@@ -250,7 +250,7 @@ def _suite_lemma1(config: RunConfig) -> SuiteResult:
     s = SuiteResult("lemma1")
     rng = random.Random(config.seed)
     bad = 0
-    for _, batch in _random_sets(rng, config.lemma1_sets):
+    for batch in _random_sets(rng, config.lemma1_sets):
         sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
         bad += int(np.count_nonzero(~lemma1_holds(sums, batch.sizes)))
     s.check(bad == 0, f"{bad} point sets with a negative Gegenbauer sum")
@@ -278,13 +278,11 @@ def _suite_lemma2(config: RunConfig, cert) -> SuiteResult:
     s = SuiteResult("lemma2")
     rng = random.Random(config.seed)
     bad = bad_bridge = 0
-    for first, batch in _random_sets(rng, config.lemma1_sets):
-        holds = lemma2_holds(set_energies(batch, cert), batch.sizes)
-        bad += int(np.count_nonzero(~holds))
-        # linearity bridge on every 20th set, it is the expensive check
-        bridge = batch.subset((first + np.arange(len(batch.sizes))) % 20 == 0)
-        gaps = linearity_gaps(bridge, cert)
-        bad_bridge += int(np.count_nonzero(gaps > 1e-8 * bridge.sizes**2))
+    for batch in _random_sets(rng, config.lemma1_sets):
+        S = set_energies(batch, cert)
+        bad += int(np.count_nonzero(~lemma2_holds(S, batch.sizes)))
+        gaps = np.abs(S - expansion_energies(batch, cert))
+        bad_bridge += int(np.count_nonzero(gaps > 1e-8 * batch.sizes**2))
     s.check(bad == 0, f"{bad} point sets with S < n^2")
     s.check(bad_bridge == 0, f"{bad_bridge} linearity-bridge gaps over 1e-8 n^2")
     s.passed += config.lemma1_sets - (1 if bad else 0)
@@ -489,5 +487,7 @@ def perturbed_coeffs(index: int, delta: Fraction) -> tuple:
     """The certificate coefficients with one monomial perturbed; negative
     control fuel."""
     coeffs = list(F_COEFFS)
+    if not 0 <= index < len(coeffs):  # a negative index would count from the end
+        raise IndexError(f"coefficient index {index} outside 0...{len(coeffs) - 1}")
     coeffs[index] = coeffs[index] + Fraction(delta)
     return tuple(coeffs)

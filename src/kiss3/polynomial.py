@@ -347,22 +347,24 @@ class SturmChain:
         self.squarefree = self.chain[0]
 
     def variations(self, t: Scalar) -> int:
-        signs = []
-        for q in self.chain:
-            v = q.eval(t)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _sign_changes([q.eval(t) for q in self.chain])
 
     def count_open(self, a: Scalar, b: Scalar) -> int:
         """Number of distinct real roots in the open interval (a, b)."""
         a, b = _to_fraction(a), _to_fraction(b)
         if a >= b:
             return 0
-        n = self.variations(a) - self.variations(b)  # roots in (a, b]
-        if self.squarefree.eval(b) == 0:
+        at_b = [q.eval(b) for q in self.chain]
+        n = self.variations(a) - _sign_changes(at_b)  # roots in (a, b]
+        if at_b[0] == 0:  # chain[0] is the squarefree part
             n -= 1
         return n
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along `values`, zeros skipped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _deflate(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:

@@ -97,7 +97,6 @@ class CosineBatch:
 
     def __init__(self, vectors: np.ndarray, sizes):
         """`vectors` holds the sets' unit vectors, one per row, set after set."""
-        self.vectors = vectors
         self.sizes = np.asarray(sizes, dtype=np.intp)
         if np.any(self.sizes < 1) or self.sizes.sum() != len(vectors):
             raise ValueError("every set needs a point, and every point a set")
@@ -121,10 +120,6 @@ class CosineBatch:
     def of(cls, ps: PointSet) -> "CosineBatch":
         """The one-set batch of a point set."""
         return cls(ps.vectors().reshape(len(ps), 3), [len(ps)])
-
-    def subset(self, chosen: np.ndarray) -> "CosineBatch":
-        """The batch of the sets that the boolean mask `chosen` marks, in order."""
-        return CosineBatch(self.vectors[np.repeat(chosen, self.sizes)], self.sizes[chosen])
 
 
 def array_module(*xs):
@@ -269,9 +264,10 @@ def random_separated_set(
     # (theta, phi, cos theta, sin theta) of each accepted point; the sums are
     # the ones cos_law forms, in the same operand order, so the scalar rule
     # agrees bit for bit with angular_distance.  `vectors` holds their unit
-    # vectors for the block test.
+    # vectors for the block test, in rows that double as they fill up: n
+    # itself may be far more than memory holds.
     accepted: list[tuple[float, float, float, float]] = []
-    vectors = np.empty((n, 3))
+    vectors = np.empty((min(n, SAMPLER_BLOCK), 3))
     rejections = 0
     while True:
         draws = state.random_sample(2 * SAMPLER_BLOCK)
@@ -307,6 +303,8 @@ def random_separated_set(
                 if rejections >= max_tries:
                     raise _saturated(accepted, n, max_tries, min_sep)
             else:
+                if len(accepted) == len(vectors):
+                    vectors = np.concatenate((vectors, np.empty_like(vectors)))
                 vectors[len(accepted)] = (st * cos(phi), st * sin(phi), ct)
                 accepted.append((theta, phi, ct, st))
                 rejections = 0

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kiss3.bounds import (
     _rhombus_cosines,
     _rhombus_score,
     _triangle_score,
+    _triangle_u0,
     build_omega,
     build_triangle_profile,
     compute_bound_table,
@@ -24,6 +26,7 @@ from kiss3.bounds import (
     table_to_json_dict,
     verify_theorem,
 )
+from kiss3.certificate import build_certificate
 from kiss3.errors import BoundFailure, DomainError
 
 
@@ -303,8 +306,25 @@ class TestRefine:
 
         monkeypatch.setattr(bounds, "minimize", counted)
         refine_h34(cert)
-        k = bounds.POLISH_STARTS
-        assert starts == ["Nelder-Mead"] * k + ["SLSQP"] * k
+        assert starts == ["SLSQP"] * bounds.POLISH_STARTS
+
+    @pytest.mark.parametrize(
+        "perturbation, grid_density",
+        [(None, 64), (None, 256), (None, 1024), ((9, Fraction(1, 100)), 256)],
+    )
+    def test_h3_is_the_best_triangle_cell(self, cert, perturbation, grid_density):
+        # the scan's best cell is its corner psi = theta0, u = 0, where the
+        # profile peaks, and it is the estimate unpolished
+        if perturbation:
+            cert = build_certificate(harness.perturbed_coeffs(*perturbation))
+        n = 2 * math.isqrt(grid_density)
+        psi, t = np.ix_(np.linspace(R0, cert.theta0.mid, n), np.linspace(0.0, 1.0, n))
+        grid = _triangle_score(cert, cert.f_at_1, psi, t * _triangle_u0(psi))
+        assert np.unravel_index(grid.argmax(), grid.shape) == (n - 1, 0)
+        corner = _triangle_score(cert, cert.f_at_1, cert.theta0.mid, 0.0)
+        assert grid.max() == pytest.approx(corner, rel=1e-12)
+        h3_est, _ = refine_h34(cert, grid_density)
+        assert h3_est.mid.hex() == grid.max().hex()
 
 
 class TestRefineScores:

@@ -82,12 +82,15 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("spec", ["nonsense", "9:1/0"])
+    @pytest.mark.parametrize("spec", ["nonsense", "9:1/0", "-1:1/100", "-10:1/100", "10:1/100"])
     def test_bad_perturb_spec(self, capsys, spec):
-        code = main(["verify", "--perturb", spec])
+        # a negative index must not count from the end of the coefficients
+        code = main(["verify", f"--perturb={spec}"])
         captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
         assert captured.err.startswith("bad --perturb argument:")
+        assert captured.err.count("\n") == 1
 
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "absent" / "report.json"
@@ -127,6 +130,15 @@ class TestSampleAndEnergy:
         code = main(["sample", "--n", "13", "--min-sep", "60", "--seed", "0"])
         capsys.readouterr()
         assert code == 1
+
+    def test_sample_saturates_before_a_huge_n(self, capsys):
+        # the accepted points are kept in a buffer that grows, not one of n rows
+        code = main(["sample", "--n", "1000000000000000", "--min-sep", "60"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("sampling failed: placed 9/1000000000000000 ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_sample_nonpositive_n(self, capsys, n):

@@ -170,6 +170,20 @@ class TestSturm:
         p = RationalPoly([-1, 1]) ** 2 * RationalPoly([-3, 1])
         assert sturm_count(p, 0, 4) == 2
 
+    def test_count_open_evaluates_each_term_once_per_end(self, monkeypatch):
+        chain = SturmChain(RationalPoly([0, -1, 0, 1]))  # roots -1, 0, 1
+        points = []
+        original = RationalPoly.eval
+
+        def counted(q, t):
+            points.append(t)
+            return original(q, t)
+
+        monkeypatch.setattr(RationalPoly, "eval", counted)
+        # the root at 1 is an end, so the endpoint test runs and takes it off
+        assert chain.count_open(0, 1) == 0
+        assert sorted(points) == [0] * len(chain.chain) + [1] * len(chain.chain)
+
 
 class TestIsolateRoot:
     def test_sqrt2(self):

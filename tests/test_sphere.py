@@ -377,6 +377,14 @@ class TestBlockTest:
         assert sphere._seeded_state(seed).random_sample(10_000).tolist() == expected
 
 
+def test_more_points_than_one_block():
+    # the accepted vectors outgrow the SAMPLER_BLOCK rows they start with
+    n = 2 * SAMPLER_BLOCK + 1
+    expected = _scalar_loop(n, 0.002, 3, 2000)
+    assert expected[0] == "placed"
+    assert _block_test(n, 0.002, 3, 2000) == expected
+
+
 class TestTextFormat:
     def test_round_trip(self):
         ps = random_separated_set(7, math.pi / 4, seed=3)

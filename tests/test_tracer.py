@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kiss3 import harness, polynomial
+from kiss3 import bounds, harness, polynomial
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -32,7 +32,7 @@ def test_install_trace_uninstall(tracer):
     t = tracer.Tracer()
     t.install()
     try:
-        report = harness.run(harness.RunConfig(suites=("certificate", "bounds")))
+        report = harness.run(harness.RunConfig(suites=("certificate", "bounds", "refine")))
     finally:
         t.uninstall()
     assert report.ok
@@ -43,6 +43,9 @@ def test_install_trace_uninstall(tracer):
     assert metrics["polynomial.sturm_chain.max_bits"] == 8058
     assert metrics["polynomial.eval.calls"] > 0
     assert metrics["polynomial.isolate_root.calls"] > 0
+    # only the rhombus is polished, once per start, through bounds.minimize
+    assert metrics["bounds.refine_h34.calls"] == 1
+    assert metrics["bounds.optimizer.starts"] == bounds.POLISH_STARTS
     for name, (mod, attr) in tracer.SPANS.items():
         assert getattr(mod, attr) is spans[name], name
     assert polynomial.SturmChain.__dict__["__init__"] is methods["__init__"]
