@@ -34,9 +34,9 @@ RHOMBUS_SPLIT_DEG = 77.0
 #: replaced by the certificate's theta0 upper endpoint at run time.
 PSI_GRID_DEG = (None, 38.0, 41.0, 44.0, 48.0, None)  # R0, ..., theta0
 
-#: SLSQP starts of the rhombus polish in `refine_h34`; the triangle takes its
-#: scan's best cell unpolished.
-POLISH_STARTS = 4
+#: The smallest and largest grid density `refine_h34` takes: 16 to 512 scan
+#: points per axis.
+GRID_DENSITY_RANGE = (64, 65536)
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,9 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
 
 
 def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call: only
-    `refine_h34` optimizes, and the import costs more than most commands."""
+    """`scipy.optimize.minimize`, imported on the first call.  Nothing in
+    kiss3 calls it: it is kept only because the benchmark's tracer
+    (`bench/tracer.py`) hooks it by name."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
@@ -327,39 +328,32 @@ def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray):
     return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
 
 
-def _best_cells(scores: np.ndarray) -> list[tuple[int, ...]]:
-    """The grid indices of the POLISH_STARTS largest distinct finite scores,
-    best first; each chosen value is overwritten with -inf in `scores`.
-    Cells of equal score count once: the pole-at-center plane te = 0 of the
-    rhombus scan, where pe has no effect, is one start."""
-    cells = []
-    for _ in range(POLISH_STARTS):
-        i = np.argmax(scores)
-        best = scores.flat[i]
-        if not np.isfinite(best):
-            break
-        cells.append(np.unravel_index(i, scores.shape))
-        scores[scores == best] = -np.inf
-    return cells
-
-
 def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Interval]:
     """Non-rigorous estimates of the true suprema h_3 and h_4 over the
     extremal configuration spaces: the regular triangle (psi, u) and the
     unit-edge rhombus (d1, pole colatitude te, pole azimuth pe).  Each value
-    is the score of a configuration the search reached, so it is a lower
-    value for the supremum, not a bound; it is reported beside the rigorous
-    enclosures and feeds no verdict.
+    is the score of one configuration, so it is a lower value for the
+    supremum, not a bound; it is reported beside the rigorous enclosures and
+    feeds no verdict.
 
     Each space is scored once on a numpy grid of 2 * isqrt(grid_density)
     points per axis, with the rhombus cells that break the cap constraint
     masked out.  The triangle estimate is the best cell of its scan: the
-    profile peaks at psi = theta0, u = 0, a corner of the grid.  The rhombus
-    optimum lies on the cap constraint, between grid points, so an SLSQP run
-    under that constraint polishes it from each of the best `POLISH_STARTS`
-    cells.  scipy is imported by the first polish."""
-    if grid_density < 64:
-        raise ValueError("grid_density must be >= 64")
+    profile peaks at psi = theta0, u = 0, a corner of the grid.
+
+    The rhombus optimum lies on the cap constraint, between grid points: the
+    rhombus with three vertices on the cap circle, symmetric about the plane
+    of its short diagonal, d1 = pi - 2 theta0, te = 2 theta0 - pi/2, pe = 0.
+    Vertex 3 is then at d1/2 + te = theta0.  Vertices 2 and 4 have cosine
+    cos(d2/2) cos te = sin(2 theta0) / (2 sin theta0) = cos theta0, since
+    the unit edge gives cos(d1/2) cos(d2/2) = 1/2.  Vertex 1 is inside the
+    cap, at |3 theta0 - pi|, so the score is f(1) + f(cos 3 theta0)
+    + 3 f(-t0).  The h_4 estimate is the larger of that closed form, when
+    it keeps the cap constraint to 1e-9, and the scan's best feasible
+    cell."""
+    lo, hi = GRID_DENSITY_RANGE
+    if not lo <= grid_density <= hi:
+        raise ValueError(f"grid_density must lie in [{lo}, {hi}]")
     theta0 = c.theta0.mid
     f_at_1 = c.f_at_1
     n = 2 * math.isqrt(grid_density)
@@ -368,44 +362,23 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
     psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
     best3 = _triangle_score(c, f_at_1, psi, t * _triangle_u0(psi)).max()
 
-    # m = 4: parameters (d1, te, pe), polished under the cap constraint
-    d1_lo = sphere.rho(2.0 * theta0)
-    axes = (
-        np.linspace(d1_lo, math.pi / 2.0, n),
-        np.linspace(0.0, theta0, n),
-        np.linspace(0.0, math.pi, n),
-    )
-
+    # m = 4: parameters (d1, te, pe), one d1 slice at a time: the four vertex
+    # cosines of the whole grid and their temporaries would hold several
+    # megabytes at the default density
     def slack(cos_th):
         return theta0 - np.arccos(cos_th)
 
-    # one d1 slice at a time: the four vertex cosines of the whole grid and
-    # their temporaries would hold several megabytes at the default density
-    te, pe = np.ix_(axes[1], axes[2])
-    scores = np.empty((n, n, n))
-    for k, d1 in enumerate(axes[0]):
+    te, pe = np.ix_(np.linspace(0.0, theta0, n), np.linspace(0.0, math.pi, n))
+    best4 = -math.inf
+    for d1 in np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n):
         cos_th = _rhombus_cosines(d1, te, pe)
         feasible = np.all(slack(cos_th) >= 0.0, axis=0)
-        scores[k] = np.where(feasible, _rhombus_score(c, f_at_1, cos_th), -np.inf)
+        scores = np.where(feasible, _rhombus_score(c, f_at_1, cos_th), -math.inf)
+        best4 = max(best4, scores.max())
 
-    def neg4(x):
-        return -_rhombus_score(c, f_at_1, _rhombus_cosines(*x))
-
-    def cap_slack(x):
-        return slack(_rhombus_cosines(*x))
-
-    best4 = -math.inf
-    for cell in _best_cells(scores):
-        res = minimize(
-            neg4,
-            [axis[k] for axis, k in zip(axes, cell)],
-            method="SLSQP",
-            bounds=[(axis[0], axis[-1]) for axis in axes],
-            constraints=[{"type": "ineq", "fun": cap_slack}],
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        if np.all(cap_slack(res.x) >= -1e-9):
-            best4 = max(best4, -res.fun)
+    cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
+    if np.all(slack(cos_th) >= -1e-9):
+        best4 = max(best4, _rhombus_score(c, f_at_1, cos_th))
     return Interval.point(float(best3)), Interval.point(float(best4))
 
 

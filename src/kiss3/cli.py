@@ -20,12 +20,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import harness, sphere
+from .bounds import GRID_DENSITY_RANGE
 from .certificate import build_certificate
 from .energy import energy, energy_to_json_dict
 from .errors import Kiss3Error
 
 
-_GRID_HELP = "size of the refine scan grid: 2*isqrt(N) points per axis (minimum 64)"
+_GRID_HELP = "size of the refine scan grid: 2*isqrt(N) points per axis (%d to %d)" % (
+    GRID_DENSITY_RANGE
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -76,8 +76,9 @@ class RunConfig:
     def validate(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.grid_density < 64:
-            raise ValueError("grid_density must be >= 64")
+        lo, hi = bounds_mod.GRID_DENSITY_RANGE
+        if not lo <= self.grid_density <= hi:
+            raise ValueError(f"grid_density must lie in [{lo}, {hi}]")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")

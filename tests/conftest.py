@@ -16,6 +16,6 @@ def bound_table(cert):
 
 @pytest.fixture(scope="session")
 def refined(cert):
-    """The refined (h_3, h_4) estimates at the default grid density; the
-    optimizer is deterministic, so one run serves every test."""
+    """The refined (h_3, h_4) estimates at the default grid density; they
+    are deterministic, so one run serves every test."""
     return refine_h34(cert, grid_density=256)

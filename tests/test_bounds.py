@@ -296,17 +296,16 @@ class TestRefine:
         assert h3_est.mid <= bound_table.h[3].hi
         assert h4_est.mid <= bound_table.h[4].hi
 
-    def test_few_optimizer_starts(self, cert, monkeypatch):
-        starts = []
-        original = bounds.minimize
+    def test_grid_density_ceiling(self, cert):
+        with pytest.raises(ValueError):
+            refine_h34(cert, grid_density=bounds.GRID_DENSITY_RANGE[1] + 1)
 
-        def counted(*args, **kwargs):
-            starts.append(kwargs["method"])
-            return original(*args, **kwargs)
+    def test_no_optimizer(self, cert, refined, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("refine_h34 called bounds.minimize")
 
-        monkeypatch.setattr(bounds, "minimize", counted)
-        refine_h34(cert)
-        assert starts == ["SLSQP"] * bounds.POLISH_STARTS
+        monkeypatch.setattr(bounds, "minimize", refuse)
+        assert refine_h34(cert) == refined
 
     @pytest.mark.parametrize(
         "perturbation, grid_density",
@@ -325,6 +324,40 @@ class TestRefine:
         assert grid.max() == pytest.approx(corner, rel=1e-12)
         h3_est, _ = refine_h34(cert, grid_density)
         assert h3_est.mid.hex() == grid.max().hex()
+
+
+    @pytest.mark.parametrize(
+        "perturbation, grid_density",
+        [(None, 64), (None, 256), (None, 1024), ((9, Fraction(1, 100)), 256)],
+    )
+    def test_h4_is_the_closed_form_rhombus(self, cert, perturbation, grid_density):
+        # three vertices on the cap circle and the fourth inside it, at
+        # |3 theta0 - pi|; no feasible cell of the scan scores higher
+        if perturbation:
+            cert = build_certificate(harness.perturbed_coeffs(*perturbation))
+        theta0 = cert.theta0.mid
+        cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
+        angles = np.arccos(cos_th)
+        assert angles[1:] == pytest.approx([theta0] * 3, abs=1e-12)
+        assert angles[0] == pytest.approx(abs(3.0 * theta0 - math.pi), abs=1e-12)
+        assert angles[0] < theta0
+        best = _rhombus_score(cert, cert.f_at_1, cos_th)
+        f = cert.f
+        closed = cert.f_at_1 + f.eval_real(math.cos(3.0 * theta0)) + 3 * f.eval_real(-cert.t0.mid)
+        assert best == pytest.approx(closed, rel=1e-12)
+
+        n = 2 * math.isqrt(grid_density)
+        axes = (
+            np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n),
+            np.linspace(0.0, theta0, n),
+            np.linspace(0.0, math.pi, n),
+        )
+        cells = _rhombus_cosines(*np.ix_(*axes))
+        feasible = np.all(np.arccos(cells) <= theta0, axis=0)
+        assert feasible.any()
+        assert _rhombus_score(cert, cert.f_at_1, cells)[feasible].max() < best
+        _, h4_est = refine_h34(cert, grid_density)
+        assert h4_est.mid.hex() == float(best).hex()
 
 
 class TestRefineScores:
@@ -362,8 +395,9 @@ class TestRefineScores:
 
 
 class TestRefineScan:
-    """The scan scores whole grids with the same formulas the polish calls
-    on floats; numpy's vectorised trigonometry may move the last bits."""
+    """The scan scores whole grids with the same formulas the closed forms
+    evaluate on floats; numpy's vectorised trigonometry may move the last
+    bits."""
 
     def test_triangle_grid(self, cert):
         f_at_1 = float(cert.f.eval(1))

@@ -107,6 +107,14 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
+    def test_huge_grid(self, capsys):
+        code = main(["verify", "--grid", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "suite, flag", [("lemma1", "--lemma1-sets"), ("lemma3", "--lemma3-sets")]
     )
@@ -210,7 +218,9 @@ class TestTable:
         assert "h2" in out
         assert "conclusion" in out
 
-    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--grid", "10")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "0"), ("--grid", "10"), ("--grid", "1000000000000")]
+    )
     def test_bad_config(self, capsys, flag, value):
         code = main(["table", flag, value])
         captured = capsys.readouterr()
@@ -219,19 +229,25 @@ class TestTable:
         assert captured.err.startswith("configuration error:")
 
 
-def _loaded_after_cli_import(module: str) -> bool:
-    """Whether `import kiss3.cli` in a fresh interpreter loads `module`."""
+def _loaded_after_cli_import(module: str, argv: list[str] | None = None) -> bool:
+    """Whether `import kiss3.cli`, then `kiss3.cli.main(argv)` when argv is
+    given, in a fresh interpreter loads `module`."""
     env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))
-    probe = f"import sys, kiss3.cli; print({module!r} in sys.modules)"
+    run = "" if argv is None else f"kiss3.cli.main({argv!r}); "
+    probe = f"import sys, kiss3.cli; {run}print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    return {"True\n": True, "False\n": False}[out]
+    return {"True": True, "False": False}[out.splitlines()[-1]]
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the first refine polish, not by the CLI import
+    # no kiss3 code imports scipy: only the benchmark needs it
     assert not _loaded_after_cli_import("scipy")
+
+
+def test_refine_leaves_scipy_unloaded():
+    assert not _loaded_after_cli_import("scipy", ["verify", "--suite", "refine"])
 
 
 def test_import_leaves_numpy_random_unloaded():

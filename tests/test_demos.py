@@ -1,5 +1,5 @@
 """Each script in demos/ runs to the end in this process and prints its key
-line.  The refine optimizer is replaced by the session's one result."""
+line.  `refine_h34` is replaced by the session's one result."""
 
 import runpy
 from pathlib import Path

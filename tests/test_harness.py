@@ -39,8 +39,10 @@ class TestRunConfig:
             RunConfig(tolerance=tolerance).validate()
 
     def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            RunConfig(grid_density=10).validate()
+        RunConfig(grid_density=65536).validate()
+        for grid_density in (10, 65537, 10**12):
+            with pytest.raises(ValueError):
+                RunConfig(grid_density=grid_density).validate()
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

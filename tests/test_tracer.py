@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kiss3 import bounds, harness, polynomial
+from kiss3 import harness, polynomial
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,9 +43,9 @@ def test_install_trace_uninstall(tracer):
     assert metrics["polynomial.sturm_chain.max_bits"] == 8058
     assert metrics["polynomial.eval.calls"] > 0
     assert metrics["polynomial.isolate_root.calls"] > 0
-    # only the rhombus is polished, once per start, through bounds.minimize
+    # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
     assert metrics["bounds.refine_h34.calls"] == 1
-    assert metrics["bounds.optimizer.starts"] == bounds.POLISH_STARTS
+    assert metrics["bounds.optimizer.starts"] == 0
     for name, (mod, attr) in tracer.SPANS.items():
         assert getattr(mod, attr) is spans[name], name
     assert polynomial.SturmChain.__dict__["__init__"] is methods["__init__"]
