@@ -34,11 +34,6 @@ RHOMBUS_SPLIT_DEG = 77.0
 #: replaced by the certificate's theta0 upper endpoint at run time.
 PSI_GRID_DEG = (None, 38.0, 41.0, 44.0, 48.0, None)  # R0, ..., theta0
 
-#: The smallest and largest grid density `refine_h34` takes: 16 to 512 scan
-#: points per axis.
-GRID_DENSITY_RANGE = (64, 65536)
-
-
 @dataclass(frozen=True)
 class ProfilePoly:
     """A two-term profile f(-cos .) + f(-cos .) reduced to a univariate
@@ -289,13 +284,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _triangle_u0(psi):
-    """The largest pole offset u of the regular triangle with farthest
-    vertex at colatitude psi: arccos(cot(psi)/sqrt(3)) - R0, floored at 0."""
-    cot = np.cos(psi) / np.sin(psi)
-    return np.maximum(np.arccos(np.minimum(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
-
-
 def _triangle_score(c: Certificate, f_at_1: float, psi, u):
     """The triangle profile at (psi, u) plus f_at_1 = float(f(1)).  Takes
     floats, or numpy arrays that broadcast together."""
@@ -328,7 +316,7 @@ def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray):
     return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
 
 
-def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Interval]:
+def refine_h34(c: Certificate) -> tuple[Interval, Interval]:
     """Non-rigorous estimates of the true suprema h_3 and h_4 over the
     extremal configuration spaces: the regular triangle (psi, u) and the
     unit-edge rhombus (d1, pole colatitude te, pole azimuth pe).  Each value
@@ -336,50 +324,27 @@ def refine_h34(c: Certificate, grid_density: int = 256) -> tuple[Interval, Inter
     supremum, not a bound; it is reported beside the rigorous enclosures and
     feeds no verdict.
 
-    Each space is scored once on a numpy grid of 2 * isqrt(grid_density)
-    points per axis, with the rhombus cells that break the cap constraint
-    masked out.  The triangle estimate is the best cell of its scan: the
-    profile peaks at psi = theta0, u = 0, a corner of the grid.
+    Both are closed forms.  The triangle profile peaks at a corner of its
+    space: the farthest vertex on the cap circle, psi = theta0, and the
+    pole on the circumcenter direction, u = 0.
 
-    The rhombus optimum lies on the cap constraint, between grid points: the
-    rhombus with three vertices on the cap circle, symmetric about the plane
-    of its short diagonal, d1 = pi - 2 theta0, te = 2 theta0 - pi/2, pe = 0.
-    Vertex 3 is then at d1/2 + te = theta0.  Vertices 2 and 4 have cosine
+    The rhombus optimum lies on the cap constraint: the rhombus with three
+    vertices on the cap circle, symmetric about the plane of its short
+    diagonal, d1 = pi - 2 theta0, te = 2 theta0 - pi/2, pe = 0.  Vertex 3
+    is then at d1/2 + te = theta0.  Vertices 2 and 4 have cosine
     cos(d2/2) cos te = sin(2 theta0) / (2 sin theta0) = cos theta0, since
     the unit edge gives cos(d1/2) cos(d2/2) = 1/2.  Vertex 1 is inside the
     cap, at |3 theta0 - pi|, so the score is f(1) + f(cos 3 theta0)
-    + 3 f(-t0).  The h_4 estimate is the larger of that closed form, when
-    it keeps the cap constraint to 1e-9, and the scan's best feasible
-    cell."""
-    lo, hi = GRID_DENSITY_RANGE
-    if not lo <= grid_density <= hi:
-        raise ValueError(f"grid_density must lie in [{lo}, {hi}]")
+    + 3 f(-t0).
+
+    The tests score both spaces on whole grids and check that no cell
+    beats either closed form."""
     theta0 = c.theta0.mid
     f_at_1 = c.f_at_1
-    n = 2 * math.isqrt(grid_density)
-
-    # m = 3: parameters (psi, u), u in [0, u0(psi)]
-    psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
-    best3 = _triangle_score(c, f_at_1, psi, t * _triangle_u0(psi)).max()
-
-    # m = 4: parameters (d1, te, pe), one d1 slice at a time: the four vertex
-    # cosines of the whole grid and their temporaries would hold several
-    # megabytes at the default density
-    def slack(cos_th):
-        return theta0 - np.arccos(cos_th)
-
-    te, pe = np.ix_(np.linspace(0.0, theta0, n), np.linspace(0.0, math.pi, n))
-    best4 = -math.inf
-    for d1 in np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n):
-        cos_th = _rhombus_cosines(d1, te, pe)
-        feasible = np.all(slack(cos_th) >= 0.0, axis=0)
-        scores = np.where(feasible, _rhombus_score(c, f_at_1, cos_th), -math.inf)
-        best4 = max(best4, scores.max())
-
+    h3 = _triangle_score(c, f_at_1, theta0, 0.0)
     cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
-    if np.all(slack(cos_th) >= -1e-9):
-        best4 = max(best4, _rhombus_score(c, f_at_1, cos_th))
-    return Interval.point(float(best3)), Interval.point(float(best4))
+    h4 = _rhombus_score(c, f_at_1, cos_th)
+    return Interval.point(float(h3)), Interval.point(float(h4))
 
 
 # -- export ------------------------------------------------------------------

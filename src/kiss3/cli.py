@@ -1,8 +1,8 @@
 """Command-line interface.
 
-    kiss3 verify [--suite NAME]... [--tol X] [--grid N] [--seed S]
-                 [--format text|json] [--out PATH] [--perturb IDX:DELTA]
-    kiss3 table [--tol X] [--grid N] [--skip-refine]
+    kiss3 verify [--suite NAME]... [--seed S] [--format text|json] [--out PATH]
+                 [--lemma1-sets N] [--lemma3-sets N] [--perturb IDX:DELTA]
+    kiss3 table [--skip-refine]
     kiss3 sample --n N --min-sep DEG --seed S
     kiss3 energy --points FILE
 
@@ -20,15 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import harness, sphere
-from .bounds import GRID_DENSITY_RANGE
 from .certificate import build_certificate
 from .energy import energy, energy_to_json_dict
 from .errors import Kiss3Error
-
-
-_GRID_HELP = "size of the refine scan grid: 2*isqrt(N) points per axis (%d to %d)" % (
-    GRID_DENSITY_RANGE
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=harness.ALL_SUITES,
         help="restrict to the named suite (repeatable; default: all)",
     )
-    verify.add_argument("--tol", type=float, default=1e-7, help="enclosure tolerance")
-    verify.add_argument("--grid", type=int, default=256, metavar="N", help=_GRID_HELP)
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", type=Path, default=None, help="write report here")
@@ -66,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table = sub.add_parser("table", help="print the reference-constant comparison table")
-    table.add_argument("--tol", type=float, default=1e-7)
-    table.add_argument("--grid", type=int, default=256, metavar="N", help=_GRID_HELP)
     table.add_argument(
         "--skip-refine", action="store_true", help="omit the non-rigorous estimates"
     )
@@ -118,8 +108,6 @@ def _cmd_verify(args) -> int:
             print(f"bad --perturb argument: {exc}", file=sys.stderr)
             return 2
     config = harness.RunConfig(
-        tolerance=args.tol,
-        grid_density=args.grid,
         seed=args.seed,
         suites=tuple(args.suite) if args.suite else harness.ALL_SUITES,
         lemma1_sets=args.lemma1_sets,
@@ -133,7 +121,7 @@ def _cmd_table(args) -> int:
     suites = ("certificate", "bounds", "theorem")
     if not args.skip_refine:
         suites += ("refine",)
-    config = harness.RunConfig(tolerance=args.tol, grid_density=args.grid, suites=suites)
+    config = harness.RunConfig(suites=suites)
     return _run(config, "text")
 
 

@@ -109,9 +109,8 @@ def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
 
 
 def check_lemma1(ps: PointSet, kmax: int = 9) -> list[float]:
-    """The Gegenbauer sums for k = 0 ... kmax; each is >= 0 up to rounding."""
-    if kmax > 12:
-        raise ValueError("kmax capped at 12")
+    """The Gegenbauer sums for k = 0 ... kmax; each is >= 0 up to rounding.
+    A kmax above legendre.DEGREE_CAP raises `ValueError`."""
     batch = CosineBatch.of(ps)
     return gegenbauer_sums(batch.cos, batch.starts, range(kmax + 1))[:, 0].tolist()
 

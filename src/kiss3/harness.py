@@ -31,7 +31,7 @@ from .errors import Kiss3Error
 from .legendre import addition_theorem_residual, gegenbauer_sums
 from .polynomial import Interval
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Random point sets drawn and evaluated together by the lemma 1 and 2
 #: suites.  It bounds their working set (under 1 MB of arrays at 128 sets of
@@ -65,8 +65,6 @@ W_DEFINITION_NOTE = (
 
 @dataclass
 class RunConfig:
-    tolerance: float = 1e-7
-    grid_density: int = 256
     seed: int = 42
     suites: tuple[str, ...] = ALL_SUITES
     lemma1_sets: int = 1000
@@ -74,11 +72,6 @@ class RunConfig:
     f_coeffs: tuple = F_COEFFS  # override only for negative controls
 
     def validate(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        lo, hi = bounds_mod.GRID_DENSITY_RANGE
-        if not lo <= self.grid_density <= hi:
-            raise ValueError(f"grid_density must lie in [{lo}, {hi}]")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -126,8 +119,6 @@ class VerificationReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": {
-                "tolerance": self.config.tolerance,
-                "grid_density": self.config.grid_density,
                 "seed": self.config.seed,
                 "suites": list(self.config.suites),
                 "lemma1_sets": self.config.lemma1_sets,
@@ -208,17 +199,17 @@ def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
     return s
 
 
-def _bound_table(report: VerificationReport, cert, tol: float) -> bounds_mod.BoundTable:
+def _bound_table(report: VerificationReport, cert) -> bounds_mod.BoundTable:
     """The run's bound table, built by whichever of the bounds and theorem
     suites runs first and read by the other."""
     if report.bound_table is None:
-        report.bound_table = bounds_mod.compute_bound_table(cert, tol)
+        report.bound_table = bounds_mod.compute_bound_table(cert)
     return report.bound_table
 
 
-def _suite_bounds(report: VerificationReport, cert, tol: float) -> SuiteResult:
+def _suite_bounds(report: VerificationReport, cert) -> SuiteResult:
     s = SuiteResult("bounds")
-    table = _bound_table(report, cert, tol)
+    table = _bound_table(report, cert)
     s.check(table.mu == 4, f"mu = {table.mu}, expected 4")
     s.check(
         abs(table.mu_angle_deg - REFERENCE_VALUES["mu_angle_deg"]) <= 1e-3,
@@ -316,9 +307,9 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
     return s
 
 
-def _suite_theorem(report: VerificationReport, cert, tol: float) -> SuiteResult:
+def _suite_theorem(report: VerificationReport, cert) -> SuiteResult:
     s = SuiteResult("theorem")
-    theorem = bounds_mod.verify_theorem(cert, _bound_table(report, cert, tol))
+    theorem = bounds_mod.verify_theorem(cert, _bound_table(report, cert))
     s.check(theorem.expansion_ok, "expansion side (S >= n^2) failed")
     s.check(theorem.table.verdict, "bound side (S < 13n) failed")
     s.check(theorem.witness_size == 12, "witness is not 12 points")
@@ -343,9 +334,9 @@ def _suite_theorem(report: VerificationReport, cert, tol: float) -> SuiteResult:
     return s
 
 
-def _suite_refine(report: VerificationReport, cert, config: RunConfig) -> SuiteResult:
+def _suite_refine(report: VerificationReport, cert) -> SuiteResult:
     s = SuiteResult("refine")
-    h3_est, h4_est = bounds_mod.refine_h34(cert, config.grid_density)
+    h3_est, h4_est = bounds_mod.refine_h34(cert)
     report.refined = {"h3": h3_est.mid, "h4": h4_est.mid}
     s.check(
         abs(h3_est.mid - REFERENCE_VALUES["h3_refined"]) <= 1e-3,
@@ -391,12 +382,12 @@ def run(config: RunConfig) -> VerificationReport:
 
     runners = {
         "certificate": lambda: _suite_certificate(report, cert),
-        "bounds": lambda: _suite_bounds(report, cert, config.tolerance),
+        "bounds": lambda: _suite_bounds(report, cert),
         "lemma1": lambda: _suite_lemma1(config),
         "lemma2": lambda: _suite_lemma2(config, cert),
         "lemma3": lambda: _suite_lemma3(config, cert),
-        "theorem": lambda: _suite_theorem(report, cert, config.tolerance),
-        "refine": lambda: _suite_refine(report, cert, config),
+        "theorem": lambda: _suite_theorem(report, cert),
+        "refine": lambda: _suite_refine(report, cert),
     }
     for name in ALL_SUITES:
         if name not in config.suites:

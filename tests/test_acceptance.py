@@ -70,8 +70,8 @@ class TestCriterion3BoundPipeline:
 
 
 class TestCriterion4RefinedEstimates:
-    def test_refined_estimates(self, refined, bound_table):
-        h3_est, h4_est = refined
+    def test_refined_estimates(self, cert, bound_table):
+        h3_est, h4_est = bounds_mod.refine_h34(cert)
         ok = (
             abs(h3_est.mid - 12.8721) <= 1e-3
             and abs(h4_est.mid - 12.4849) <= 1e-3

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import kiss3
-from kiss3.cli import main
+from kiss3.cli import _build_parser, main
 from kiss3.sphere import min_separation, parse_points
 
 
@@ -30,7 +32,7 @@ class TestVerify:
         code = main(["verify", "--suite", "certificate", "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["suites"]["certificate"]["failed"] == 0
 
     def test_exact_report_matches_golden(self, capsys):
@@ -75,7 +77,7 @@ class TestVerify:
         )
         capsys.readouterr()
         assert code == 0
-        assert json.loads(target.read_text())["schema_version"] == 1
+        assert json.loads(target.read_text())["schema_version"] == 2
 
     def test_perturb_fails(self, capsys):
         code = main(["verify", "--suite", "certificate", "--perturb", "9:1/100"])
@@ -102,19 +104,6 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert not target.parent.exists()
 
-    def test_bad_grid_config(self, capsys):
-        code = main(["verify", "--grid", "3"])
-        capsys.readouterr()
-        assert code == 2
-
-    def test_huge_grid(self, capsys):
-        code = main(["verify", "--grid", "1000000000000"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error:")
-        assert captured.err.count("\n") == 1
-
     @pytest.mark.parametrize(
         "suite, flag", [("lemma1", "--lemma1-sets"), ("lemma3", "--lemma3-sets")]
     )
@@ -124,6 +113,17 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("configuration error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--grid", "256"], ["verify", "--tol", "1e-7"], ["table", "--tol", "1e-7"]],
+    )
+    def test_retired_flags(self, capsys, argv):
+        # the refine grid and the enclosure tolerance are no longer options
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSampleAndEnergy:
@@ -218,16 +218,6 @@ class TestTable:
         assert "h2" in out
         assert "conclusion" in out
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--tol", "0"), ("--grid", "10"), ("--grid", "1000000000000")]
-    )
-    def test_bad_config(self, capsys, flag, value):
-        code = main(["table", flag, value])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error:")
-
 
 def _loaded_after_cli_import(module: str, argv: list[str] | None = None) -> bool:
     """Whether `import kiss3.cli`, then `kiss3.cli.main(argv)` when argv is
@@ -253,3 +243,14 @@ def test_refine_leaves_scipy_unloaded():
 def test_import_leaves_numpy_random_unloaded():
     # the sampler makes its RandomState on its first call
     assert not _loaded_after_cli_import("numpy.random")
+
+
+def test_readme_names_only_real_options():
+    # every --flag of README's "Command line" section is an option of some
+    # kiss3 subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    assert named and named <= options, sorted(named - options)

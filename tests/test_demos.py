@@ -1,12 +1,10 @@
 """Each script in demos/ runs to the end in this process and prints its key
-line.  `refine_h34` is replaced by the session's one result."""
+line."""
 
 import runpy
 from pathlib import Path
 
 import pytest
-
-from kiss3 import bounds
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -19,8 +17,7 @@ KEY_LINES = {
 
 
 @pytest.mark.parametrize("script", sorted(KEY_LINES))
-def test_demo_runs(script, refined, monkeypatch, capsys):
-    monkeypatch.setattr(bounds, "refine_h34", lambda c, grid_density=256: refined)
+def test_demo_runs(script, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     assert KEY_LINES[script] in lines
