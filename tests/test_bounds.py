@@ -301,11 +301,30 @@ class TestRefine:
         assert h3_est.mid <= bound_table.h[3].hi
         assert h4_est.mid <= bound_table.h[4].hi
 
-    def test_multistart_optimum(self, cert):
-        # the optimum of the 556-start multistart search the closed forms replaced
+    @pytest.mark.parametrize("grid_density", [64, 256, 1024])
+    def test_same_optimum_at_every_density(self, cert, bound_table, grid_density):
+        # the optimum of the 556-start multistart search the closed forms
+        # replaced; a scan at this density, as the retired refine ran, finds
+        # no cell that moves it
         h3_est, h4_est = refine_h34(cert)
-        assert abs(h3_est.mid - 12.87211978609106) <= 1e-9
-        assert abs(h4_est.mid - 12.484941253936224) <= 1e-9
+        theta0 = cert.theta0.mid
+        n = 2 * math.isqrt(grid_density)
+        psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
+        h3_scan = _triangle_score(cert, cert.f_at_1, psi, t * _triangle_u0(psi)).max()
+        axes = (
+            np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n),
+            np.linspace(0.0, theta0, n),
+            np.linspace(0.0, math.pi, n),
+        )
+        cells = _rhombus_cosines(*np.ix_(*axes))
+        feasible = np.all(np.arccos(cells) <= theta0, axis=0)
+        h4_scan = _rhombus_score(cert, cert.f_at_1, cells)[feasible].max()
+        for best in (h3_est.mid, max(h3_est.mid, h3_scan)):
+            assert abs(best - 12.87211978609106) <= 1e-9
+        for best in (h4_est.mid, max(h4_est.mid, h4_scan)):
+            assert abs(best - 12.484941253936224) <= 1e-9
+        assert h3_est.mid <= bound_table.h[3].hi
+        assert h4_est.mid <= bound_table.h[4].hi
 
     def test_no_optimizer(self, cert, monkeypatch):
         expected = refine_h34(cert)
