@@ -24,7 +24,7 @@ print(f"f(1/2) = {f.eval(Fraction(1, 2))} (negative, as required)")
 
 print()
 print("Legendre expansion coefficients c_0 ... c_9:")
-print(" ", ", ".join(str(c) for c in cert.legendre_coeffs.coefficients))
+print(" ", ", ".join(str(c) for c in cert.legendre_coeffs))
 print("  all nonnegative, c_0 = 1: the expansion side of the bound holds.")
 
 print()

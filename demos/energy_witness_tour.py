@@ -29,5 +29,5 @@ for i, rec in enumerate(summary.per_point):
 
 print()
 print("Gegenbauer sums for k = 0 ... 9 (each >= 0 by positive definiteness):")
-for k, v in enumerate(check_lemma1(ico, kmax=9)):
+for k, v in enumerate(check_lemma1(ico)):
     print(f"  k = {k}: {v:.6e}")

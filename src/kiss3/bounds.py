@@ -30,21 +30,17 @@ R0 = math.acos(math.sqrt(2.0 / 3.0))
 #: The two-case split point for the short rhombus diagonal (degrees).
 RHOMBUS_SPLIT_DEG = 77.0
 
-#: The colatitude grid for the m = 3 analysis, in radians; the last entry is
-#: replaced by the certificate's theta0 upper endpoint at run time.
-PSI_GRID_DEG = (None, 38.0, 41.0, 44.0, 48.0, None)  # R0, ..., theta0
+#: Tolerance of every profile maximum in the bound table.
+PROFILE_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class ProfilePoly:
     """A two-term profile f(-cos .) + f(-cos .) reduced to a univariate
     polynomial in a cosine substitution variable s, with its s-domain."""
 
-    psi: float
     poly: RationalPoly
     domain: Interval
-
-    def eval(self, s: float) -> float:
-        return self.poly.eval_real(s)
 
 
 @dataclass
@@ -64,15 +60,10 @@ class BoundTable:
 @dataclass(frozen=True)
 class TheoremReport:
     expansion_ok: bool
-    table: BoundTable
     witness_size: int
     witness_min_sep: float  # radians
     witness_energy: float
     conclusion: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.conclusion == 12
 
 
 def _symmetric_pair_poly(
@@ -125,13 +116,13 @@ def build_omega(c: Certificate, psi: float) -> ProfilePoly:
     sh = Fraction(math.sin(psi / 2.0))
     poly = _symmetric_pair_poly(c.f, RationalPoly([0, -ch]), sh * sh)
     s_lo = math.nextafter(math.cos(c.theta0.hi - psi / 2.0), -math.inf)
-    return ProfilePoly(psi=psi, poly=poly, domain=Interval(min(s_lo, 1.0), 1.0))
+    return ProfilePoly(poly=poly, domain=Interval(min(s_lo, 1.0), 1.0))
 
 
-def F1(c: Certificate, psi: float, tol: float = 1e-7) -> Interval:
+def F1(c: Certificate, psi: float) -> Interval:
     """Enclosure of the maximum pair profile at separation psi over the cap."""
     omega = build_omega(c, psi)
-    return max_on_interval(omega.poly, omega.domain.lo, omega.domain.hi, tol)
+    return max_on_interval(omega.poly, omega.domain.lo, omega.domain.hi, PROFILE_TOL)
 
 
 def build_triangle_profile(c: Certificate, psi: float) -> ProfilePoly:
@@ -153,14 +144,14 @@ def build_triangle_profile(c: Certificate, psi: float) -> ProfilePoly:
     cot = math.cos(psi) / math.sin(psi)
     u0 = max(math.acos(min(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
     s_lo = math.nextafter(math.cos(u0), -math.inf)
-    return ProfilePoly(psi=psi, poly=poly, domain=Interval(min(s_lo, 1.0), 1.0))
+    return ProfilePoly(poly=poly, domain=Interval(min(s_lo, 1.0), 1.0))
 
 
-def F2(c: Certificate, psi: float, tol: float = 1e-7) -> Interval:
+def F2(c: Certificate, psi: float) -> Interval:
     """Enclosure of the two-near-vertex maximum for the regular triangle with
     circumdistance parameter psi."""
     prof = build_triangle_profile(c, psi)
-    return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, tol)
+    return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, PROFILE_TOL)
 
 
 def mu_angle(c: Certificate) -> float:
@@ -182,10 +173,10 @@ def mu_upper_bound(c: Certificate) -> int:
 def psi_grid(c: Certificate) -> list[float]:
     """The colatitude grid {R0, 38, 41, 44, 48, theta0} (radians), with the
     top endpoint taken from the conservative end of the theta0 enclosure."""
-    return [R0 if x is None else x * DEG for x in PSI_GRID_DEG[:-1]] + [c.theta0.hi]
+    return [R0, 38.0 * DEG, 41.0 * DEG, 44.0 * DEG, 48.0 * DEG, c.theta0.hi]
 
 
-def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
+def compute_bound_table(c: Certificate) -> BoundTable:
     """Assemble mu and the h_0 ... h_4 enclosures; verdict is true iff every
     upper endpoint is strictly below 13.
 
@@ -202,11 +193,11 @@ def compute_bound_table(c: Certificate, tol: float = 1e-7) -> BoundTable:
     grid = psi_grid(c)
     split = RHOMBUS_SPLIT_DEG * DEG
     rhombus = (sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG)
-    f1 = {60.0 * DEG: F1(c, 60.0 * DEG, tol)}  # psi (radians) -> enclosure
-    f2 = {psi: F2(c, psi, tol) for psi in grid[1:]}
+    f1 = {60.0 * DEG: F1(c, 60.0 * DEG)}  # psi (radians) -> enclosure
+    f2 = {psi: F2(c, psi) for psi in grid[1:]}
     for psi in rhombus:
         if psi not in f1:
-            f1[psi] = F1(c, psi, tol)
+            f1[psi] = F1(c, psi)
 
     h0 = Interval.point(f_at_1)
     h1 = Interval.point(float(c.f.eval(1) + c.f.eval(-1)))
@@ -264,7 +255,6 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
     conclusion = 12 if (expansion_ok and table.verdict and witness_ok) else None
     return TheoremReport(
         expansion_ok=expansion_ok,
-        table=table,
         witness_size=len(ico),
         witness_min_sep=witness_sep,
         witness_energy=summary.S,
@@ -316,7 +306,7 @@ def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray):
     return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
 
 
-def refine_h34(c: Certificate) -> tuple[Interval, Interval]:
+def refine_h34(c: Certificate) -> tuple[float, float]:
     """Non-rigorous estimates of the true suprema h_3 and h_4 over the
     extremal configuration spaces: the regular triangle (psi, u) and the
     unit-edge rhombus (d1, pole colatitude te, pole azimuth pe).  Each value
@@ -344,7 +334,7 @@ def refine_h34(c: Certificate) -> tuple[Interval, Interval]:
     h3 = _triangle_score(c, f_at_1, theta0, 0.0)
     cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
     h4 = _rhombus_score(c, f_at_1, cos_th)
-    return Interval.point(float(h3)), Interval.point(float(h4))
+    return float(h3), float(h4)
 
 
 # -- export ------------------------------------------------------------------

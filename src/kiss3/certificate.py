@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import CertificateInvalid
-from .legendre import LegendreExpansion, from_legendre_basis, to_legendre_basis
+from .legendre import from_legendre_basis, to_legendre_basis
 from .polynomial import Interval, RationalPoly, isolate_root, sturm_count
 
 # Monomial coefficients, lowest power first.
@@ -48,7 +48,7 @@ EXPECTED_LEGENDRE_COEFFS = (
 @dataclass(frozen=True)
 class Certificate:
     f: RationalPoly
-    legendre_coeffs: LegendreExpansion
+    legendre_coeffs: tuple[Fraction, ...]  # c_0 ... c_9
     t0: Interval  # enclosure of the positive root magnitude (f(-t0) = 0)
     theta0: Interval  # arccos(t0), radians, outward rounded
 
@@ -58,18 +58,14 @@ class Certificate:
         return float(self.f.eval(1))
 
 
-def certificate_poly(coeffs=F_COEFFS) -> RationalPoly:
-    return RationalPoly(coeffs)
-
-
-def build_certificate(coeffs=F_COEFFS, root_width: float = 1e-12) -> Certificate:
+def build_certificate(coeffs=F_COEFFS) -> Certificate:
     """Construct and validate the certificate.
 
     The root of f on (-1, 0) is isolated by exact bisection; t0 is its
     magnitude and theta0 = arccos(t0), both carried as outward enclosures.
     Raises CertificateInvalid on any structural failure.
     """
-    f = certificate_poly(coeffs)
+    f = RationalPoly(coeffs)
     if f.degree != 9:
         raise CertificateInvalid(f"certificate must have degree 9, got {f.degree}")
     expansion = to_legendre_basis(f)
@@ -77,11 +73,11 @@ def build_certificate(coeffs=F_COEFFS, root_width: float = 1e-12) -> Certificate
         raise CertificateInvalid("Legendre expansion does not reconstruct f")
     if expansion[0] != 1:
         raise CertificateInvalid(f"c_0 must be 1, got {expansion[0]}")
-    if any(c < 0 for c in expansion.coefficients):
+    if any(c < 0 for c in expansion):
         raise CertificateInvalid("negative Legendre coefficient")
     if sturm_count(f, Fraction(-1), Fraction(1, 2)) != 1:
         raise CertificateInvalid("f must have exactly one root on (-1, 1/2)")
-    neg_root = isolate_root(f, Fraction(-1), Fraction(0), root_width)
+    neg_root = isolate_root(f, Fraction(-1), Fraction(0), 1e-12)
     t0 = Interval(-neg_root.hi, -neg_root.lo)
     if not (0.59 < t0.lo and t0.hi < 0.591):
         raise CertificateInvalid(f"t0 enclosure {t0} outside (0.59, 0.591)")
@@ -100,18 +96,13 @@ def verify_expansion(c: Certificate, expected=None) -> bool:
     e = c.legendre_coeffs
     if from_legendre_basis(e) != c.f:
         return False
-    if e[0] != 1 or any(ck < 0 for ck in e.coefficients):
+    if e[0] != 1 or any(ck < 0 for ck in e):
         return False
     if expected is not None:
         exp = tuple(Fraction(x) for x in expected)
-        got = e.coefficients + (Fraction(0),) * (len(exp) - len(e.coefficients))
+        got = e + (Fraction(0),) * (len(exp) - len(e))
         return got == exp
     return True
-
-
-def _neg_t0_upper(c: Certificate) -> Fraction:
-    """Rational upper endpoint of the enclosure of -t0."""
-    return Fraction(-c.t0.lo)
 
 
 def verify_property_i(c: Certificate) -> bool:
@@ -122,7 +113,7 @@ def verify_property_i(c: Certificate) -> bool:
     df = c.f.derivative()
     if df.eval(-1) >= 0:
         return False
-    return sturm_count(df, Fraction(-1), _neg_t0_upper(c)) == 0
+    return sturm_count(df, Fraction(-1), Fraction(-c.t0.lo)) == 0
 
 
 def verify_property_ii(c: Certificate) -> bool:

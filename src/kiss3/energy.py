@@ -108,11 +108,11 @@ def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
     return np.all(sums >= -1e-9 * n**2, axis=0)
 
 
-def check_lemma1(ps: PointSet, kmax: int = 9) -> list[float]:
-    """The Gegenbauer sums for k = 0 ... kmax; each is >= 0 up to rounding.
-    A kmax above legendre.DEGREE_CAP raises `ValueError`."""
+def check_lemma1(ps: PointSet) -> list[float]:
+    """The Gegenbauer sums for k = 0 ... 9, the degrees of f; each is >= 0 up
+    to rounding."""
     batch = CosineBatch.of(ps)
-    return gegenbauer_sums(batch.cos, batch.starts, range(kmax + 1))[:, 0].tolist()
+    return gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()
 
 
 def expansion_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
@@ -120,7 +120,7 @@ def expansion_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
     the Legendre coefficients of f.  The lower-bound lemma's one-line proof
     is that this equals S(X); its distance from `set_energies` is the
     linearity-bridge gap."""
-    weights = [float(ck) for ck in c.legendre_coeffs.coefficients]
+    weights = [float(ck) for ck in c.legendre_coeffs]
     return np.dot(weights, gegenbauer_sums(batch.cos, batch.starts, range(len(weights))))
 
 

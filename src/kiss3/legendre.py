@@ -8,7 +8,6 @@ degree 12; everything the proof needs stops at degree 9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,14 +49,6 @@ def legendre_rodrigues(k: int) -> RationalPoly:
     return p * Fraction(1, 2**k * math.factorial(k))
 
 
-@lru_cache(maxsize=None)
-def _legendre_deriv(k: int, m: int) -> RationalPoly:
-    p = legendre(k)
-    for _ in range(m):
-        p = p.derivative()
-    return p
-
-
 def addition_weights(k: int) -> tuple[Fraction, ...]:
     """Weights c_{m,k}: 1 for m = 0, else 2 (k-m)!/(k+m)!."""
     _check_degree(k)
@@ -69,28 +60,16 @@ def addition_weights(k: int) -> tuple[Fraction, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LegendreExpansion:
-    """Coefficients c_0 ... c_K of a polynomial in the Legendre basis."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
-
-def to_legendre_basis(p: RationalPoly) -> LegendreExpansion:
-    """Exact conversion to the Legendre basis by back-substitution.
+def to_legendre_basis(p: RationalPoly) -> tuple[Fraction, ...]:
+    """Exact conversion to the Legendre basis, c_0 ... c_K, by
+    back-substitution.
 
     Peels the top degree off with c_K = a_K / lead(P_K) and recurses; no
     quadrature, everything stays rational.
     """
     _check_degree(max(p.degree, 0))
     if p.is_zero():
-        return LegendreExpansion((Fraction(0),))
+        return (Fraction(0),)
     coeffs = [Fraction(0)] * (p.degree + 1)
     rest = p
     for k in range(p.degree, -1, -1):
@@ -101,13 +80,13 @@ def to_legendre_basis(p: RationalPoly) -> LegendreExpansion:
         coeffs[k] = ck
         rest = rest - pk * ck
     assert rest.is_zero()
-    return LegendreExpansion(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def from_legendre_basis(e: LegendreExpansion) -> RationalPoly:
-    """Exact reconstruction sum_k c_k P_k."""
+def from_legendre_basis(coeffs) -> RationalPoly:
+    """Exact reconstruction sum_k c_k P_k from c_0 ... c_K."""
     out = RationalPoly([])
-    for k, ck in enumerate(e.coefficients):
+    for k, ck in enumerate(coeffs):
         if ck != 0:
             out = out + legendre(k) * ck
     return out
@@ -118,11 +97,11 @@ def _addition_terms(k: int):
     """The float image of the addition theorem at degree k: the coefficients
     of P_k and, for m = 0 ... k, the weight c_{m,k} with the coefficients of
     P_k^(m), highest power first."""
-    _check_degree(k)
-    return legendre(k).real_coeffs(), tuple(
-        (float(w), _legendre_deriv(k, m).real_coeffs())
-        for m, w in enumerate(addition_weights(k))
-    )
+    p, terms = legendre(k), []
+    for w in addition_weights(k):
+        terms.append((float(w), p.real_coeffs()))
+        p = p.derivative()
+    return legendre(k).real_coeffs(), tuple(terms)
 
 
 def addition_theorem_residual(k: int, theta1, theta2, phi):

@@ -11,4 +11,4 @@ def cert():
 
 @pytest.fixture(scope="session")
 def bound_table(cert):
-    return compute_bound_table(cert, tol=1e-7)
+    return compute_bound_table(cert)

@@ -34,7 +34,7 @@ class TestCriterion1ExactIdentities:
         ok = (
             cert.f.eval(1) == Fr(1011, 100)
             and cert.f.eval(1) + cert.f.eval(-1) == Fr(1288, 100)
-            and cert.legendre_coeffs.coefficients == EXPECTED_LEGENDRE_COEFFS
+            and cert.legendre_coeffs == EXPECTED_LEGENDRE_COEFFS
             and all(legendre(k) == legendre_rodrigues(k) for k in range(13))
         )
         report(
@@ -73,10 +73,10 @@ class TestCriterion4RefinedEstimates:
     def test_refined_estimates(self, cert, bound_table):
         h3_est, h4_est = bounds_mod.refine_h34(cert)
         ok = (
-            abs(h3_est.mid - 12.8721) <= 1e-3
-            and abs(h4_est.mid - 12.4849) <= 1e-3
-            and h3_est.mid <= bound_table.h[3].hi
-            and h4_est.mid <= bound_table.h[4].hi
+            abs(h3_est - 12.8721) <= 1e-3
+            and abs(h4_est - 12.4849) <= 1e-3
+            and h3_est <= bound_table.h[3].hi
+            and h4_est <= bound_table.h[4].hi
         )
         report("criterion 4: refined h3/h4 estimates within rigorous enclosures", ok)
 
@@ -91,7 +91,7 @@ class TestCriterion5PropertySuites:
         ok1 = all(
             v >= -1e-9 * len(ps) ** 2
             for ps in sets
-            for v in check_lemma1(ps, kmax=9)
+            for v in check_lemma1(ps)
         )
         ok2 = all(check_lemma2(ps, cert) for ps in sets)
         ok_bridge = all(

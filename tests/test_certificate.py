@@ -7,7 +7,6 @@ from kiss3.certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
     build_certificate,
-    certificate_poly,
     classic_delsarte_gap,
     verify_expansion,
     verify_property_i,
@@ -59,13 +58,13 @@ class TestBuild:
 class TestExpansion:
     def test_expected_coefficients(self, cert):
         assert verify_expansion(cert, EXPECTED_LEGENDRE_COEFFS)
-        assert cert.legendre_coeffs.coefficients == EXPECTED_LEGENDRE_COEFFS
+        assert cert.legendre_coeffs == EXPECTED_LEGENDRE_COEFFS
 
     def test_reconstruction_exact(self, cert):
         assert from_legendre_basis(cert.legendre_coeffs) == cert.f
 
     def test_sum_of_coefficients_is_f_at_one(self, cert):
-        assert sum(cert.legendre_coeffs.coefficients) == cert.f.eval(1)
+        assert sum(cert.legendre_coeffs) == cert.f.eval(1)
         assert cert.f.eval(1) == Fr(4044, 400)
 
     def test_perturbed_leading_coefficient_detected(self):
@@ -120,5 +119,5 @@ class TestClassicGap:
 
 
 class TestJsonExport:
-    def test_certificate_poly_default(self):
-        assert certificate_poly() == RationalPoly(F_COEFFS)
+    def test_certificate_poly_default(self, cert):
+        assert cert.f == RationalPoly(F_COEFFS)

@@ -14,7 +14,9 @@ from kiss3.energy import (
     linearity_gap,
 )
 from kiss3.errors import SaturationError, SeparationViolation
+from kiss3.legendre import gegenbauer_sums
 from kiss3.sphere import (
+    CosineBatch,
     PointSet,
     SphericalPoint,
     icosahedron,
@@ -189,13 +191,14 @@ class TestLemma1:
         rng = random.Random(54)
         for _ in range(100):
             ps = random_point_set(rng, rng.randint(1, 12))
-            sums = check_lemma1(ps, kmax=9)
+            sums = check_lemma1(ps)
             assert len(sums) == 10
             assert all(v >= -1e-9 * len(ps) ** 2 for v in sums)
 
     def test_kmax_cap(self):
+        batch = CosineBatch.of(icosahedron())
         with pytest.raises(ValueError):
-            check_lemma1(icosahedron(), kmax=13)
+            gegenbauer_sums(batch.cos, batch.starts, [13])
 
     def test_threshold(self):
         # an antipodal pair has a Gegenbauer sum of exactly 0 at k = 1

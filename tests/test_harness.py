@@ -63,6 +63,33 @@ class TestPartialRuns:
         assert report.conclusion == 12
 
 
+class TestCounts:
+    """A check with nothing to test counts as skipped, not passed."""
+
+    @pytest.mark.parametrize(
+        "suite, field, counts",
+        [
+            ("lemma1", "lemma1_sets", (1, 0, 1)),
+            ("lemma2", "lemma1_sets", (0, 0, 2)),
+            ("lemma3", "lemma3_sets", (0, 0, 1)),
+        ],
+    )
+    def test_zero_sets_skip(self, suite, field, counts):
+        report = run(RunConfig(suites=(suite,), **{field: 0}))
+        s = report.suites[suite]
+        assert (s.passed, s.failed, s.skipped) == counts
+        assert report.ok
+
+    @pytest.mark.parametrize(
+        "suites, counts", [(("refine",), (2, 0, 2)), (("bounds", "refine"), (4, 0, 0))]
+    )
+    def test_refine_cross_checks_need_the_table(self, suites, counts):
+        report = run(RunConfig(suites=suites))
+        s = report.suites["refine"]
+        assert (s.passed, s.failed, s.skipped) == counts
+        assert (report.bound_table is None) == ("bounds" not in suites)
+
+
 class TestDeterminism:
     def test_json_byte_identical(self):
         cfg = dict(suites=("certificate", "lemma1", "lemma2", "lemma3"), seed=7, **FAST)
@@ -143,7 +170,7 @@ def _reference_gap(ps, cert):
     sums = _reference_sums(ps)
     via_basis = sum(
         float(ck) * sums[k]
-        for k, ck in enumerate(cert.legendre_coeffs.coefficients)
+        for k, ck in enumerate(cert.legendre_coeffs)
         if ck != 0
     )
     return abs(energy(ps, cert).S - via_basis)
@@ -179,8 +206,11 @@ def _reference_lemma1(config):
     for ps in _reference_sets(rng, config.lemma1_sets):
         if any(v < -1e-9 * len(ps) ** 2 for v in _reference_sums(ps)):
             bad += 1
-    s.check(bad == 0, f"{bad} point sets with a negative Gegenbauer sum")
-    s.passed += config.lemma1_sets - (1 if bad else 0)
+    if config.lemma1_sets:
+        s.check(bad == 0, f"{bad} point sets with a negative Gegenbauer sum")
+        s.passed += config.lemma1_sets - (1 if bad else 0)
+    else:
+        s.skipped += 1
     bad_residual = 0
     for _ in range(1000):
         k = rng.randint(0, 9)
@@ -202,9 +232,12 @@ def _reference_lemma2(config, cert):
             bad += 1
         if _reference_gap(ps, cert) > 1e-8 * len(ps) ** 2:
             bad_bridge += 1
-    s.check(bad == 0, f"{bad} point sets with S < n^2")
-    s.check(bad_bridge == 0, f"{bad_bridge} linearity-bridge gaps over 1e-8 n^2")
-    s.passed += config.lemma1_sets - (1 if bad else 0)
+    if config.lemma1_sets:
+        s.check(bad == 0, f"{bad} point sets with S < n^2")
+        s.check(bad_bridge == 0, f"{bad_bridge} linearity-bridge gaps over 1e-8 n^2")
+        s.passed += config.lemma1_sets - (1 if bad else 0)
+    else:
+        s.skipped += 2
     return s
 
 

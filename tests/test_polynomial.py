@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kiss3 import bounds, harness
-from kiss3.certificate import certificate_poly
+from kiss3.certificate import F_COEFFS
 from kiss3.errors import DegenerateEndpoint, MultipleRoots, NoRoot
 from kiss3.legendre import legendre
 from kiss3.polynomial import (
@@ -21,7 +21,7 @@ from kiss3.polynomial import (
     sturm_count,
 )
 
-F = certificate_poly()
+F = RationalPoly(F_COEFFS)
 
 
 def random_poly(rng, max_deg=9):
@@ -667,7 +667,7 @@ class TestIntegerImageMatchesFraction:
 
     def test_profile_of_non_dyadic_inputs(self):
         rng = random.Random(31)
-        f = certificate_poly(harness.perturbed_coeffs(9, Fr(1, 100)))
+        f = RationalPoly(harness.perturbed_coeffs(9, Fr(1, 100)))
         for p in [f] + [random_poly(rng) for _ in range(20)]:
             base = RationalPoly([Fr(rng.randint(-9, 9), rng.randint(1, 9)), Fr(1, 7)])
             r2 = Fr(rng.randint(0, 9), rng.randint(1, 9))
