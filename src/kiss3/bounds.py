@@ -78,8 +78,8 @@ def _symmetric_pair_poly(
     one denominator da db^N dw^(N//2), so the sum takes one `Fraction` per
     coefficient.
     """
-    a, da = f.integer_image()
-    b, db = base.integer_image()
+    a, da = f.ints, f.den
+    b, db = base.ints, base.den
     nw, dw = r2.numerator, r2.denominator
     n = max(f.degree, 0)
     b_pow = [[1]]  # b^k

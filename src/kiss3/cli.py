@@ -79,7 +79,8 @@ def _parse_perturbation(spec: str):
 
 def _run(config: harness.RunConfig, output_format: str, out: Path | None = None) -> int:
     """Run `config` and print its report, also to `out` when given.  A bad
-    configuration or an `out` that cannot be opened exits 2 before the run."""
+    configuration or an `out` that cannot be opened exits 2 before the run,
+    and an `out` that cannot be written exits 2 before the report prints."""
     try:
         config.validate()
     except ValueError as exc:
@@ -94,7 +95,11 @@ def _run(config: harness.RunConfig, output_format: str, out: Path | None = None)
     report = harness.run(config)
     text = harness.emit_table(report, output_format)
     if out:
-        out.write_text(text + "\n")
+        try:
+            out.write_text(text + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     print(text)
     return 0 if report.ok else 1
 

@@ -10,7 +10,7 @@ class DomainError(Kiss3Error):
 
 
 class DegenerateEndpoint(Kiss3Error):
-    """Root counting could not move an endpoint off a root of the polynomial."""
+    """Root counting or isolation was asked about the zero polynomial."""
 
 
 class NoRoot(Kiss3Error):

@@ -1,20 +1,21 @@
 """Exact rational univariate polynomials with Sturm-sequence root machinery.
 
-Coefficients are `fractions.Fraction`, stored lowest power first.  Everything
-that feeds a verdict runs in exact arithmetic: evaluation, derivatives, Sturm
-chains, bisection.  Floats enter only at the very edges (building coefficients
-from trig values, reporting enclosures), and every float is converted to an
-exact dyadic rational before the polynomial machinery sees it.
+A polynomial is integers over one denominator: `RationalPoly.ints`, lowest
+power first, and a positive `den` that shares no factor with all of them.
+Everything that feeds a verdict runs in exact arithmetic: evaluation,
+derivatives, Sturm chains, bisection.  Floats enter only at the very edges
+(building coefficients from trig values, reporting enclosures), and every
+float is converted to an exact dyadic rational before the polynomial
+machinery sees it.
 
-The arithmetic runs on an integer image of each polynomial: integer
-coefficients over one common denominator (`RationalPoly.integer_image`).
-Evaluation, products, Sturm chains and exact division work on those
-integers and build a `Fraction` only for each result, so they give the same
-rationals as `Fraction` arithmetic without a gcd per operation.  A Sturm
-chain takes pseudo-remainders (Knuth, TAOCP vol. 2, section 4.6.1): the
-integer remainder of |lc(b)|^(deg a - deg b + 1) a by b is a positive
-multiple of the rational remainder, so once scaled to content 1 each chain
-term is the one the rational Euclidean pass gives.
+Evaluation, products, Sturm chains and exact division work on the integers
+and build a `Fraction` only for each result, so they give the same rationals
+as `Fraction` arithmetic without a gcd per operation.  A Sturm chain takes
+pseudo-remainders (Knuth, TAOCP vol. 2, section 4.6.1): the integer
+remainder of |lc(b)|^(deg a - deg b + 1) a by b is a positive multiple of
+the rational remainder, so once scaled to content 1 each chain term is the
+one the rational Euclidean pass gives.  A root at the end of an interval is
+handled by the count itself (`_count`), not by dividing it out.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateEndpoint, MultipleRoots, NoRoot
@@ -32,9 +34,7 @@ Scalar = Union[int, Fraction]
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return Fraction(x)  # exact: floats are dyadic rationals
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
@@ -82,35 +82,36 @@ class Interval:
 
 
 class RationalPoly:
-    """Univariate polynomial with exact rational coefficients, lowest first."""
+    """Univariate polynomial with exact rational coefficients, held as
+    integers over one denominator: sum ints[i] t^i / den.
 
-    __slots__ = ("coeffs", "_real", "_int")
+    `ints` runs lowest power first with no trailing zeros, `den` is positive
+    and gcd(den, *ints) = 1, so each polynomial has exactly one such pair.
+    """
+
+    __slots__ = ("ints", "den", "_real")
 
     def __init__(self, coeffs: Sequence):
         cs = [_to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_real", None)
-        object.__setattr__(self, "_int", None)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def from_integers(cls, ints: Sequence[int], den: int = 1) -> "RationalPoly":
-        """The polynomial sum ints[i] t^i / den, for a positive integer den.
+        """The polynomial sum ints[i] t^i / den, for a positive integer den."""
+        p = cls.__new__(cls)
+        p._set(list(ints), den)
+        return p
 
-        The pair, reduced by its common factor, is kept as the integer image.
-        """
-        ints = list(ints)
+    def _set(self, ints: list[int], den: int) -> None:
         while ints and ints[-1] == 0:
             ints.pop()
         g = math.gcd(den, *ints)
         if g > 1:
             ints, den = [v // g for v in ints], den // g
-        p = cls.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(Fraction(v, den) for v in ints))
-        object.__setattr__(p, "_real", None)
-        object.__setattr__(p, "_int", (tuple(ints), den))
-        return p
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RationalPoly is immutable")
@@ -118,37 +119,28 @@ class RationalPoly:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, lowest power first."""
+        return tuple(Fraction(v, self.den) for v in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.ints) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
+        same = isinstance(other, RationalPoly) and other.den == self.den
+        return same and other.ints == self.ints
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
         return f"RationalPoly({list(self.coeffs)!r})"
 
     # -- evaluation --------------------------------------------------------
-
-    def integer_image(self) -> tuple[tuple[int, ...], int]:
-        """Integer coefficients, lowest power first, and the least common
-        denominator they share: `coeffs[i] == ints[i] / den`.
-
-        Built on the first call and kept on the polynomial, like
-        `real_coeffs()`.
-        """
-        image = self._int
-        if image is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            image = (ints, den)
-            object.__setattr__(self, "_int", image)
-        return image
 
     def eval(self, t: Scalar) -> Fraction:
         """Exact value at a rational point t = n/d.
@@ -157,30 +149,28 @@ class RationalPoly:
         one `Fraction` over den * d^deg reduces it.
         """
         t = _to_fraction(t)
-        ints, den = self.integer_image()
-        if not ints:
+        if not self.ints:
             return Fraction(0)
         n, d = t.numerator, t.denominator
-        coeffs = reversed(ints)
+        coeffs = reversed(self.ints)
         acc, scale = next(coeffs), 1
         for c in coeffs:
             scale *= d
             acc = acc * n + c * scale
-        return Fraction(acc, den * scale)
+        return Fraction(acc, self.den * scale)
 
     def real_coeffs(self) -> tuple[float, ...]:
         """The float image of the coefficients, highest power first, as
         np.polyval takes them.
 
-        Built on the first call and kept on the polynomial.  Each entry is
-        `float(c)`, so every value computed from it is bit-identical to
-        converting the coefficients afresh.  The image is lazy because exact
-        intermediates (Sturm chains, gcds) may lie beyond the float range and
-        never need it.
+        Built on the first call and kept on the polynomial.  Integer true
+        division rounds correctly, so `ints[i] / den` has the bits of
+        `float(Fraction(ints[i], den))`.  Exact intermediates (Sturm chains)
+        may lie beyond the float range and never build the image.
         """
         real = self._real
         if real is None:
-            real = tuple(float(c) for c in reversed(self.coeffs))
+            real = tuple(v / self.den for v in reversed(self.ints))
             object.__setattr__(self, "_real", real)
         return real
 
@@ -199,25 +189,22 @@ class RationalPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return RationalPoly([
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        ])
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
+        return RationalPoly.from_integers([x * sa + y * sb for x, y in pairs], den)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly.from_integers([-v for v in self.ints], self.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "RationalPoly":
         if not isinstance(other, RationalPoly):
-            k = _to_fraction(other)
-            return RationalPoly([c * k for c in self.coeffs])
-        a, da = self.integer_image()
-        b, db = other.integer_image()
-        return RationalPoly.from_integers(convolve(a, b), da * db)
+            other = RationalPoly([other])
+        ints = convolve(self.ints, other.ints)
+        return RationalPoly.from_integers(ints, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -234,8 +221,7 @@ class RationalPoly:
         return out
 
     def derivative(self) -> "RationalPoly":
-        ints, den = self.integer_image()
-        return RationalPoly.from_integers(_derivative(ints), den)
+        return RationalPoly.from_integers(_derivative(self.ints), self.den)
 
 
 X = RationalPoly([0, 1])
@@ -331,7 +317,7 @@ class SturmChain:
     """
 
     def __init__(self, p: RationalPoly):
-        ints, _ = p.integer_image()
+        ints = p.ints
         chain = [_primitive(ints)]
         if len(ints) >= 2:
             chain.append(_primitive(_derivative(ints)))
@@ -346,19 +332,16 @@ class SturmChain:
         self.chain = [RationalPoly.from_integers(q) for q in chain]
         self.squarefree = self.chain[0]
 
-    def variations(self, t: Scalar) -> int:
-        return _sign_changes([q.eval(t) for q in self.chain])
+    def values(self, t: Scalar) -> list[Fraction]:
+        """The value of each chain term at t, `chain[0]`'s first."""
+        return [q.eval(t) for q in self.chain]
 
     def count_open(self, a: Scalar, b: Scalar) -> int:
         """Number of distinct real roots in the open interval (a, b)."""
         a, b = _to_fraction(a), _to_fraction(b)
         if a >= b:
             return 0
-        at_b = [q.eval(b) for q in self.chain]
-        n = self.variations(a) - _sign_changes(at_b)  # roots in (a, b]
-        if at_b[0] == 0:  # chain[0] is the squarefree part
-            n -= 1
-        return n
+        return _count(self.values(a), self.values(b))
 
 
 def _sign_changes(values) -> int:
@@ -367,34 +350,24 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _deflate(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
-    """p with every root at a or b divided out exactly (zero stays zero).
+def _count(at_a: Sequence[Fraction], at_b: Sequence[Fraction]) -> int:
+    """Distinct roots in (a, b), for a < b, from the chain's values at a and b.
 
-    Dividing the integer image by the content-1 factor d t - n of a root
-    t = n/d leaves an integer quotient; times d over the image's
-    denominator, it is p / (t - n/d).
+    At a root of chain[0], chain[1] is nonzero with the sign chain[0] takes
+    just right of it, so V(a) - V(b) counts the roots in (a, b] (Basu,
+    Pollack and Roy, section 2.2); a root at b is taken off.
     """
-    for endpoint in (a, b):
-        while not p.is_zero() and p.eval(endpoint) == 0:
-            ints, den = p.integer_image()
-            n, d = endpoint.numerator, endpoint.denominator
-            quo = _divide_exact(ints, [-n, d])
-            p = RationalPoly.from_integers([v * d for v in quo], den)
-    return p
+    return _sign_changes(at_a) - _sign_changes(at_b) - (at_b[0] == 0)
 
 
 def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
-    """Exact number of distinct real roots of p in the open interval (a, b).
-
-    Roots at the endpoints are removed by exact deflation (division by t - a),
-    so they are never counted and never confuse the sign variations.
-    """
+    """Exact number of distinct real roots of p in the open interval (a, b);
+    a root at a or b is left out by the count itself (`_count`)."""
     a, b = _to_fraction(a), _to_fraction(b)
     if a >= b:
         raise ValueError("require a < b")
-    p = _deflate(p, a, b)
     if p.is_zero():
-        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     return SturmChain(p).count_open(a, b)
 
 
@@ -405,7 +378,7 @@ def isolate_root(p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9) -> 
     that p is nonzero and has exactly one root in (a, b).
     """
     if p.is_zero():
-        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     roots = isolate_all_roots(p, a, b, width)
     if not roots:
         raise NoRoot(f"no root of p in ({a}, {b})")
@@ -419,22 +392,21 @@ def isolate_all_roots(
 ) -> list[Interval]:
     """Disjoint enclosures (each of width <= width) of every root in (a, b).
 
-    One Sturm chain of the deflated p counts the roots in each cell.  A cell
-    with one root and a sign change of the squarefree part q is bisected with
-    exact signs; its endpoints are exact evaluation points, so the enclosure
-    is rigorous.  After deflation q is nonzero at a and b, so a single root
-    in (a, b) is bisected at once.
+    One Sturm chain of p counts the roots in each cell from the chain's
+    values at its ends, which pass down to its halves: one evaluation per
+    point.  A cell with one root and a sign change of the squarefree part q
+    is bisected with exact signs, so the enclosure is rigorous; a cell
+    whose end is a root of q is split.  At a root a or b, outside (a, b), q
+    takes its sign just inside: chain[1]'s at a, the opposite at b.
     """
     a, b = _to_fraction(a), _to_fraction(b)
-    p = _deflate(p, a, b)
-    if p.is_zero() or p.degree <= 0:
+    if p.degree <= 0 or a >= b:
         return []
     chain = SturmChain(p)
     q = chain.squarefree
     out: list[Interval] = []
 
-    def bisect(lo: Fraction, hi: Fraction) -> Interval:
-        slo = q.eval(lo)
+    def bisect(lo: Fraction, hi: Fraction, slo: Fraction) -> Interval:
         while float(hi - lo) > width:
             mid = (lo + hi) / 2
             smid = q.eval(mid)
@@ -446,21 +418,25 @@ def isolate_all_roots(
                 lo, slo = mid, smid
         return _outward(lo, hi)
 
-    def recurse(lo: Fraction, hi: Fraction, count: int):
+    def recurse(lo: Fraction, hi: Fraction, at_lo: list, at_hi: list):
+        count = _count(at_lo, at_hi)
         if count == 0:
             return
-        if count == 1 and q.eval(lo) * q.eval(hi) < 0:
-            out.append(bisect(lo, hi))
+        if count == 1 and at_lo[0] * at_hi[0] < 0:
+            out.append(bisect(lo, hi, at_lo[0]))
             return
         mid = (lo + hi) / 2
-        if q.eval(mid) == 0:
+        at_mid = chain.values(mid)
+        if at_mid[0] == 0:
             out.append(Interval(float(mid), float(mid)))
-        left = chain.count_open(lo, mid)
-        right = chain.count_open(mid, hi)
-        recurse(lo, mid, left)
-        recurse(mid, hi, right)
+        recurse(lo, mid, at_lo, at_mid)
+        recurse(mid, hi, at_mid, at_hi)
 
-    recurse(a, b, chain.count_open(a, b))
+    at_a, at_b = chain.values(a), chain.values(b)
+    # q's sign just inside (a, b) where q is zero at an end
+    at_a[0] = at_a[0] or at_a[1]
+    at_b[0] = at_b[0] or -at_b[1]
+    recurse(a, b, at_a, at_b)
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -475,7 +451,7 @@ def _outward(lo: Fraction, hi: Fraction) -> Interval:
 
 def _abs_bound(p: RationalPoly, radius: float) -> float:
     """Upper bound on |p| over any interval inside [-radius, radius]."""
-    return sum(abs(float(c)) * radius**i for i, c in enumerate(p.coeffs)) + 1e-300
+    return sum(abs(v / p.den) * radius**i for i, v in enumerate(p.ints)) + 1e-300
 
 
 def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> Interval:
@@ -497,7 +473,6 @@ def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> I
     width = min(tol / (2.0 * m1), (b - a) / 4.0)
     candidates: list[Fraction] = [qa, qb]
     for iv in isolate_all_roots(dp, qa, qb, width):
-        candidates.append(Fraction(iv.lo))
-        candidates.append(Fraction(iv.hi))
+        candidates += (Fraction(iv.lo), Fraction(iv.hi))
     best = max(p.eval(t) for t in candidates)
     return _outward(best, best + Fraction(width) * Fraction(m1))

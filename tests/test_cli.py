@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -103,6 +104,20 @@ class TestVerify:
         assert captured.err.startswith("cannot write report:")
         assert captured.err.count("\n") == 1
         assert not target.parent.exists()
+
+    def test_out_write_fails_after_run(self, tmp_path, capsys, monkeypatch):
+        # the pre-check opens the file; the write itself fails, as on a full disk
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        code = main(["verify", "--suite", "certificate", "--out", str(tmp_path / "r.txt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write report:")
+        assert "No space left on device" in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "suite, flag", [("lemma1", "--lemma1-sets"), ("lemma3", "--lemma3-sets")]

@@ -13,7 +13,6 @@ from kiss3.polynomial import (
     Interval,
     RationalPoly,
     SturmChain,
-    _deflate,
     _divide_exact,
     isolate_all_roots,
     isolate_root,
@@ -120,6 +119,10 @@ class TestEndpointDeflation:
         with pytest.raises(DegenerateEndpoint):
             isolate_root(zero, 0, 1)
         assert isolate_all_roots(zero, 0, 1, 1e-9) == []
+
+    def test_empty_and_reversed_intervals(self):
+        for a, b in [(0, 0), (1, 0), (Fr(1, 2), Fr(1, 2))]:
+            assert isolate_all_roots(self.P, a, b, 1e-9) == []
 
 
 class TestDerivative:
@@ -272,6 +275,24 @@ class TestIsolateAllRoots:
         for iv, expected in zip(roots, (-0.5, 0.0, 1.0)):
             assert abs(iv.mid - expected) < 1e-9
 
+    def test_evaluates_each_term_once_per_point(self, monkeypatch):
+        # (t + 2)^2 t (t - 1/2) (t - 1) (t^2 - 2): a double root at the end
+        # -2, a root at the midpoint 0 and three more inside (-2, 2)
+        p = RationalPoly([2, 1]) ** 2 * RationalPoly([0, 1]) * RationalPoly([-1, 2])
+        p = p * RationalPoly([-1, 1]) * RationalPoly([-2, 0, 1])
+        seen = []
+        original = RationalPoly.eval
+
+        def counted(q, t):
+            seen.append((q, Fr(t)))
+            return original(q, t)
+
+        monkeypatch.setattr(RationalPoly, "eval", counted)
+        roots = isolate_all_roots(p, -2, 2, 1e-6)
+        assert len(roots) == 5
+        assert roots[1] == Interval(0.0, 0.0)
+        assert len(seen) == len(set(seen))
+
 
 # -- Fraction reference --------------------------------------------------------
 # The polynomial arithmetic as it was before it ran on the integer image: each
@@ -418,24 +439,24 @@ class RefChain:
         self.chain = chain
 
     count_open = SturmChain.count_open
-    variations = SturmChain.variations
+    values = SturmChain.values
 
 
 def ref_sturm_count(p, a, b):
     a, b = Fr(a), Fr(b)
     if a >= b:
         raise ValueError("require a < b")
-    p = _deflate(p, a, b)
+    p = ref_deflate(p, a, b)
     if p.is_zero():
-        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     return RefChain(p).count_open(a, b)
 
 
 def ref_isolate_root(p, a, b, width=1e-9):
     lo, hi = Fr(a), Fr(b)
-    p = _deflate(p, lo, hi)
+    p = ref_deflate(p, lo, hi)
     if p.is_zero():
-        raise DegenerateEndpoint("polynomial vanishes identically after deflation")
+        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     n = RefChain(p).count_open(lo, hi)
     if n == 0:
         raise NoRoot(f"no root of p in ({a}, {b})")
@@ -459,7 +480,7 @@ def ref_isolate_root(p, a, b, width=1e-9):
 
 def ref_isolate_all_roots(p, a, b, width):
     a, b = Fr(a), Fr(b)
-    p = _deflate(p, a, b)
+    p = ref_deflate(p, a, b)
     if p.is_zero() or p.degree <= 0:
         return []
     chain = RefChain(p)
@@ -545,6 +566,17 @@ class TestOnePassMatchesTwoPass:
                     ref_isolate_all_roots, p, a, b, width
                 )
 
+    @pytest.mark.parametrize("width", [0.5, 1e-2, 1e-6])
+    def test_root_near_an_endpoint_root(self, width):
+        # roots at 0 and 1, each 1/1000 from another root: a width wider than
+        # that gap still gives the deflating reference's enclosures
+        p = RationalPoly([0, 1]) * RationalPoly([Fr(-1, 1000), 1])
+        p = p * RationalPoly([Fr(-999, 1000), 1]) * RationalPoly([-1, 1]) ** 2
+        for a, b in [(0, 1), (0, Fr(1, 2)), (Fr(1, 2), 1)]:
+            for fn, ref in [(isolate_root, ref_isolate_root),
+                            (isolate_all_roots, ref_isolate_all_roots)]:
+                assert outcome(fn, p, a, b, width) == outcome(ref, p, a, b, width)
+
     def test_chain_of_squarefree_input_is_unchanged(self):
         for p in [F, F.derivative(), RationalPoly([-2, 0, 1])]:
             assert SturmChain(p).chain == RefChain(p).chain
@@ -588,7 +620,7 @@ def equivalence_cases():
 
 class TestIntegerImageMatchesFraction:
     """The integer image gives the rationals of `Fraction` arithmetic: Sturm
-    chains term for term, products, deflation and evaluation."""
+    chains term for term, products and evaluation."""
 
     CASES = equivalence_cases()
 
@@ -613,16 +645,24 @@ class TestIntegerImageMatchesFraction:
         rng = random.Random(17)
         for p in self.CASES:
             q = rng.choice(self.CASES)
-            assert (p * q).coeffs == ref_mul(p, q).coeffs
-            assert (p * q).integer_image() == RationalPoly((p * q).coeffs).integer_image()
+            got, want = p * q, ref_mul(p, q)
+            assert got.coeffs == want.coeffs
+            assert (got.ints, got.den) == (want.ints, want.den)
 
-    def test_deflation(self):
-        rng = random.Random(19)
-        for _ in range(200):
-            p, roots = repeated_root_poly(rng)
-            a = rng.choice(roots)
-            b = rng.choice(roots + [a + Fr(1, 3), a - Fr(5, 2)])
-            assert _deflate(p, a, b).coeffs == ref_deflate(p, a, b).coeffs
+    def test_canonical_form(self):
+        half = RationalPoly([Fr(1, 2), Fr(2, 4)])
+        same = [
+            RationalPoly.from_integers([2, 2], 4),
+            RationalPoly.from_integers([1, 1, 0], 2),
+            RationalPoly([Fr(1, 3), Fr(5, 6), 1]) + RationalPoly([Fr(1, 6), Fr(-1, 3), -1]),
+        ]
+        for p in same:
+            assert p == half and hash(p) == hash(half)
+            assert (p.ints, p.den) == ((1, 1), 2)
+        for p in self.CASES:
+            assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
+            assert not p.ints or p.ints[-1] != 0
+            assert RationalPoly(p.coeffs) == p
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
