@@ -20,7 +20,7 @@ from . import sphere
 from .certificate import Certificate
 from .energy import energy
 from .errors import BoundFailure, DomainError
-from .polynomial import Interval, RationalPoly, convolve, max_on_interval
+from .polynomial import Interval, RationalPoly, _outward, convolve, max_on_interval
 
 DEG = math.pi / 180.0
 
@@ -29,9 +29,6 @@ R0 = math.acos(math.sqrt(2.0 / 3.0))
 
 #: The two-case split point for the short rhombus diagonal (degrees).
 RHOMBUS_SPLIT_DEG = 77.0
-
-#: Tolerance of every profile maximum in the bound table.
-PROFILE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,11 @@ def build_omega(c: Certificate, psi: float) -> ProfilePoly:
 
 
 def F1(c: Certificate, psi: float) -> Interval:
-    """Enclosure of the maximum pair profile at separation psi over the cap."""
+    """Enclosure of the maximum pair profile at separation psi over the cap,
+    from Bernstein coefficients: for each profile of the bound table the
+    largest is an end one, so the enclosure is that exact end value."""
     omega = build_omega(c, psi)
-    return max_on_interval(omega.poly, omega.domain.lo, omega.domain.hi, PROFILE_TOL)
+    return max_on_interval(omega.poly, omega.domain.lo, omega.domain.hi)
 
 
 def build_triangle_profile(c: Certificate, psi: float) -> ProfilePoly:
@@ -149,9 +148,9 @@ def build_triangle_profile(c: Certificate, psi: float) -> ProfilePoly:
 
 def F2(c: Certificate, psi: float) -> Interval:
     """Enclosure of the two-near-vertex maximum for the regular triangle with
-    circumdistance parameter psi."""
+    circumdistance parameter psi, from Bernstein coefficients as in `F1`."""
     prof = build_triangle_profile(c, psi)
-    return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, PROFILE_TOL)
+    return max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi)
 
 
 def mu_angle(c: Certificate) -> float:
@@ -187,9 +186,12 @@ def compute_bound_table(c: Certificate) -> BoundTable:
     cases of the split on the short rhombus diagonal d1, each plus f(1):
     F1(rho(2 theta0)) + F1(rho(split)) below it, F1(split) + F1(90deg)
     above.  The first w_i, then h_4 case, to reach 13 raises `BoundFailure`.
+    Every enclosure holds its exact value: f(1), f(-1), each tail
+    f(-cos psi_i) at its float argument and each F1/F2 maximum are exact
+    values rounded outward, and each sum rounds its ends outward.
     """
     mu = mu_upper_bound(c)
-    f_at_1 = c.f_at_1
+    f_at_1, f_at_m1 = c.f.eval(1), c.f.eval(-1)
     grid = psi_grid(c)
     split = RHOMBUS_SPLIT_DEG * DEG
     rhombus = (sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG)
@@ -199,21 +201,19 @@ def compute_bound_table(c: Certificate) -> BoundTable:
         if psi not in f1:
             f1[psi] = F1(c, psi)
 
-    h0 = Interval.point(f_at_1)
-    h1 = Interval.point(float(c.f.eval(1) + c.f.eval(-1)))
-    h2 = f1[60.0 * DEG].shift(f_at_1)
+    h0 = _outward(f_at_1, f_at_1)
+    h1 = _outward(f_at_1 + f_at_m1, f_at_1 + f_at_m1)
+    h2 = f1[60.0 * DEG] + h0
     ws = []
     for i in range(5):
-        tail = c.f.eval_real(-math.cos(grid[i]))
-        w = f2[grid[i + 1]].shift(f_at_1 + tail)
-        # pad for the floating tail evaluation
-        w = Interval(w.lo - 1e-11, w.hi + 1e-11)
+        tail = c.f.eval(-math.cos(grid[i]))
+        w = f2[grid[i + 1]] + h0 + _outward(tail, tail)
         if w.hi >= 13.0:
             raise BoundFailure(f"w_{i + 1} bound {w.hi} reaches 13")
         ws.append(w)
     cases = (
-        (f1[rhombus[0]] + f1[rhombus[1]]).shift(f_at_1),
-        (f1[split] + f1[90.0 * DEG]).shift(f_at_1),
+        f1[rhombus[0]] + f1[rhombus[1]] + h0,
+        f1[split] + f1[90.0 * DEG] + h0,
     )
     for label, case in zip(("case 1", "case 2"), cases):
         if case.hi >= 13.0:
@@ -244,11 +244,10 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
 
     expansion_ok = verify_expansion(c)
     ico = sphere.icosahedron()
-    witness_sep = sphere.min_separation(ico)
     summary = energy(ico, c)
     witness_ok = (
         len(ico) == 12
-        and witness_sep >= 60.0 * DEG - 1e-9
+        and summary.min_sep >= 60.0 * DEG - 1e-9
         and summary.S >= 144.0 * (1.0 - 1e-9)
         and summary.S < 156.0
     )
@@ -256,7 +255,7 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
     return TheoremReport(
         expansion_ok=expansion_ok,
         witness_size=len(ico),
-        witness_min_sep=witness_sep,
+        witness_min_sep=summary.min_sep,
         witness_energy=summary.S,
         conclusion=conclusion,
     )

@@ -1,12 +1,12 @@
-"""Exact rational univariate polynomials with Sturm-sequence root machinery.
+"""Exact rational univariate polynomials: Sturm counts, root isolation, and
+maxima from Bernstein coefficients.
 
 A polynomial is integers over one denominator: `RationalPoly.ints`, lowest
 power first, and a positive `den` that shares no factor with all of them.
-Everything that feeds a verdict runs in exact arithmetic: evaluation,
-derivatives, Sturm chains, bisection.  Floats enter only at the very edges
-(building coefficients from trig values, reporting enclosures), and every
-float is converted to an exact dyadic rational before the polynomial
-machinery sees it.
+Everything that feeds a verdict runs in exact arithmetic.  Floats enter only
+at the very edges (building coefficients from trig values, reporting
+enclosures, rounded outward), and every float is converted to an exact
+dyadic rational before the polynomial machinery sees it.
 
 Evaluation, products, Sturm chains and exact division work on the integers
 and build a `Fraction` only for each result, so they give the same rationals
@@ -16,6 +16,10 @@ remainder of |lc(b)|^(deg a - deg b + 1) a by b is a positive multiple of
 the rational remainder, so once scaled to content 1 each chain term is the
 one the rational Euclidean pass gives.  A root at the end of an interval is
 handled by the count itself (`_count`), not by dividing it out.
+
+A maximum on [a, b] takes no derivative and no Sturm chain: an exact Taylor
+shift onto [0, 1] gives Bernstein coefficients, whose convex hull bounds p
+(Farouki and Rajan, CAGD 1987), and de Casteljau halves what it must.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def shift(self, x: float) -> "Interval":
-        return Interval(self.lo + x, self.hi + x)
+        """The sum, each end moved one float outward to cover its rounding."""
+        return Interval(
+            math.nextafter(self.lo + other.lo, -math.inf),
+            math.nextafter(self.hi + other.hi, math.inf),
+        )
 
     @staticmethod
     def point(x: float) -> "Interval":
@@ -175,12 +180,8 @@ class RationalPoly:
         return real
 
     def eval_real(self, t: float) -> float:
-        """Floating Horner evaluation on `real_coeffs()`.
-
-        No exact verdict input goes through this method; the one float
-        input, the padded w_i tail in `compute_bound_table`, keeps the bits
-        it had with per-call conversion.
-        """
+        """Floating Horner evaluation on `real_coeffs()`, for the refined
+        estimates and the tests; no verdict input goes through it."""
         acc = 0.0
         for c in self.real_coeffs():
             acc = acc * t + c
@@ -374,71 +375,33 @@ def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
 def isolate_root(p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9) -> Interval:
     """Shrink (a, b), known to hold exactly one root of p, to the given width.
 
-    The enclosure is the one `isolate_all_roots` finds; this adds the checks
-    that p is nonzero and has exactly one root in (a, b).
-    """
+    One Sturm chain of p must count exactly one root in (a, b).  Its
+    squarefree part q changes sign there, so exact bisection on q encloses
+    the root; at a root a, q's sign just inside is chain[1]'s."""
     if p.is_zero():
         raise DegenerateEndpoint("the zero polynomial has no isolated roots")
-    roots = isolate_all_roots(p, a, b, width)
-    if not roots:
+    lo, hi = _to_fraction(a), _to_fraction(b)
+    count = 0
+    if lo < hi:
+        chain = SturmChain(p)
+        at_lo = chain.values(lo)
+        count = _count(at_lo, chain.values(hi))
+    if count == 0:
         raise NoRoot(f"no root of p in ({a}, {b})")
-    if len(roots) > 1:
-        raise MultipleRoots(f"{len(roots)} roots of p in ({a}, {b})")
-    return roots[0]
-
-
-def isolate_all_roots(
-    p: RationalPoly, a: Scalar, b: Scalar, width: float
-) -> list[Interval]:
-    """Disjoint enclosures (each of width <= width) of every root in (a, b).
-
-    One Sturm chain of p counts the roots in each cell from the chain's
-    values at its ends, which pass down to its halves: one evaluation per
-    point.  A cell with one root and a sign change of the squarefree part q
-    is bisected with exact signs, so the enclosure is rigorous; a cell
-    whose end is a root of q is split.  At a root a or b, outside (a, b), q
-    takes its sign just inside: chain[1]'s at a, the opposite at b.
-    """
-    a, b = _to_fraction(a), _to_fraction(b)
-    if p.degree <= 0 or a >= b:
-        return []
-    chain = SturmChain(p)
+    if count > 1:
+        raise MultipleRoots(f"{count} roots of p in ({a}, {b})")
     q = chain.squarefree
-    out: list[Interval] = []
-
-    def bisect(lo: Fraction, hi: Fraction, slo: Fraction) -> Interval:
-        while float(hi - lo) > width:
-            mid = (lo + hi) / 2
-            smid = q.eval(mid)
-            if smid == 0:
-                return Interval(float(mid), float(mid))
-            if slo * smid < 0:
-                hi = mid
-            else:
-                lo, slo = mid, smid
-        return _outward(lo, hi)
-
-    def recurse(lo: Fraction, hi: Fraction, at_lo: list, at_hi: list):
-        count = _count(at_lo, at_hi)
-        if count == 0:
-            return
-        if count == 1 and at_lo[0] * at_hi[0] < 0:
-            out.append(bisect(lo, hi, at_lo[0]))
-            return
+    slo = at_lo[0] or at_lo[1]
+    while float(hi - lo) > width:
         mid = (lo + hi) / 2
-        at_mid = chain.values(mid)
-        if at_mid[0] == 0:
-            out.append(Interval(float(mid), float(mid)))
-        recurse(lo, mid, at_lo, at_mid)
-        recurse(mid, hi, at_mid, at_hi)
-
-    at_a, at_b = chain.values(a), chain.values(b)
-    # q's sign just inside (a, b) where q is zero at an end
-    at_a[0] = at_a[0] or at_a[1]
-    at_b[0] = at_b[0] or -at_b[1]
-    recurse(a, b, at_a, at_b)
-    out.sort(key=lambda iv: iv.lo)
-    return out
+        smid = q.eval(mid)
+        if smid == 0:
+            return Interval(float(mid), float(mid))
+        if slo * smid < 0:
+            hi = mid
+        else:
+            lo, slo = mid, smid
+    return _outward(lo, hi)
 
 
 def _outward(lo: Fraction, hi: Fraction) -> Interval:
@@ -449,30 +412,66 @@ def _outward(lo: Fraction, hi: Fraction) -> Interval:
     )
 
 
-def _abs_bound(p: RationalPoly, radius: float) -> float:
-    """Upper bound on |p| over any interval inside [-radius, radius]."""
-    return sum(abs(v / p.den) * radius**i for i, v in enumerate(p.ints)) + 1e-300
+def _bernstein(p: RationalPoly, a: Fraction, b: Fraction) -> tuple[list[int], int]:
+    """The Bernstein coefficients of p on [a, b], n = max(deg p, 0), as
+    integers over one scale: b_0 = p(a) and b_n = p(b).
+
+    A homogeneous Horner sum_i ints[i] (A + H t)^i d^(n - i), with a = A / d
+    and b - a = H / d, gives the Taylor shift p(a + (b - a) t) as integers
+    Q_i over den d^n.  Then C(n, k) b_k = sum_i C(n - i, k - i) Q_i, and
+    k! (n - k)! = n! / C(n, k) makes each b_k an integer over n! den d^n."""
+    ints = p.ints or (0,)
+    n = len(ints) - 1
+    d = math.lcm(a.denominator, (b - a).denominator)
+    A, H = int(a * d), int((b - a) * d)
+    q, scale = [ints[-1]], 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        q = [A * x + H * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c * scale
+    fact = math.factorial
+    coeffs = [
+        fact(k) * fact(n - k) * sum(math.comb(n - i, k - i) * q[i] for i in range(k + 1))
+        for k in range(n + 1)
+    ]
+    return coeffs, fact(n) * p.den * scale
+
+
+def _halves(coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """De Casteljau at t = 1/2: the Bernstein coefficients of the two halves,
+    scaled by 2^n.  Row j sums j + 1 neighbours, 2^j times their average."""
+    n = len(coeffs) - 1
+    left, right, row = [], [], coeffs
+    for j in range(n + 1):
+        left.append(row[0] << (n - j))
+        right.append(row[-1] << (n - j))
+        row = [x + y for x, y in zip(row, row[1:])]
+    return left, right[::-1]
 
 
 def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> Interval:
-    """Rigorous enclosure of max of p over [a, b], width <= tol.
+    """Rigorous enclosure of the maximum of p over [a, b], width <= tol
+    before outward rounding.
 
-    Candidates are the endpoints plus Sturm-isolated enclosures of every root
-    of p' in (a, b); all candidate evaluations are exact.  The upper endpoint
-    adds width * (bound on |p'|) to cover the interior of each root enclosure.
-    """
-    if a > b:
-        raise ValueError("require a <= b")
-    qa, qb = Fraction(a), Fraction(b)
-    if p.degree <= 0 or qa == qb:
-        v = p.eval(qa)
-        return _outward(v, v)
-    dp = p.derivative()
-    radius = max(abs(a), abs(b), 1.0)
-    m1 = _abs_bound(dp, radius)
-    width = min(tol / (2.0 * m1), (b - a) / 4.0)
-    candidates: list[Fraction] = [qa, qb]
-    for iv in isolate_all_roots(dp, qa, qb, width):
-        candidates += (Fraction(iv.lo), Fraction(iv.hi))
-    best = max(p.eval(t) for t in candidates)
-    return _outward(best, best + Fraction(width) * Fraction(m1))
+    p lies below the largest Bernstein coefficient of each cell, and the end
+    coefficients are p's exact values at the cell's ends.  A cell whose
+    largest coefficient is within tol of the best end value so far is kept;
+    any other is halved by de Casteljau.  The enclosure runs from the best
+    end value to the largest kept coefficient, rounded outward."""
+    if not (a <= b and tol > 0):
+        raise ValueError(f"require a <= b and tol > 0, got a = {a}, b = {b}, tol = {tol}")
+    slack = Fraction(tol)
+    coeffs, scale = _bernstein(p, Fraction(a), Fraction(b))
+    best = upper = max(Fraction(coeffs[0], scale), Fraction(coeffs[-1], scale))
+    cells = [(coeffs, scale)]
+    while cells:
+        coeffs, scale = cells.pop()
+        top = Fraction(max(coeffs), scale)
+        if top <= best + slack:
+            upper = max(upper, top)
+            continue
+        left, right = _halves(coeffs)
+        scale <<= len(coeffs) - 1
+        best = max(best, Fraction(left[-1], scale))
+        cells += [(left, scale), (right, scale)]
+    return _outward(best, upper)

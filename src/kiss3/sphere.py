@@ -327,21 +327,6 @@ def _point_set(accepted) -> PointSet:
     return PointSet(SphericalPoint(theta, phi) for theta, phi, _, _ in accepted)
 
 
-def rotated(ps: PointSet, matrix: np.ndarray) -> PointSet:
-    """Apply a 3x3 rotation matrix to every point."""
-    return PointSet(SphericalPoint.from_vector(matrix @ p.to_vector()) for p in ps)
-
-
-def random_rotation(seed: int) -> np.ndarray:
-    """A uniformly random rotation matrix (QR of a Gaussian matrix)."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 # -- point-set text format: one "theta_deg phi_deg" pair per line ------------
 
 

@@ -27,6 +27,7 @@ from kiss3.bounds import (
 )
 from kiss3.certificate import build_certificate
 from kiss3.errors import BoundFailure, DomainError
+from kiss3.polynomial import Interval, _outward, max_on_interval
 
 
 class TestMu:
@@ -231,6 +232,74 @@ class TestBoundTable:
         assert d["unit"] == "degrees"
 
 
+def table_profiles(c):
+    """The bound table's ten profiles as (F1 or F2, psi, profile): the pair
+    profile at 60deg, the rhombus diagonals and 90deg, and the triangle
+    profile over the grid."""
+    split = bounds.RHOMBUS_SPLIT_DEG * DEG
+    f1 = [60.0 * DEG, sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG]
+    return [("F1", psi, build_omega(c, psi)) for psi in f1] + [
+        ("F2", psi, build_triangle_profile(c, psi)) for psi in psi_grid(c)[1:]
+    ]
+
+
+def end_max(prof):
+    """The larger exact value of a profile at the ends of its domain."""
+    return max(prof.poly.eval(prof.domain.lo), prof.poly.eval(prof.domain.hi))
+
+
+def holds(iv, value):
+    return Fraction(iv.lo) <= value <= Fraction(iv.hi)
+
+
+class TestExactEnclosures:
+    @pytest.mark.parametrize(
+        "perturbation",
+        [None, (9, Fraction(1, 100)), (3, Fraction(-1, 1000)), (5, Fraction(1, 1000)),
+         (7, Fraction(1, 1000))],
+    )
+    def test_profile_maxima_are_end_values(self, cert, perturbation):
+        # the largest Bernstein coefficient of each profile is an end one, so
+        # its maximum is that end's exact value, rounded outward
+        if perturbation:
+            cert = build_certificate(harness.perturbed_coeffs(*perturbation))
+        profiles = table_profiles(cert)
+        assert len(profiles) == 10
+        for name, psi, prof in profiles:
+            value = end_max(prof)
+            assert getattr(bounds, name)(cert, psi) == _outward(value, value), (name, psi)
+            iv = max_on_interval(prof.poly, prof.domain.lo, prof.domain.hi, 1e-300)
+            assert iv == _outward(value, value)
+
+    def test_every_enclosure_holds_its_exact_value(self, cert, bound_table):
+        f, t = cert.f, bound_table
+        at_1 = f.eval(1)
+        exact = {"F1": {}, "F2": {}}
+        for name, psi, prof in table_profiles(cert):
+            exact[name][round(math.degrees(psi), 6)] = end_max(prof)
+        f1, f2 = exact["F1"], exact["F2"]
+        assert sorted(f1) == sorted(t.f1_values) and sorted(f2) == sorted(t.f2_values)
+        for key, value in f1.items():
+            assert holds(t.f1_values[key], value)
+        for key, value in f2.items():
+            assert holds(t.f2_values[key], value)
+        assert holds(t.h[0], at_1) and holds(t.h[1], at_1 + f.eval(-1))
+        assert holds(t.h[2], at_1 + f1[60.0])
+        grid = psi_grid(cert)
+        ws = [
+            at_1 + f2[round(math.degrees(grid[i + 1]), 6)] + f.eval(-math.cos(grid[i]))
+            for i in range(5)
+        ]
+        for w, value in zip(t.w, ws):
+            assert holds(w, value) and holds(t.h[3], value)
+        split = bounds.RHOMBUS_SPLIT_DEG
+        rho = [round(math.degrees(sphere.rho(x)), 6) for x in (2.0 * cert.theta0.hi, split * DEG)]
+        cases = [at_1 + f1[rho[0]] + f1[rho[1]], at_1 + f1[split] + f1[90.0]]
+        for case, value in zip(t.h4_case_bounds, cases):
+            assert holds(case, value) and holds(t.h[4], value)
+        assert holds(t.h_max, max(ws + cases + [at_1 + f.eval(-1)]))
+
+
 class TestBoundFailure:
     """A profile maximum pushed up by 1 makes a bound reach 13: the w_i are
     checked before the h_4 cases, and the bounds suite records the message."""
@@ -239,7 +308,7 @@ class TestBoundFailure:
     def shift_up(monkeypatch, name):
         original = getattr(bounds, name)
         monkeypatch.setattr(
-            bounds, name, lambda c, psi: original(c, psi).shift(1.0)
+            bounds, name, lambda c, psi: original(c, psi) + Interval.point(1.0)
         )
 
     def test_w1_reaches_13(self, cert, monkeypatch):
@@ -480,9 +549,9 @@ class TestOneEvaluation:
             assert len(set(calls[name])) == 5
         assert table == bound_table
 
-    def test_one_sturm_chain_per_profile_maximum(self, cert, monkeypatch):
-        """Each F1/F2 value isolates the critical points of its profile with
-        one Sturm chain, so the table builds 10 chains for its 10 calls."""
+    def test_bound_table_builds_no_sturm_chain(self, cert, monkeypatch):
+        """Each F1/F2 value comes from its profile's Bernstein coefficients,
+        so none of the table's 10 calls builds a Sturm chain."""
         chains = []
         init = polynomial.SturmChain.__init__
 
@@ -503,8 +572,8 @@ class TestOneEvaluation:
 
             monkeypatch.setattr(bounds, name, counted)
         compute_bound_table(cert)
-        assert per_call == [1] * 10
-        assert len(chains) == 10
+        assert per_call == [0] * 10
+        assert chains == []
 
     def test_bounds_and_theorem_share_one_table(self, calls, tables):
         report = harness.run(harness.RunConfig(suites=("bounds", "theorem")))

@@ -22,10 +22,23 @@ from kiss3.sphere import (
     icosahedron,
     min_angle,
     random_point,
-    random_rotation,
     random_separated_set,
-    rotated,
 )
+
+
+def rotated(ps, matrix):
+    """Apply a 3x3 rotation matrix to every point."""
+    return PointSet(SphericalPoint.from_vector(matrix @ p.to_vector()) for p in ps)
+
+
+def random_rotation(seed):
+    """A uniformly random rotation matrix (QR of a Gaussian matrix)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def random_point_set(rng, n):

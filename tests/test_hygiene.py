@@ -1,13 +1,19 @@
 """Static hygiene of the package source, read with `ast` alone: no module
-imports a name it never uses, and no private module-level name goes
-unreferenced across the package."""
+imports a name it never uses, no private module-level name goes
+unreferenced across the package, and no public module-level function or
+class goes unreferenced by the package, its `__all__`, the demos and the
+benchmark's tracer."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kiss3"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kiss3"
+#: Files outside the package whose uses keep a public name alive; the
+#: tracer names the functions it hooks as strings.
+USERS = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "bench" / "tracer.py"]
 
 
 def _loaded(tree: ast.Module) -> set[str]:
@@ -35,6 +41,18 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
+def _mentioned(tree: ast.Module) -> set[str]:
+    """Names a file outside the package reads, reads as an attribute,
+    imports, or spells out as a string."""
+    names = _referenced(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
 def _imported(node: ast.stmt) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.asname or alias.name.split(".")[0] for alias in node.names]
@@ -52,11 +70,15 @@ def _defined(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def findings(sources: dict[str, str]) -> list[str]:
-    """Unused imports and unreferenced private module-level names in the
-    modules of one package, given as file name -> source text."""
+def findings(sources: dict[str, str], users: dict[str, str] | None = None) -> list[str]:
+    """Unused imports, unreferenced private module-level names and public
+    functions and classes nothing uses, in the modules of one package given
+    as file name -> source text; `users` holds the outside files, by the
+    same mapping, that may use its public names."""
     trees = {name: ast.parse(text, name) for name, text in sorted(sources.items())}
     referenced = set().union(*map(_referenced, trees.values()))
+    outside = (_mentioned(ast.parse(text, n)) for n, text in (users or {}).items())
+    used = referenced.union(*outside)
     out = []
     for name, tree in trees.items():
         loaded = _loaded(tree)
@@ -67,13 +89,17 @@ def findings(sources: dict[str, str]) -> list[str]:
                 for d in _defined(node)
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             ]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_") and node.name not in used:
+                    out.append(f"{name}: unused public name {node.name}")
     return out
 
 
 def test_package_is_clean():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert len(sources) > 1
-    assert findings(sources) == []
+    users = {str(path.relative_to(ROOT)): path.read_text() for path in USERS}
+    assert len(sources) > 1 and "bench/tracer.py" in users and len(users) > 1
+    assert findings(sources, users) == []
 
 
 @pytest.mark.parametrize(
@@ -95,3 +121,27 @@ def test_package_is_clean():
 )
 def test_findings(sources, expected):
     assert findings(sources) == expected
+
+
+@pytest.mark.parametrize(
+    "sources, users, expected",
+    [
+        (
+            {"sphere.py": "def rotated(ps):\n    pass\n"},
+            {},
+            ["sphere.py: unused public name rotated"],
+        ),
+        ({"a.py": "class Cell:\n    pass\n"}, {}, ["a.py: unused public name Cell"]),
+        ({"a.py": "def f():\n    pass\n", "b.py": "from .a import f\nf()\n"}, {}, []),
+        (
+            {"__init__.py": "from .a import f\n__all__ = ['f']\n", "a.py": "def f():\n    pass\n"},
+            {},
+            [],
+        ),
+        ({"a.py": "def f():\n    pass\n"}, {"demos/tour.py": "from kiss3.a import f\n"}, []),
+        ({"a.py": "def f():\n    pass\n"}, {"bench/tracer.py": "SPANS = {'a.f': (a, 'f')}\n"}, []),
+        ({"a.py": "def f():\n    pass\n"}, {"bench/tracer.py": "import a\na.f\n"}, []),
+    ],
+)
+def test_public_names(sources, users, expected):
+    assert findings(sources, users) == expected

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from kiss3 import bounds, harness
+from kiss3 import bounds, harness, polynomial
 from kiss3.certificate import F_COEFFS
 from kiss3.errors import DegenerateEndpoint, MultipleRoots, NoRoot
 from kiss3.legendre import legendre
@@ -13,8 +13,9 @@ from kiss3.polynomial import (
     Interval,
     RationalPoly,
     SturmChain,
+    _bernstein,
     _divide_exact,
-    isolate_all_roots,
+    _outward,
     isolate_root,
     max_on_interval,
     sturm_count,
@@ -109,8 +110,8 @@ class TestEndpointDeflation:
     def test_endpoint_roots_ignored_everywhere(self):
         assert sturm_count(self.P, 0, 1) == 1
         assert isolate_root(self.P, 0, 1).contains(0.5)
-        roots = isolate_all_roots(self.P, 0, 1, 1e-9)
-        assert len(roots) == 1 and roots[0].contains(0.5)
+        assert isolate_root(self.P, 0, Fr(1, 2) + Fr(1, 3)).contains(0.5)
+        assert isolate_root(self.P, Fr(1, 2) - Fr(1, 3), 1).contains(0.5)
 
     def test_zero_polynomial(self):
         zero = RationalPoly([])
@@ -118,11 +119,12 @@ class TestEndpointDeflation:
             sturm_count(zero, 0, 1)
         with pytest.raises(DegenerateEndpoint):
             isolate_root(zero, 0, 1)
-        assert isolate_all_roots(zero, 0, 1, 1e-9) == []
+        assert max_on_interval(zero, 0.0, 1.0) == _outward(Fr(0), Fr(0))
 
     def test_empty_and_reversed_intervals(self):
         for a, b in [(0, 0), (1, 0), (Fr(1, 2), Fr(1, 2))]:
-            assert isolate_all_roots(self.P, a, b, 1e-9) == []
+            with pytest.raises(NoRoot):
+                isolate_root(self.P, a, b)
 
 
 class TestDerivative:
@@ -227,6 +229,36 @@ class TestIsolateRoot:
             shi = p.eval_real(iv.hi)
             assert slo == 0 or shi == 0 or (slo < 0) != (shi < 0)
 
+    def test_cubic(self):
+        p = RationalPoly([0, 1]) * RationalPoly([-1, 1]) * RationalPoly([1, 2])
+        for (a, b), expected in zip([(-2, Fr(-1, 4)), (Fr(-1, 4), Fr(1, 2)), (Fr(1, 2), 2)],
+                                    (-0.5, 0.0, 1.0)):
+            assert abs(isolate_root(p, a, b, 1e-10).mid - expected) < 1e-9
+
+    def test_evaluates_each_term_once_per_point(self, monkeypatch):
+        # (t + 2)^2 t (t - 1/2) (t - 1) (t^2 - 2): a double root at the end
+        # -2 of the first cell, and roots at the midpoints 0 and 1 of two more
+        p = RationalPoly([2, 1]) ** 2 * RationalPoly([0, 1]) * RationalPoly([-1, 2])
+        p = p * RationalPoly([-1, 1]) * RationalPoly([-2, 0, 1])
+        seen = []
+        original = RationalPoly.eval
+
+        def counted(q, t):
+            seen.append((q, Fr(t)))
+            return original(q, t)
+
+        monkeypatch.setattr(RationalPoly, "eval", counted)
+        cells = [(-2, -1), (Fr(-1, 4), Fr(1, 4)), (Fr(1, 4), Fr(5, 8)),
+                 (Fr(3, 4), Fr(5, 4)), (Fr(5, 4), 2)]
+        roots = []
+        for a, b in cells:
+            seen.clear()
+            roots.append(isolate_root(p, a, b, 1e-6))
+            assert len(seen) == len(set(seen))
+        assert roots[1] == Interval(0.0, 0.0) and roots[3] == Interval(1.0, 1.0)
+        for iv, root in zip(roots, (-math.sqrt(2), 0.0, 0.5, 1.0, math.sqrt(2))):
+            assert iv.contains(root) and iv.width <= 1e-6
+
 
 class TestMaxOnInterval:
     def test_interior_max(self):
@@ -256,6 +288,7 @@ class TestMaxOnInterval:
             assert iv.lo >= max(p.eval_real(-1.0), p.eval_real(1.0)) - 1e-7
 
     def test_contains_grid_maximum(self):
+        # within tol of the true maximum, which a fine grid bounds from below
         rng = random.Random(5)
         for _ in range(10):
             p = random_poly(rng)
@@ -264,34 +297,63 @@ class TestMaxOnInterval:
                 p.eval_real(-1.0 + 2.0 * i / 100000) for i in range(100001)
             )
             assert iv.hi >= grid_max - 1e-9
-            assert iv.lo <= grid_max + 1e-7
+            assert iv.lo >= grid_max - 1e-7 - 1e-9
+            assert iv.width <= 1e-7 + 1e-12
+
+    @pytest.mark.parametrize("root", [Fr(1, 3), Fr(2, 3)])
+    def test_interior_maximum_forces_subdivision(self, root, monkeypatch):
+        # -(3t - 1)^2 and -(3t - 2)^2 peak at 0 away from every dyadic point,
+        # with end values -1 and -4: the halving must reach the peak
+        p = RationalPoly([-root, 1]) ** 2 * -9
+        halved = []
+        original = polynomial._halves
+
+        def counted(coeffs):
+            halved.append(coeffs)
+            return original(coeffs)
+
+        monkeypatch.setattr(polynomial, "_halves", counted)
+        for tol in (1e-3, 1e-7, 1e-12):
+            halved.clear()
+            iv = max_on_interval(p, 0.0, 1.0, tol)
+            assert -tol <= iv.lo <= 0.0 <= iv.hi
+            assert iv.width <= tol * (1 + 1e-9)
+            assert len(halved) > 1
+
+    def test_rejects_bad_arguments(self):
+        for tol in (0.0, -1e-7, math.nan):
+            with pytest.raises(ValueError, match="tol > 0"):
+                max_on_interval(F, -1.0, 1.0, tol)
+        with pytest.raises(ValueError, match="a <= b"):
+            max_on_interval(F, 1.0, -1.0)
+
+    def test_builds_no_sturm_chain(self, monkeypatch):
+        def refuse(chain, p):
+            raise AssertionError("max_on_interval built a Sturm chain")
+
+        monkeypatch.setattr(SturmChain, "__init__", refuse)
+        iv = max_on_interval(RationalPoly([0, 0, -1]), -1.0, 1.0)
+        assert iv.contains(0.0)
 
 
-class TestIsolateAllRoots:
-    def test_cubic(self):
-        p = RationalPoly([0, 1]) * RationalPoly([-1, 1]) * RationalPoly([1, 2])
-        roots = isolate_all_roots(p, Fr(-2), Fr(2), 1e-10)
-        assert len(roots) == 3
-        for iv, expected in zip(roots, (-0.5, 0.0, 1.0)):
-            assert abs(iv.mid - expected) < 1e-9
+class TestBernsteinMatchesFraction:
+    """The integer Bernstein coefficients and their de Casteljau halves give
+    the rationals of the `Fraction` reference, coefficient for coefficient."""
 
-    def test_evaluates_each_term_once_per_point(self, monkeypatch):
-        # (t + 2)^2 t (t - 1/2) (t - 1) (t^2 - 2): a double root at the end
-        # -2, a root at the midpoint 0 and three more inside (-2, 2)
-        p = RationalPoly([2, 1]) ** 2 * RationalPoly([0, 1]) * RationalPoly([-1, 2])
-        p = p * RationalPoly([-1, 1]) * RationalPoly([-2, 0, 1])
-        seen = []
-        original = RationalPoly.eval
-
-        def counted(q, t):
-            seen.append((q, Fr(t)))
-            return original(q, t)
-
-        monkeypatch.setattr(RationalPoly, "eval", counted)
-        roots = isolate_all_roots(p, -2, 2, 1e-6)
-        assert len(roots) == 5
-        assert roots[1] == Interval(0.0, 0.0)
-        assert len(seen) == len(set(seen))
+    def test_coefficients_and_halves(self):
+        rng = random.Random(37)
+        cases = [RationalPoly([]), RationalPoly([Fr(-2, 3)]), F, F.derivative()]
+        cases += [random_poly(rng) for _ in range(40)] + [sparse_poly(rng) for _ in range(20)]
+        for p in cases:
+            a = rng.uniform(-2.0, 1.0)
+            for b in (a, a + rng.uniform(0.0, 2.0), a + 2.0**-30):
+                coeffs, scale = _bernstein(p, Fr(a), Fr(b))
+                assert [Fr(c, scale) for c in coeffs] == ref_bernstein(p, a, b)
+                assert (Fr(coeffs[0], scale), Fr(coeffs[-1], scale)) == (p.eval(a), p.eval(b))
+                mid = (Fr(a) + Fr(b)) / 2
+                half = scale << (len(coeffs) - 1)
+                for cell, ends in zip(polynomial._halves(coeffs), [(a, mid), (mid, b)]):
+                    assert [Fr(c, half) for c in cell] == ref_bernstein(p, *ends)
 
 
 # -- Fraction reference --------------------------------------------------------
@@ -317,6 +379,24 @@ def ref_mul(p, q):
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return RationalPoly(out)
+
+
+def ref_bernstein(p, a, b):
+    """Bernstein coefficients of p on [a, b] in `Fraction`s: the Taylor shift
+    q(t) = p(a + (b - a) t) term by term, then
+    b_k = sum_{i <= k} C(k, i) / C(n, i) q_i."""
+    a, b = Fr(a), Fr(b)
+    n = max(p.degree, 0)
+    line, power = RationalPoly([a, b - a]), RationalPoly([1])
+    q = [Fr(0)] * (n + 1)
+    for c in p.coeffs:
+        for i, v in enumerate(power.coeffs):
+            q[i] += c * v
+        power = ref_mul(power, line)
+    return [
+        sum(Fr(math.comb(k, i), math.comb(n, i)) * q[i] for i in range(k + 1))
+        for k in range(n + 1)
+    ]
 
 
 def ref_divmod(p, d):
@@ -478,32 +558,6 @@ def ref_isolate_root(p, a, b, width=1e-9):
     return Interval(math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf))
 
 
-def ref_isolate_all_roots(p, a, b, width):
-    a, b = Fr(a), Fr(b)
-    p = ref_deflate(p, a, b)
-    if p.is_zero() or p.degree <= 0:
-        return []
-    chain = RefChain(p)
-    q = chain.squarefree
-    out = []
-
-    def recurse(lo, hi, count):
-        if count == 0:
-            return
-        if count == 1 and q.eval(lo) * q.eval(hi) < 0:
-            out.append(ref_isolate_root(q, lo, hi, width))
-            return
-        mid = (lo + hi) / 2
-        if q.eval(mid) == 0:
-            out.append(Interval(float(mid), float(mid)))
-        recurse(lo, mid, chain.count_open(lo, mid))
-        recurse(mid, hi, chain.count_open(mid, hi))
-
-    recurse(a, b, chain.count_open(a, b))
-    out.sort(key=lambda iv: iv.lo)
-    return out
-
-
 def outcome(fn, *args):
     """What a call returns, in comparable form: interval endpoints as
     `.hex()`, or the exception's type and message."""
@@ -513,8 +567,6 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
     if isinstance(result, Interval):
         return result.lo.hex(), result.hi.hex()
-    if isinstance(result, list):
-        return [(iv.lo.hex(), iv.hi.hex()) for iv in result]
     return result
 
 
@@ -562,9 +614,6 @@ class TestOnePassMatchesTwoPass:
                 assert outcome(isolate_root, p, a, b, width) == outcome(
                     ref_isolate_root, p, a, b, width
                 )
-                assert outcome(isolate_all_roots, p, a, b, width) == outcome(
-                    ref_isolate_all_roots, p, a, b, width
-                )
 
     @pytest.mark.parametrize("width", [0.5, 1e-2, 1e-6])
     def test_root_near_an_endpoint_root(self, width):
@@ -573,9 +622,9 @@ class TestOnePassMatchesTwoPass:
         p = RationalPoly([0, 1]) * RationalPoly([Fr(-1, 1000), 1])
         p = p * RationalPoly([Fr(-999, 1000), 1]) * RationalPoly([-1, 1]) ** 2
         for a, b in [(0, 1), (0, Fr(1, 2)), (Fr(1, 2), 1)]:
-            for fn, ref in [(isolate_root, ref_isolate_root),
-                            (isolate_all_roots, ref_isolate_all_roots)]:
-                assert outcome(fn, p, a, b, width) == outcome(ref, p, a, b, width)
+            assert outcome(isolate_root, p, a, b, width) == outcome(
+                ref_isolate_root, p, a, b, width
+            )
 
     def test_chain_of_squarefree_input_is_unchanged(self):
         for p in [F, F.derivative(), RationalPoly([-2, 0, 1])]:
@@ -723,3 +772,13 @@ class TestInterval:
     def test_hull(self):
         h = Interval.hull([Interval(0, 1), Interval(0.5, 2)])
         assert h.lo == 0 and h.hi == 2
+
+    def test_sum_holds_the_exact_sum(self):
+        rng = random.Random(53)
+        pairs = [(0.1, 0.2), (1e16, 1.0)] + [
+            (rng.uniform(-20.0, 20.0), rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 5))
+            for _ in range(1000)
+        ]
+        for x, y in pairs:
+            iv = Interval.point(x) + Interval.point(y)
+            assert Fr(iv.lo) < Fr(x) + Fr(y) < Fr(iv.hi)

@@ -21,11 +21,24 @@ from kiss3.sphere import (
     min_separation,
     parse_points,
     random_point,
-    random_rotation,
     random_separated_set,
     rho,
-    rotated,
 )
+
+def rotated(ps, matrix):
+    """Apply a 3x3 rotation matrix to every point."""
+    return PointSet(SphericalPoint.from_vector(matrix @ p.to_vector()) for p in ps)
+
+
+def random_rotation(seed):
+    """A uniformly random rotation matrix (QR of a Gaussian matrix)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
 
 ICO_SEP = math.acos(1.0 / math.sqrt(5.0))
 

@@ -37,12 +37,12 @@ def test_install_trace_uninstall(tracer):
         t.uninstall()
     assert report.ok
     metrics = t.metrics()
-    # four chains for the certificate and its two properties, one per F1/F2
-    # maximum; the widest coefficient is in an F2 profile's chain
-    assert metrics["polynomial.sturm_chain.calls"] == 14
-    assert metrics["polynomial.sturm_chain.max_bits"] == 8058
-    # each root isolation evaluates the chain once per point
-    assert metrics["polynomial.eval.calls"] == 421
+    # four chains for the certificate and its two properties; the F1/F2
+    # maxima come from Bernstein coefficients and build none
+    assert metrics["polynomial.sturm_chain.calls"] == 4
+    assert metrics["polynomial.sturm_chain.max_bits"] == 129
+    # the root isolation evaluates the chain once per point
+    assert metrics["polynomial.eval.calls"] == 132
     assert metrics["polynomial.isolate_root.calls"] > 0
     # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
     assert metrics["bounds.refine_h34.calls"] == 1
