@@ -7,7 +7,7 @@
     kiss3 energy --points FILE
 
 Exit codes: 0 on success (conclusion 12 for full runs), 1 on any suite
-failure, 2 on configuration errors.
+failure, 2 on configuration errors and on output that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -172,7 +173,18 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
         "energy": _cmd_energy,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader has gone (say `| head`): what is left goes to os.devnull,
+        # so the flush at exit is quiet, and the output that could not be
+        # written exits 2, as a failed --out does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

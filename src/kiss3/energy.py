@@ -64,12 +64,17 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     return EnergySummary(n=n, S=S, per_point=per_point, min_sep=sep)
 
 
+def _f_values(batch: CosineBatch, c: Certificate) -> np.ndarray:
+    """f of every flat cosine of a batch, each diagonal term set to f(1)."""
+    values = np.polyval(c.f.real_coeffs(), batch.cos)
+    values[batch.diagonal] = c.f_at_1
+    return values
+
+
 def set_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
     """S(X) of every set of a batch: one np.polyval of f over the flat
     cosines, each diagonal term set to f(1), and one sum per set."""
-    values = np.polyval(c.f.real_coeffs(), batch.cos)
-    values[batch.diagonal] = c.f_at_1
-    return np.add.reduceat(values, batch.starts)
+    return np.add.reduceat(_f_values(batch, c), batch.starts)
 
 
 def lemma2_holds(S, n):
@@ -84,21 +89,51 @@ def check_lemma2(ps: PointSet, c: Certificate) -> bool:
     return bool(lemma2_holds(set_energies(CosineBatch.of(ps), c)[0], len(ps)))
 
 
+def point_energies(batch: CosineBatch, c: Certificate):
+    """`energy`'s S, S_i and T_i for every set of a batch: S one per set, and
+    S_i and T_i one per point, set after set.
+
+    S and the S_i are sums of the f values over each set's block and over
+    each row of it; T_i is f(1) plus the row's sum over the terms whose
+    cosine lies below -t0.lo, the lower endpoint, as in `energy`.
+    """
+    values = _f_values(batch, c)
+    S = np.add.reduceat(values, batch.starts)
+    # row r of set s, its point p = first_points[s] + r, starts at
+    # starts[s] + r * n = (starts[s] - first_points[s] * n) + p * n
+    n = batch.sizes.repeat(batch.sizes)
+    rows = (batch.starts - batch.first_points * batch.sizes).repeat(batch.sizes)
+    rows += n * np.arange(len(n))
+    S_i = np.add.reduceat(values, rows)
+    deep = batch.cos < -c.t0.lo  # the diagonal is 1.0, never deep
+    np.copyto(values, 0.0, where=~deep)
+    T_i = c.f_at_1 + np.add.reduceat(values, rows)
+    return S, S_i, T_i
+
+
+def lemma3_holds(batch: CosineBatch, c: Certificate) -> np.ndarray:
+    """For every set of a batch: S(X) < 13 n strictly, and S_i <= T_i < 13
+    (with slack 1e-9 on the first) for each of its points.
+
+    Lemma 3 is about 60-degree separated sets, so this first takes each
+    set's largest off-diagonal cosine, and raises SeparationViolation for
+    the first set whose smallest angle is below 60 degrees less 1e-9.  A
+    diagonal entry counts as -1 there, so a one-point set always passes.
+    """
+    closest = np.maximum.reduceat(np.where(batch.diagonal, -1.0, batch.cos), batch.starts)
+    close = np.flatnonzero(np.arccos(closest) < SIXTY_DEG - 1e-9)
+    if close.size:
+        sep = float(np.arccos(closest[close[0]]))
+        raise SeparationViolation(f"min separation {math.degrees(sep):.4f} deg < 60 deg")
+    S, S_i, T_i = point_energies(batch, c)
+    points_hold = (S_i <= T_i + 1e-9) & (T_i < 13.0)
+    return (S < 13.0 * batch.sizes) & np.logical_and.reduceat(points_hold, batch.first_points)
+
+
 def check_lemma3(ps: PointSet, c: Certificate) -> bool:
-    """S(X) < 13 n strictly for 60-degree separated sets, plus the per-point
-    chain S_i <= T_i < 13.  Raises SeparationViolation if the set is not
-    separated."""
-    summary = energy(ps, c)
-    if len(ps) >= 2 and summary.min_sep < SIXTY_DEG - 1e-9:
-        raise SeparationViolation(
-            f"min separation {math.degrees(summary.min_sep):.4f} deg < 60 deg"
-        )
-    if not summary.S < 13.0 * summary.n:
-        return False
-    for rec in summary.per_point:
-        if rec.S_i > rec.T_i + 1e-9 or not rec.T_i < 13.0:
-            return False
-    return True
+    """Lemma 3 (`lemma3_holds`) for one point set; raises SeparationViolation
+    if the set is not separated."""
+    return bool(lemma3_holds(CosineBatch.of(ps), c)[0])
 
 
 def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:

@@ -17,7 +17,13 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import sphere
-from .energy import check_lemma3, expansion_energies, lemma1_holds, lemma2_holds, set_energies
+from .energy import (
+    expansion_energies,
+    lemma1_holds,
+    lemma2_holds,
+    lemma3_holds,
+    set_energies,
+)
 from .certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -33,9 +39,9 @@ from .polynomial import Interval
 
 SCHEMA_VERSION = 2
 
-#: Random point sets drawn and evaluated together by the lemma 1 and 2
-#: suites.  It bounds their working set (under 1 MB of arrays at 128 sets of
-#: at most 16 points), whatever --lemma1-sets is.
+#: Random point sets drawn and evaluated together by the lemma suites.  It
+#: bounds their working set (under 1 MB of arrays at 128 sets of at most 16
+#: points), whatever --lemma1-sets and --lemma3-sets are.
 LEMMA_BLOCK = 128
 
 ALL_SUITES = ("certificate", "lemma1", "lemma2", "lemma3", "bounds", "theorem", "refine")
@@ -294,11 +300,18 @@ def _suite_lemma2(config: RunConfig, cert) -> SuiteResult:
     return s
 
 
-def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
-    s = SuiteResult("lemma3")
+def _separated_sets(config: RunConfig, s: SuiteResult):
+    """The lemma 3 suite's tested point sets, LEMMA_BLOCK at a time, each
+    chunk as one sphere.CosineBatch; a set of fewer than 2 points counts as
+    a skip in `s` instead.
+
+    Set i has rng.randint(2, 12) points, rng = random.Random(seed + 1), and
+    is random_separated_set(n, 60 degrees, seed + 1000 + i).  When that set
+    saturates, every smaller target on its seed places the same points, so
+    the points already placed are tested instead.
+    """
     rng = random.Random(config.seed + 1)
-    bad = 0
-    generated = 0
+    chunk = []
     for i in range(config.lemma3_sets):
         n = rng.randint(2, 12)
         try:
@@ -306,15 +319,23 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
                 n, math.pi / 3.0, seed=config.seed + 1000 + i, max_tries=2000
             )
         except sphere.SaturationError as exc:
-            # a dense target saturated; every smaller target on this seed
-            # places these same points, so test them instead
             ps = exc.placed
         if len(ps) < 2:
             s.skipped += 1
-            continue
-        generated += 1
-        if not check_lemma3(ps, cert):
-            bad += 1
+        else:
+            chunk.append(ps)
+        if len(chunk) == LEMMA_BLOCK or (chunk and i == config.lemma3_sets - 1):
+            vectors = np.concatenate([ps.vectors() for ps in chunk])
+            yield sphere.CosineBatch(vectors, [len(ps) for ps in chunk])
+            chunk = []
+
+
+def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
+    s = SuiteResult("lemma3")
+    bad = generated = 0
+    for batch in _separated_sets(config, s):
+        generated += len(batch.sizes)
+        bad += int(np.count_nonzero(~lemma3_holds(batch, cert)))
     s.check_sets(generated, (bad, f"{bad} separated sets with S >= 13n"))
     return s
 

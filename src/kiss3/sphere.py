@@ -90,7 +90,8 @@ class CosineBatch:
     Set s, of sizes[s] = n points, holds its n x n cosine matrix row-major at
     cos[starts[s] : starts[s] + n * n]: each off-diagonal entry is the dot
     product of two unit vectors clamped into [-1, 1], and each diagonal entry,
-    marked in `diagonal`, is exactly 1.  Per-set sums are
+    marked in `diagonal`, is exactly 1.  Its points are rows first_points[s]
+    onward of the vectors the batch was made from.  Per-set sums are
     np.add.reduceat(values, starts); every set has a point, so no segment is
     empty.
     """
@@ -108,7 +109,8 @@ class CosineBatch:
             np.repeat(self.sizes, squares),
         )
         self.diagonal = i == j
-        first = np.repeat(np.cumsum(self.sizes) - self.sizes, squares)
+        self.first_points = np.cumsum(self.sizes) - self.sizes
+        first = np.repeat(self.first_points, squares)
         i += first
         j += first
         x, y, z = vectors.T
@@ -268,13 +270,22 @@ def random_separated_set(
     # itself may be far more than memory holds.
     accepted: list[tuple[float, float, float, float]] = []
     vectors = np.empty((min(n, SAMPLER_BLOCK), 3))
+    # The block's unit vectors are its columns, so that the largest cosine
+    # of each candidate reduces the (accepted, candidate) product along its
+    # long axis; its rows take unit_vectors' operations, and bits.
+    block = np.empty((3, SAMPLER_BLOCK))
+    x, y, z = block
     rejections = 0
     while True:
         draws = state.random_sample(2 * SAMPLER_BLOCK)
-        block = unit_vectors(2.0 * draws[0::2] - 1.0, TWO_PI * draws[1::2])
+        np.subtract(2.0 * draws[0::2], 1.0, out=z)
+        s = np.sqrt((1.0 - z) * (1.0 + z))
+        azimuth = TWO_PI * draws[1::2]
+        np.multiply(s, np.cos(azimuth), out=x)
+        np.multiply(s, np.sin(azimuth), out=y)
         # largest cosine from each candidate to an accepted point
         if accepted:
-            closest = (block @ vectors[: len(accepted)].T).max(axis=1)
+            closest = (vectors[: len(accepted)] @ block).max(axis=0)
         else:
             closest = np.full(SAMPLER_BLOCK, -np.inf)
         j = 0
@@ -311,7 +322,7 @@ def random_separated_set(
                 if len(accepted) == n:
                     return _point_set(accepted)
                 rest = closest[j + 1 :]
-                np.maximum(rest, block[j + 1 :] @ vectors[len(accepted) - 1], out=rest)
+                np.maximum(rest, vectors[len(accepted) - 1] @ block[:, j + 1 :], out=rest)
             j += 1
 
 

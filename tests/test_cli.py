@@ -246,6 +246,33 @@ def _loaded_after_cli_import(module: str, argv: list[str] | None = None) -> bool
     return {"True": True, "False": False}[out.splitlines()[-1]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--points", "{points}"],
+        ["verify", "--suite", "certificate", "--format", "json"],
+    ],
+)
+def test_closed_stdout_exits_two(tmp_path, argv):
+    # the read end of stdout's pipe is closed before the CLI writes, as when
+    # `| head` has already exited
+    points = tmp_path / "pts.txt"
+    points.write_text("0 0\n90 0\n90 120\n")
+    argv = [a.format(points=points) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "kiss3.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+
+
 def test_import_leaves_scipy_unloaded():
     # no kiss3 code imports scipy: only the benchmark needs it
     assert not _loaded_after_cli_import("scipy")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from kiss3.energy import (
     energy,
     energy_to_json_dict,
     lemma1_holds,
+    lemma3_holds,
     linearity_gap,
+    point_energies,
 )
 from kiss3.errors import SaturationError, SeparationViolation
 from kiss3.legendre import gegenbauer_sums
@@ -197,6 +200,57 @@ class TestLemma3:
         ps = PointSet([SphericalPoint(0.0, 0.0), SphericalPoint(math.radians(50), 0.0)])
         with pytest.raises(SeparationViolation):
             check_lemma3(ps, cert)
+
+
+def _batch(sets):
+    return CosineBatch(np.concatenate([ps.vectors() for ps in sets]), [len(ps) for ps in sets])
+
+
+class TestLemma3Batch:
+    def test_sums_match_energy(self, cert):
+        # unconstrained sets, so that many rows have deep terms in T_i
+        rng = random.Random(57)
+        sets = [random_point_set(rng, n) for n in list(range(2, 13)) * 4]
+        S, S_i, T_i = point_energies(_batch(sets), cert)
+        assert len(S) == len(sets) and len(S_i) == len(T_i) == sum(map(len, sets))
+        first = deep = 0
+        for ps, s in zip(sets, S):
+            summary = energy(ps, cert)
+            tol = 1e-12 * len(ps) ** 2
+            assert abs(s - summary.S) <= tol
+            for rec, si, ti in zip(summary.per_point, S_i[first:], T_i[first:]):
+                assert abs(si - rec.S_i) <= tol and abs(ti - rec.T_i) <= tol
+                deep += bool(rec.J_i)
+            first += len(ps)
+        assert deep > 20
+
+    def test_holds_on_separated_sets(self, cert):
+        sets = []
+        for seed in range(60):
+            try:
+                sets.append(random_separated_set(2 + seed % 11, math.pi / 3, seed=seed))
+            except SaturationError as exc:
+                sets.append(exc.placed)
+        assert {len(ps) for ps in sets} == set(range(2, 11))
+        assert lemma3_holds(_batch(sets), cert).tolist() == [True] * len(sets)
+
+    def test_first_close_set_raises(self, cert):
+        # the middle set repeats a point and the last is 30 degrees apart;
+        # the first close set is reported, as check_lemma3 reports it alone
+        a, b = SphericalPoint(0.3, 0.4), SphericalPoint(2.0, 1.0)
+        repeated = PointSet([a, b, SphericalPoint(a.theta, a.phi)])
+        close = PointSet([a, SphericalPoint(a.theta + math.pi / 6, a.phi)])
+        with pytest.raises(SeparationViolation) as alone:
+            check_lemma3(repeated, cert)
+        sets = [icosahedron(), repeated, PointSet([b]), close]
+        with pytest.raises(SeparationViolation, match=f"^{re.escape(str(alone.value))}$"):
+            lemma3_holds(_batch(sets), cert)
+
+    def test_empty_set(self, cert):
+        with pytest.raises(ValueError, match="every set needs a point"):
+            check_lemma3(PointSet([]), cert)
+        with pytest.raises(ValueError, match="every set needs a point"):
+            check_lemma2(PointSet([]), cert)
 
 
 class TestLemma1:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kiss3.energy import energy, expansion_energies, set_energies
+from kiss3.errors import SaturationError, SeparationViolation
 from kiss3.harness import (
     ALL_SUITES,
     LEMMA_BLOCK,
@@ -18,13 +19,14 @@ from kiss3.harness import (
     _random_sets,
     _suite_lemma1,
     _suite_lemma2,
+    _suite_lemma3,
     emit_table,
     perturbed_coeffs,
     run,
 )
 from kiss3.legendre import addition_weights, gegenbauer_sums, legendre, to_legendre_basis
 from kiss3.polynomial import RationalPoly
-from kiss3.sphere import PointSet, random_point
+from kiss3.sphere import PointSet, random_point, random_separated_set
 
 FAST = dict(lemma1_sets=50, lemma3_sets=10)
 
@@ -309,3 +311,74 @@ class TestLemmaBatch:
         result = _suite_lemma2(config, mismatched)
         assert result == _reference_lemma2(config, mismatched)
         assert result.failures == [f"{count} linearity-bridge gaps over 1e-8 n^2"]
+
+
+# -- the lemma 3 suite against a one-set-at-a-time reference ----------------
+
+
+def _reference_check_lemma3(ps, cert):
+    """Lemma 3 for one set from `energy`'s per-point records."""
+    summary = energy(ps, cert)
+    if summary.min_sep < math.pi / 3.0 - 1e-9:
+        raise SeparationViolation(
+            f"min separation {math.degrees(summary.min_sep):.4f} deg < 60 deg"
+        )
+    return summary.S < 13.0 * summary.n and all(
+        rec.S_i <= rec.T_i + 1e-9 and rec.T_i < 13.0 for rec in summary.per_point
+    )
+
+
+def _reference_lemma3(config, cert):
+    s = SuiteResult("lemma3")
+    rng = random.Random(config.seed + 1)
+    bad = generated = 0
+    for i in range(config.lemma3_sets):
+        n = rng.randint(2, 12)
+        try:
+            ps = random_separated_set(n, math.pi / 3.0, seed=config.seed + 1000 + i, max_tries=2000)
+        except SaturationError as exc:
+            ps = exc.placed
+        if len(ps) < 2:
+            s.skipped += 1
+            continue
+        generated += 1
+        if not _reference_check_lemma3(ps, cert):
+            bad += 1
+    if generated:
+        s.check(bad == 0, f"{bad} separated sets with S >= 13n")
+        s.passed += generated - (1 if bad else 0)
+    else:
+        s.skipped += 1
+    return s
+
+
+class TestLemma3Batch:
+    """The lemma 3 suite, which checks its sets LEMMA_BLOCK at a time, counts
+    as a loop of per-set `energy` checks does."""
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, LEMMA_BLOCK - 1, LEMMA_BLOCK, LEMMA_BLOCK + 1, 500]
+    )
+    def test_suite_matches_reference(self, cert, count):
+        config = RunConfig(seed=42, lemma3_sets=count)
+        assert _suite_lemma3(config, cert) == _reference_lemma3(config, cert)
+
+    @pytest.mark.parametrize("seed, bad", [(42, 26), (11, 36)])
+    def test_scaled_f_fails_some_sets(self, cert, seed, bad):
+        # 51/50 f keeps t0 but lifts S above 13n on some separated sets and
+        # not on others, so the count is per set
+        scaled = replace(cert, f=RationalPoly([ck * Fr(51, 50) for ck in cert.f.coeffs]))
+        config = RunConfig(seed=seed, lemma3_sets=LEMMA_BLOCK + 1)
+        result = _suite_lemma3(config, scaled)
+        assert result == _reference_lemma3(config, scaled)
+        assert result.failures == [f"{bad} separated sets with S >= 13n"]
+
+    @pytest.mark.parametrize("seed, bad", [(42, 127), (11, 123)])
+    def test_constant_f_fails_the_point_chain(self, cert, seed, bad):
+        # f = 1 gives S = n^2 < 13n, but S_i = n exceeds T_i = 1 + |J(i)|
+        # on every set with a point that is not deep from all the others
+        constant = replace(cert, f=RationalPoly([Fr(1)]))
+        config = RunConfig(seed=seed, lemma3_sets=LEMMA_BLOCK + 1)
+        result = _suite_lemma3(config, constant)
+        assert result == _reference_lemma3(config, constant)
+        assert result.failures == [f"{bad} separated sets with S >= 13n"]
