@@ -13,7 +13,6 @@ failure, 2 on configuration errors and on output that cannot be written.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from . import harness, sphere
 from .certificate import build_certificate
-from .energy import energy, energy_to_json_dict
+from .energy import energy, energy_json
 from .errors import Kiss3Error
 
 
@@ -152,6 +151,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    """Print the energy summary of a point-set file as `energy.energy_json`
+    writes it; a file that cannot be read or holds no points exits 2."""
     try:
         ps = sphere.parse_points(args.points.read_text())
     except (OSError, ValueError) as exc:
@@ -161,7 +162,7 @@ def _cmd_energy(args) -> int:
         print(f"cannot read point set: {args.points} holds no points", file=sys.stderr)
         return 2
     summary = energy(ps, build_certificate())
-    print(json.dumps(energy_to_json_dict(summary), sort_keys=True, indent=2))
+    print(energy_json(summary))
     return 0
 
 

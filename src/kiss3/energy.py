@@ -5,6 +5,7 @@ and the deep-cap index sets J(i).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -41,17 +42,19 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
     only increase T_i -- conservative for the < 13 direction.
 
-    Works on whole arrays: S_i is each row's numpy sum, and T_i is f(1) plus
-    the sequential running sum (np.add.accumulate) of the row with every
-    term outside J(i) set to zero, which adds the J(i) terms left to right
-    as a Python sum over them would.  The masking and the running sums
-    overwrite the values matrix in place once S and the S_i are taken.
+    Works on whole arrays: f is evaluated in place over the cosine matrix
+    (`_eval_f`), S_i is each row's numpy sum, and T_i is f(1) plus the
+    sequential running sum (np.add.accumulate) of the row with every term
+    outside J(i) set to zero, which adds the J(i) terms left to right as a
+    Python sum over them would.  The masking and the running sums overwrite
+    the values matrix in place once S and the S_i are taken.
+    `energy_json` writes the summary as the `kiss3 energy` report.
     """
     n = len(ps)
     cosm = ps.cos_matrix()
     sep = min_angle(cosm) if n >= 2 else math.nan
     np.fill_diagonal(cosm, 1.0)
-    values = np.polyval(c.f.real_coeffs(), cosm)
+    values = _eval_f(cosm, c)
     np.fill_diagonal(values, c.f_at_1)
     S = float(values.sum())
     S_i = values.sum(axis=1).tolist()
@@ -64,16 +67,32 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     return EnergySummary(n=n, S=S, per_point=per_point, min_sep=sep)
 
 
+def _eval_f(cos: np.ndarray, c: Certificate) -> np.ndarray:
+    """f at every entry of `cos`, in one new array.
+
+    These are np.polyval's own Horner steps -- start from the leading
+    coefficient, then multiply by the cosine and add the next coefficient --
+    done in place, so the bits are np.polyval(c.f.real_coeffs(), cos)'s
+    without a new temporary array at each step.
+    """
+    lead, *rest = c.f.real_coeffs()
+    values = np.full_like(cos, lead)
+    for a in rest:
+        values *= cos
+        values += a
+    return values
+
+
 def _f_values(batch: CosineBatch, c: Certificate) -> np.ndarray:
     """f of every flat cosine of a batch, each diagonal term set to f(1)."""
-    values = np.polyval(c.f.real_coeffs(), batch.cos)
+    values = _eval_f(batch.cos, c)
     values[batch.diagonal] = c.f_at_1
     return values
 
 
 def set_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
-    """S(X) of every set of a batch: one np.polyval of f over the flat
-    cosines, each diagonal term set to f(1), and one sum per set."""
+    """S(X) of every set of a batch: f over the flat cosines, each diagonal
+    term set to f(1), and one sum per set."""
     return np.add.reduceat(_f_values(batch, c), batch.starts)
 
 
@@ -111,9 +130,11 @@ def point_energies(batch: CosineBatch, c: Certificate):
     return S, S_i, T_i
 
 
-def lemma3_holds(batch: CosineBatch, c: Certificate) -> np.ndarray:
-    """For every set of a batch: S(X) < 13 n strictly, and S_i <= T_i < 13
-    (with slack 1e-9 on the first) for each of its points.
+def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.ndarray]:
+    """For every set of a batch, whether its sum holds, S(X) < 13 n strictly,
+    and whether its point chain holds, S_i <= T_i < 13 (with slack 1e-9 on
+    the first) for each of its points.  The lemma needs both; the chain is
+    its proof, and implies the sum up to the slack.
 
     Lemma 3 is about 60-degree separated sets, so this first takes each
     set's largest off-diagonal cosine, and raises SeparationViolation for
@@ -127,13 +148,14 @@ def lemma3_holds(batch: CosineBatch, c: Certificate) -> np.ndarray:
         raise SeparationViolation(f"min separation {math.degrees(sep):.4f} deg < 60 deg")
     S, S_i, T_i = point_energies(batch, c)
     points_hold = (S_i <= T_i + 1e-9) & (T_i < 13.0)
-    return (S < 13.0 * batch.sizes) & np.logical_and.reduceat(points_hold, batch.first_points)
+    return S < 13.0 * batch.sizes, np.logical_and.reduceat(points_hold, batch.first_points)
 
 
 def check_lemma3(ps: PointSet, c: Certificate) -> bool:
-    """Lemma 3 (`lemma3_holds`) for one point set; raises SeparationViolation
-    if the set is not separated."""
-    return bool(lemma3_holds(CosineBatch.of(ps), c)[0])
+    """Lemma 3 (`lemma3_holds`, sum and point chain) for one point set;
+    raises SeparationViolation if the set is not separated."""
+    sum_holds, chain_holds = lemma3_holds(CosineBatch.of(ps), c)
+    return bool(sum_holds[0] and chain_holds[0])
 
 
 def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
@@ -165,14 +187,32 @@ def linearity_gap(ps: PointSet, c: Certificate) -> float:
     return float(abs(set_energies(batch, c) - expansion_energies(batch, c))[0])
 
 
-def energy_to_json_dict(summary: EnergySummary) -> dict:
-    return {
-        "n": summary.n,
-        "S": summary.S,
-        "min_sep_deg": None
-        if math.isnan(summary.min_sep)
-        else math.degrees(summary.min_sep),
-        "per_point": [
-            {"S_i": r.S_i, "T_i": r.T_i, "J_i": list(r.J_i)} for r in summary.per_point
-        ],
-    }
+def energy_json(summary: EnergySummary) -> str:
+    """The `kiss3 energy` report: the bytes json.dumps(..., sort_keys=True,
+    indent=2) writes for {"n", "S", "min_sep_deg", "per_point": [{"S_i",
+    "T_i", "J_i"}, ...]}, in one pass.
+
+    min_sep_deg is null for a singleton (min_sep is nan).  Each float goes
+    through json's own encoder, so its repr and its NaN/Infinity spelling
+    are json's.  J(i) is [] when empty and otherwise one index a line, each
+    looked up in one table of str(j), j < n.
+    """
+    number = json.JSONEncoder().encode
+    names = [str(j) for j in range(summary.n)]
+    sep = summary.min_sep
+    rows = []
+    for r in summary.per_point:
+        J = "[]"
+        if r.J_i:
+            J = "[\n        " + ",\n        ".join(map(names.__getitem__, r.J_i)) + "\n      ]"
+        rows.append(
+            f'    {{\n      "J_i": {J},\n'
+            f'      "S_i": {number(r.S_i)},\n'
+            f'      "T_i": {number(r.T_i)}\n    }}'
+        )
+    return (
+        f'{{\n  "S": {number(summary.S)},\n'
+        f'  "min_sep_deg": {"null" if math.isnan(sep) else number(math.degrees(sep))},\n'
+        f'  "n": {summary.n},\n'
+        f'  "per_point": [\n' + ",\n".join(rows) + "\n  ]\n}"
+    )

@@ -69,7 +69,13 @@ class PointSet:
         return self.points[i]
 
     def vectors(self) -> np.ndarray:
-        return np.array([p.to_vector() for p in self.points])
+        """One row per point, with the bits of its `to_vector`: one array
+        over tuples of the same math floats, not one array per point."""
+        rows = []
+        for p in self.points:
+            st = math.sin(p.theta)
+            rows.append((st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)))
+        return np.array(rows)
 
     def cos_matrix(self) -> np.ndarray:
         """Pairwise cosines of angular distance, clamped into [-1, 1]."""

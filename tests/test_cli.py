@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import kiss3
 from kiss3.cli import _build_parser, main
+from kiss3.energy import energy
 from kiss3.sphere import min_separation, parse_points
 
 
@@ -198,6 +200,24 @@ class TestSampleAndEnergy:
         assert payload["n"] == 5
         assert payload["S"] >= 25.0 * (1 - 1e-9)
         assert payload["S"] < 13.0 * 5
+
+    def test_energy_stdout_is_the_json_report(
+        self, tmp_path, capsys, cert, energy_report_difference
+    ):
+        # area-uniform points with no separation, so that J(i) is long
+        rng = random.Random(61)
+        lines = ["# theta_deg phi_deg"]
+        for _ in range(400):
+            theta = math.degrees(math.acos(rng.uniform(-1.0, 1.0)))
+            lines.append(f"{theta:.12f} {rng.uniform(0.0, 360.0):.12f}")
+        pts = tmp_path / "pts.txt"
+        pts.write_text("\n".join(lines) + "\n")
+        code = main(["energy", "--points", str(pts)])
+        assert code == 0
+        summary = energy(parse_points(pts.read_text()), cert)
+        out = capsys.readouterr().out
+        assert out.endswith("\n")
+        assert energy_report_difference(out[:-1], summary) is None
 
     def test_energy_missing_file(self, tmp_path, capsys):
         code = main(["energy", "--points", str(tmp_path / "absent.txt")])

@@ -1,22 +1,29 @@
+import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kiss3.certificate import build_certificate
 from kiss3.energy import (
+    EnergySummary,
+    PerPoint,
+    _eval_f,
     check_lemma1,
     check_lemma2,
     check_lemma3,
     energy,
-    energy_to_json_dict,
+    energy_json,
     lemma1_holds,
     lemma3_holds,
     linearity_gap,
     point_energies,
 )
 from kiss3.errors import SaturationError, SeparationViolation
+from kiss3.harness import perturbed_coeffs
 from kiss3.legendre import gegenbauer_sums
 from kiss3.sphere import (
     CosineBatch,
@@ -232,7 +239,8 @@ class TestLemma3Batch:
             except SaturationError as exc:
                 sets.append(exc.placed)
         assert {len(ps) for ps in sets} == set(range(2, 11))
-        assert lemma3_holds(_batch(sets), cert).tolist() == [True] * len(sets)
+        sum_holds, chain_holds = lemma3_holds(_batch(sets), cert)
+        assert sum_holds.tolist() == chain_holds.tolist() == [True] * len(sets)
 
     def test_first_close_set_raises(self, cert):
         # the middle set repeats a point and the last is 30 degrees apart;
@@ -281,13 +289,80 @@ class TestLemma1:
 
 
 class TestJsonExport:
-    def test_fields(self, cert):
-        d = energy_to_json_dict(energy(icosahedron(), cert))
+    """energy_json writes the bytes of json's indented encoder."""
+
+    def test_fields(self, cert, energy_report_difference):
+        summary = energy(icosahedron(), cert)
+        assert energy_report_difference(energy_json(summary), summary) is None
+        d = json.loads(energy_json(summary))
         assert d["n"] == 12
         assert d["S"] == pytest.approx(144.0, abs=1e-6)
         assert d["min_sep_deg"] == pytest.approx(63.4349, abs=1e-3)
         assert len(d["per_point"]) == 12
 
-    def test_singleton_min_sep_null(self, cert):
-        d = energy_to_json_dict(energy(PointSet([SphericalPoint(0.1, 0.2)]), cert))
-        assert d["min_sep_deg"] is None
+    def test_singleton_min_sep_null(self, cert, energy_report_difference):
+        summary = energy(PointSet([SphericalPoint(0.1, 0.2)]), cert)
+        text = energy_json(summary)
+        assert energy_report_difference(text, summary) is None
+        assert '"min_sep_deg": null' in text and '"J_i": []' in text
+
+    def test_empty_and_full_j_sets(self, cert, energy_report_difference):
+        # a cluster near each pole: J(i) is the far cluster, or empty for a
+        # point alone near the equator
+        ps = PointSet(
+            [SphericalPoint(0.1 * k, k) for k in range(3)]
+            + [SphericalPoint(math.pi - 0.1 * k, k) for k in range(4)]
+            + [SphericalPoint(math.pi / 2, 1.0)]
+        )
+        summary = energy(ps, cert)
+        sizes = {len(r.J_i) for r in summary.per_point}
+        assert 0 in sizes and max(sizes) > 1
+        assert energy_report_difference(energy_json(summary), summary) is None
+
+    def test_non_finite_floats(self, energy_report_difference):
+        # json's spelling of nan and the infinities, as a summary may hold
+        summary = EnergySummary(
+            n=2,
+            S=math.inf,
+            per_point=(PerPoint(math.nan, -math.inf, (1,)), PerPoint(0.1, 1e300, ())),
+            min_sep=0.5,
+        )
+        assert energy_report_difference(energy_json(summary), summary) is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_thousand_points(self, cert, energy_report_difference, seed):
+        summary = energy(random_point_set(random.Random(seed), 1000), cert)
+        assert energy_report_difference(energy_json(summary), summary) is None
+
+
+def _cosines_with_both_ends():
+    """A full cosine matrix of random points and the two poles: entries of
+    exactly 1 (the diagonal) and -1 (the poles) among the rest."""
+    rng = random.Random(59)
+    points = [random_point(rng) for _ in range(300)]
+    cosm = PointSet(points + [SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0)]).cos_matrix()
+    np.fill_diagonal(cosm, 1.0)
+    assert cosm.min() == -1.0 and cosm.max() == 1.0
+    return cosm
+
+
+class TestEvalF:
+    """_eval_f's in-place Horner steps give np.polyval's bits."""
+
+    @pytest.fixture(scope="class", params=["default", "perturbed"])
+    def certificate(self, request, cert):
+        if request.param == "default":
+            return cert
+        return build_certificate(perturbed_coeffs(9, Fraction(1, 100)))
+
+    def test_cosine_matrix(self, certificate):
+        cosm = _cosines_with_both_ends()
+        expected = np.polyval(certificate.f.real_coeffs(), cosm)
+        assert np.array_equal(_eval_f(cosm, certificate), expected)
+
+    def test_cosine_batch(self, certificate):
+        rng = random.Random(60)
+        sets = [random_point_set(rng, n) for n in range(1, 13)]
+        batch = _batch(sets + [icosahedron()])
+        expected = np.polyval(certificate.f.real_coeffs(), batch.cos)
+        assert np.array_equal(_eval_f(batch.cos, certificate), expected)

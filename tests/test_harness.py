@@ -317,21 +317,22 @@ class TestLemmaBatch:
 
 
 def _reference_check_lemma3(ps, cert):
-    """Lemma 3 for one set from `energy`'s per-point records."""
+    """Lemma 3 for one set from `energy`'s per-point records: whether the sum
+    S < 13n holds, and whether the chain S_i <= T_i < 13 holds at every
+    point."""
     summary = energy(ps, cert)
     if summary.min_sep < math.pi / 3.0 - 1e-9:
         raise SeparationViolation(
             f"min separation {math.degrees(summary.min_sep):.4f} deg < 60 deg"
         )
-    return summary.S < 13.0 * summary.n and all(
-        rec.S_i <= rec.T_i + 1e-9 and rec.T_i < 13.0 for rec in summary.per_point
-    )
+    chain = all(rec.S_i <= rec.T_i + 1e-9 and rec.T_i < 13.0 for rec in summary.per_point)
+    return summary.S < 13.0 * summary.n, chain
 
 
 def _reference_lemma3(config, cert):
     s = SuiteResult("lemma3")
     rng = random.Random(config.seed + 1)
-    bad = generated = 0
+    bad = bad_sum = bad_chain = generated = 0
     for i in range(config.lemma3_sets):
         n = rng.randint(2, 12)
         try:
@@ -342,10 +343,17 @@ def _reference_lemma3(config, cert):
             s.skipped += 1
             continue
         generated += 1
-        if not _reference_check_lemma3(ps, cert):
-            bad += 1
+        sum_ok, chain_ok = _reference_check_lemma3(ps, cert)
+        bad += not (sum_ok and chain_ok)
+        bad_sum += not sum_ok
+        bad_chain += not chain_ok
     if generated:
-        s.check(bad == 0, f"{bad} separated sets with S >= 13n")
+        labels = []
+        if bad_sum:
+            labels.append(f"{bad_sum} separated sets with S >= 13n")
+        if bad_chain:
+            labels.append(f"{bad_chain} separated sets with a point where S_i > T_i or T_i >= 13")
+        s.check(bad == 0, "; ".join(labels))
         s.passed += generated - (1 if bad else 0)
     else:
         s.skipped += 1
@@ -365,13 +373,29 @@ class TestLemma3Batch:
 
     @pytest.mark.parametrize("seed, bad", [(42, 26), (11, 36)])
     def test_scaled_f_fails_some_sets(self, cert, seed, bad):
-        # 51/50 f keeps t0 but lifts S above 13n on some separated sets and
-        # not on others, so the count is per set
+        # 51/50 f keeps t0 and S < 13n, but breaks S_i <= T_i < 13 on some
+        # separated sets and not on others, so the count is per set
         scaled = replace(cert, f=RationalPoly([ck * Fr(51, 50) for ck in cert.f.coeffs]))
         config = RunConfig(seed=seed, lemma3_sets=LEMMA_BLOCK + 1)
         result = _suite_lemma3(config, scaled)
         assert result == _reference_lemma3(config, scaled)
-        assert result.failures == [f"{bad} separated sets with S >= 13n"]
+        assert result.failures == [
+            f"{bad} separated sets with a point where S_i > T_i or T_i >= 13"
+        ]
+
+    @pytest.mark.parametrize("seed, bad_sum, bad_chain", [(42, 6, 88), (11, 9, 94)])
+    def test_larger_f_fails_both_ways(self, cert, seed, bad_sum, bad_chain):
+        # 11/10 f lifts S to 13n or more on a few sets, and breaks the point
+        # chain on more; the one failed check names both counts
+        scaled = replace(cert, f=RationalPoly([ck * Fr(11, 10) for ck in cert.f.coeffs]))
+        config = RunConfig(seed=seed, lemma3_sets=LEMMA_BLOCK + 1)
+        result = _suite_lemma3(config, scaled)
+        assert result == _reference_lemma3(config, scaled)
+        assert (result.passed, result.failed) == (LEMMA_BLOCK, 1)
+        assert result.failures == [
+            f"{bad_sum} separated sets with S >= 13n; "
+            f"{bad_chain} separated sets with a point where S_i > T_i or T_i >= 13"
+        ]
 
     @pytest.mark.parametrize("seed, bad", [(42, 127), (11, 123)])
     def test_constant_f_fails_the_point_chain(self, cert, seed, bad):
@@ -381,4 +405,6 @@ class TestLemma3Batch:
         config = RunConfig(seed=seed, lemma3_sets=LEMMA_BLOCK + 1)
         result = _suite_lemma3(config, constant)
         assert result == _reference_lemma3(config, constant)
-        assert result.failures == [f"{bad} separated sets with S >= 13n"]
+        assert result.failures == [
+            f"{bad} separated sets with a point where S_i > T_i or T_i >= 13"
+        ]

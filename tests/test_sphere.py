@@ -174,6 +174,28 @@ class TestIcosahedron:
             assert sum(x * x for x in v) == pytest.approx(1.0)
 
 
+class TestVectors:
+    """PointSet.vectors() has the bits of a stack of the points' to_vector
+    arrays."""
+
+    @staticmethod
+    def _stacked(ps):
+        return np.array([p.to_vector() for p in ps])
+
+    def test_random_sets(self):
+        rng = random.Random(58)
+        for n in list(range(1, 13)) * 20 + [1000]:
+            ps = PointSet(random_point(rng) for _ in range(n))
+            v = ps.vectors()
+            assert v.shape == (n, 3) and v.dtype == np.float64
+            assert v.tobytes() == self._stacked(ps).tobytes()
+
+    def test_icosahedron_and_poles(self):
+        poles = PointSet([SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 5.0)])
+        for ps in (icosahedron(), poles):
+            assert ps.vectors().tobytes() == self._stacked(ps).tobytes()
+
+
 class TestRandomSeparatedSet:
     def test_single_point(self):
         assert len(random_separated_set(1, math.pi, seed=0)) == 1
