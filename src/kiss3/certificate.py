@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import CertificateInvalid
 from .legendre import from_legendre_basis, to_legendre_basis
-from .polynomial import Interval, RationalPoly, isolate_root, sturm_count
+from .polynomial import Interval, RationalPoly, SturmChain, isolate_root, sturm_count
 
 # Monomial coefficients, lowest power first.
 F_COEFFS = (
@@ -57,13 +57,21 @@ class Certificate:
         """float(f(1)), from the exact value, taken once per certificate."""
         return float(self.f.eval(1))
 
+    @cached_property
+    def sturm_chain(self) -> SturmChain:
+        """The Sturm chain of f: the one build_certificate counted and
+        isolated the root with, or built on first use."""
+        return SturmChain(self.f)
+
 
 def build_certificate(coeffs=F_COEFFS) -> Certificate:
     """Construct and validate the certificate.
 
     The root of f on (-1, 0) is isolated by exact bisection; t0 is its
     magnitude and theta0 = arccos(t0), both carried as outward enclosures.
-    Raises CertificateInvalid on any structural failure.
+    One Sturm chain of f counts the roots, isolates t0 and becomes the
+    certificate's `sturm_chain`.  Raises CertificateInvalid on any
+    structural failure.
     """
     f = RationalPoly(coeffs)
     if f.degree != 9:
@@ -75,9 +83,10 @@ def build_certificate(coeffs=F_COEFFS) -> Certificate:
         raise CertificateInvalid(f"c_0 must be 1, got {expansion[0]}")
     if any(c < 0 for c in expansion):
         raise CertificateInvalid("negative Legendre coefficient")
-    if sturm_count(f, Fraction(-1), Fraction(1, 2)) != 1:
+    chain = SturmChain(f)
+    if chain.count_open(Fraction(-1), Fraction(1, 2)) != 1:
         raise CertificateInvalid("f must have exactly one root on (-1, 1/2)")
-    neg_root = isolate_root(f, Fraction(-1), Fraction(0), 1e-12)
+    neg_root = isolate_root(f, Fraction(-1), Fraction(0), 1e-12, chain)
     t0 = Interval(-neg_root.hi, -neg_root.lo)
     if not (0.59 < t0.lo and t0.hi < 0.591):
         raise CertificateInvalid(f"t0 enclosure {t0} outside (0.59, 0.591)")
@@ -85,7 +94,11 @@ def build_certificate(coeffs=F_COEFFS) -> Certificate:
         math.nextafter(math.acos(t0.hi), 0.0),
         math.nextafter(math.acos(t0.lo), math.pi),
     )
-    return Certificate(f=f, legendre_coeffs=expansion, t0=t0, theta0=theta0)
+    cert = Certificate(f=f, legendre_coeffs=expansion, t0=t0, theta0=theta0)
+    # seed the cached property with the chain t0 came from; a copy made by
+    # dataclasses.replace builds its own from its f
+    cert.__dict__["sturm_chain"] = chain
+    return cert
 
 
 def verify_expansion(c: Certificate, expected=None) -> bool:
@@ -122,7 +135,7 @@ def verify_property_ii(c: Certificate) -> bool:
     """
     f = c.f
     return (
-        sturm_count(f, Fraction(-1), Fraction(1, 2)) == 1
+        c.sturm_chain.count_open(Fraction(-1), Fraction(1, 2)) == 1
         and f.eval(Fraction(1, 2)) < 0
         and f.eval(-1) > 0
     )

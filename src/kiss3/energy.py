@@ -172,19 +172,22 @@ def check_lemma1(ps: PointSet) -> list[float]:
     return gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()
 
 
-def expansion_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
+def expansion_energies(sums: np.ndarray, c: Certificate) -> np.ndarray:
     """sum_k c_k * (Gegenbauer sum at k) for every set of a batch, with c_k
-    the Legendre coefficients of f.  The lower-bound lemma's one-line proof
-    is that this equals S(X); its distance from `set_energies` is the
-    linearity-bridge gap."""
+    the Legendre coefficients of f.  `sums` holds the sets' Gegenbauer sums
+    as legendre.gegenbauer_sums gives them, one row per degree from 0, at
+    least one row per coefficient; a degree-9 f has 10.  The lower-bound
+    lemma's one-line proof is that this equals S(X); its distance from
+    `set_energies` is the linearity-bridge gap."""
     weights = [float(ck) for ck in c.legendre_coeffs]
-    return np.dot(weights, gegenbauer_sums(batch.cos, batch.starts, range(len(weights))))
+    return np.dot(weights, sums[: len(weights)])
 
 
 def linearity_gap(ps: PointSet, c: Certificate) -> float:
     """|S(X) - `expansion_energies`| for one point set."""
     batch = CosineBatch.of(ps)
-    return float(abs(set_energies(batch, c) - expansion_energies(batch, c))[0])
+    sums = gegenbauer_sums(batch.cos, batch.starts, range(len(c.legendre_coeffs)))
+    return float(abs(set_energies(batch, c) - expansion_energies(sums, c))[0])
 
 
 def energy_json(summary: EnergySummary) -> str:
@@ -192,27 +195,32 @@ def energy_json(summary: EnergySummary) -> str:
     indent=2) writes for {"n", "S", "min_sep_deg", "per_point": [{"S_i",
     "T_i", "J_i"}, ...]}, in one pass.
 
-    min_sep_deg is null for a singleton (min_sep is nan).  Each float goes
-    through json's own encoder, so its repr and its NaN/Infinity spelling
-    are json's.  J(i) is [] when empty and otherwise one index a line, each
-    looked up in one table of str(j), j < n.
+    min_sep_deg is null for a singleton (min_sep is nan).  S, min_sep_deg
+    and every S_i and T_i go through one encode of json's own encoder, as a
+    list split on its ", " separator, which no float's spelling holds, so
+    each float's repr and NaN/Infinity spelling are json's.  J(i) is [] when
+    empty and otherwise one index a line, each looked up in one table of
+    str(j), j < n.
     """
-    number = json.JSONEncoder().encode
-    names = [str(j) for j in range(summary.n)]
     sep = summary.min_sep
-    rows = []
+    values = [summary.S, None if math.isnan(sep) else math.degrees(sep)]
     for r in summary.per_point:
+        values += (r.S_i, r.T_i)
+    S, min_sep_deg, *numbers = json.JSONEncoder().encode(values)[1:-1].split(", ")
+    names = [str(j) for j in range(summary.n)]
+    rows = []
+    for r, S_i, T_i in zip(summary.per_point, numbers[0::2], numbers[1::2]):
         J = "[]"
         if r.J_i:
             J = "[\n        " + ",\n        ".join(map(names.__getitem__, r.J_i)) + "\n      ]"
         rows.append(
             f'    {{\n      "J_i": {J},\n'
-            f'      "S_i": {number(r.S_i)},\n'
-            f'      "T_i": {number(r.T_i)}\n    }}'
+            f'      "S_i": {S_i},\n'
+            f'      "T_i": {T_i}\n    }}'
         )
     return (
-        f'{{\n  "S": {number(summary.S)},\n'
-        f'  "min_sep_deg": {"null" if math.isnan(sep) else number(math.degrees(sep))},\n'
+        f'{{\n  "S": {S},\n'
+        f'  "min_sep_deg": {min_sep_deg},\n'
         f'  "n": {summary.n},\n'
         f'  "per_point": [\n' + ",\n".join(rows) + "\n  ]\n}"
     )

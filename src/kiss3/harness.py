@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -171,20 +172,21 @@ def _random_sets(rng: random.Random, count: int):
 
     The draws are those of one set after another: rng.randint(1, 16) points,
     each from rng.uniform(-1, 1), the cosine of its colatitude, then
-    rng.uniform(0, 2pi), its azimuth, as in sphere.random_point.  A chunk's
-    draws are all taken before it is yielded, so the draws that follow the
-    last chunk do not depend on LEMMA_BLOCK.
+    rng.uniform(0, 2pi), its azimuth, as in sphere.random_point.  uniform(a,
+    b) is a + (b - a) * rng.random(), so the chunk takes the random() doubles
+    and forms -1 + 2 r and 2pi r (0 + x is x for x >= 0) as whole arrays,
+    with the same bits.  A chunk's draws are all taken before it is yielded,
+    so the draws that follow the last chunk do not depend on LEMMA_BLOCK.
     """
-    uniform = rng.uniform
+    randint, random = rng.randint, rng.random
     for first in range(0, count, LEMMA_BLOCK):
         sizes, draws = [], []
         for _ in range(min(LEMMA_BLOCK, count - first)):
-            n = rng.randint(1, 16)
+            n = randint(1, 16)
             sizes.append(n)
-            for _ in range(n):
-                draws += (uniform(-1.0, 1.0), uniform(0.0, sphere.TWO_PI))
+            draws += [random() for _ in range(2 * n)]
         draws = np.array(draws)
-        vectors = sphere.unit_vectors(draws[0::2], draws[1::2])
+        vectors = sphere.unit_vectors(-1.0 + 2.0 * draws[0::2], sphere.TWO_PI * draws[1::2])
         yield sphere.CosineBatch(vectors, sizes)
 
 
@@ -256,24 +258,50 @@ def _suite_bounds(report: VerificationReport, cert) -> SuiteResult:
     return s
 
 
-def _suite_lemma1(config: RunConfig) -> SuiteResult:
-    s = SuiteResult("lemma1")
+@dataclass
+class _RandomSetCounts:
+    """What the lemma 1 and 2 suites keep of their shared random sets."""
+
+    negative_sums: int  # sets with a negative Gegenbauer sum (lemma 1)
+    below_n2: int  # sets with S < n^2 (lemma 2)
+    bridge_gaps: int  # sets whose linearity-bridge gap is over 1e-8 n^2 (lemma 2)
+    rng: random.Random  # random.Random(seed) after the sets' draws
+
+
+def _random_set_counts(config: RunConfig, cert=None) -> _RandomSetCounts:
+    """One pass over the lemma 1 and 2 suites' `lemma1_sets` random sets,
+    LEMMA_BLOCK at a time: each chunk is drawn, batched and Gegenbauer-summed
+    for k = 0 ... 9 once.  Lemma 1 reads the sums; lemma 2, counted only
+    when a certificate is given, reads S(X) and the expansion energies the
+    same sums give.  Only the counts are kept, with the generator, whose
+    next draws are lemma 1's addition-theorem samples."""
     rng = random.Random(config.seed)
-    bad = 0
+    negative = below = gaps = 0
     for batch in _random_sets(rng, config.lemma1_sets):
         sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
-        bad += int(np.count_nonzero(~lemma1_holds(sums, batch.sizes)))
+        negative += int(np.count_nonzero(~lemma1_holds(sums, batch.sizes)))
+        if cert is not None:
+            S = set_energies(batch, cert)
+            below += int(np.count_nonzero(~lemma2_holds(S, batch.sizes)))
+            gap = np.abs(S - expansion_energies(sums, cert))
+            gaps += int(np.count_nonzero(gap > 1e-8 * batch.sizes**2))
+    return _RandomSetCounts(negative, below, gaps, rng)
+
+
+def _suite_lemma1(config: RunConfig, shared=None) -> SuiteResult:
+    """Lemma 1 on the random sets, and on 1000 addition-theorem samples.
+    `shared`, when the run shares one pass over the sets with lemma 2,
+    gives its `_random_set_counts`."""
+    s = SuiteResult("lemma1")
+    counts = shared() if shared else _random_set_counts(config)
+    bad = counts.negative_sums
     s.check_sets(config.lemma1_sets, (bad, f"{bad} point sets with a negative Gegenbauer sum"))
-    samples = [
-        (
-            rng.randint(0, 9),
-            rng.uniform(0.0, math.pi),
-            rng.uniform(0.0, math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        for _ in range(1000)
-    ]
-    degree, theta1, theta2, phi = map(np.array, zip(*samples))
+    # each sample is rng.randint(0, 9), then rng.uniform(0, pi) twice and
+    # rng.uniform(0, 2pi): the uniforms are pi r and 2pi r on random() doubles
+    randint, random = counts.rng.randint, counts.rng.random
+    samples = [(randint(0, 9), random(), random(), random()) for _ in range(1000)]
+    degree, r1, r2, r3 = map(np.array, zip(*samples))
+    theta1, theta2, phi = math.pi * r1, math.pi * r2, 2.0 * math.pi * r3
     bad_residual = 0
     for k in range(10):
         at_k = degree == k
@@ -283,15 +311,13 @@ def _suite_lemma1(config: RunConfig) -> SuiteResult:
     return s
 
 
-def _suite_lemma2(config: RunConfig, cert) -> SuiteResult:
+def _suite_lemma2(config: RunConfig, cert, shared=None) -> SuiteResult:
+    """Lemma 2 and its linearity bridge on the random sets.  `shared`, when
+    the run shares one pass over the sets with lemma 1, gives its
+    `_random_set_counts`."""
     s = SuiteResult("lemma2")
-    rng = random.Random(config.seed)
-    bad = bad_bridge = 0
-    for batch in _random_sets(rng, config.lemma1_sets):
-        S = set_energies(batch, cert)
-        bad += int(np.count_nonzero(~lemma2_holds(S, batch.sizes)))
-        gaps = np.abs(S - expansion_energies(batch, cert))
-        bad_bridge += int(np.count_nonzero(gaps > 1e-8 * batch.sizes**2))
+    counts = shared() if shared else _random_set_counts(config, cert)
+    bad, bad_bridge = counts.below_n2, counts.bridge_gaps
     s.check_sets(
         config.lemma1_sets,
         (bad, f"{bad} point sets with S < n^2"),
@@ -428,11 +454,16 @@ def run(config: RunConfig) -> VerificationReport:
             report.suites["certificate"] = res
             return report
 
+    @cache
+    def random_set_counts():
+        # drawn once, inside whichever of lemma1 and lemma2 runs first
+        return _random_set_counts(config, cert if "lemma2" in config.suites else None)
+
     runners = {
         "certificate": lambda: _suite_certificate(report, cert),
         "bounds": lambda: _suite_bounds(report, cert),
-        "lemma1": lambda: _suite_lemma1(config),
-        "lemma2": lambda: _suite_lemma2(config, cert),
+        "lemma1": lambda: _suite_lemma1(config, random_set_counts),
+        "lemma2": lambda: _suite_lemma2(config, cert, random_set_counts),
         "lemma3": lambda: _suite_lemma3(config, cert),
         "theorem": lambda: _suite_theorem(report, cert),
         "refine": lambda: _suite_refine(report, cert),

@@ -372,18 +372,21 @@ def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
     return SturmChain(p).count_open(a, b)
 
 
-def isolate_root(p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9) -> Interval:
+def isolate_root(
+    p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9, chain: SturmChain | None = None
+) -> Interval:
     """Shrink (a, b), known to hold exactly one root of p, to the given width.
 
-    One Sturm chain of p must count exactly one root in (a, b).  Its
-    squarefree part q changes sign there, so exact bisection on q encloses
-    the root; at a root a, q's sign just inside is chain[1]'s."""
+    One Sturm chain of p, `chain` when the caller holds it already, must
+    count exactly one root in (a, b).  Its squarefree part q changes sign
+    there, so exact bisection on q encloses the root; at a root a, q's sign
+    just inside is chain[1]'s."""
     if p.is_zero():
         raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     lo, hi = _to_fraction(a), _to_fraction(b)
     count = 0
     if lo < hi:
-        chain = SturmChain(p)
+        chain = chain or SturmChain(p)
         at_lo = chain.values(lo)
         count = _count(at_lo, chain.values(hi))
     if count == 0:

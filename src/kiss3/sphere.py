@@ -8,11 +8,13 @@ CLI boundary and in the point-set text format.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,9 +57,13 @@ class SphericalPoint:
 @dataclass(frozen=True)
 class PointSet:
     points: tuple[SphericalPoint, ...]
+    # the points' unit vectors, from whoever made the set and already held
+    # them with the bits `vectors()` computes; not part of the set's value
+    _rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, points):
+    def __init__(self, points, rows=None):
         object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "_rows", rows)
 
     def __len__(self):
         return len(self.points)
@@ -70,7 +76,10 @@ class PointSet:
 
     def vectors(self) -> np.ndarray:
         """One row per point, with the bits of its `to_vector`: one array
-        over tuples of the same math floats, not one array per point."""
+        over tuples of the same math floats, not one array per point.  A set
+        made with its rows (random_separated_set's) returns a copy of them."""
+        if self._rows is not None:
+            return self._rows.copy()
         rows = []
         for p in self.points:
             st = math.sin(p.theta)
@@ -203,6 +212,55 @@ SAMPLER_BLOCK = 512
 #: Half-width of the cosine band around cos(min_sep) inside which
 #: random_separated_set decides a candidate by the scalar rule.
 SAMPLER_MARGIN = 1e-9
+#: Most accepted points on which random_separated_set runs its jam test.  No
+#: 60-degree separated set has more: their caps of radius 30 degrees are
+#: disjoint, so k (1 - cos 30 deg) / 2 <= 1 and k <= 14.  So every lemma-3
+#: set is tested, on at most C(14, 3) = 364 planes (20-45 us for 4-14 points
+#: on a 2-core VM, about one block of candidates); the planes grow as k^3,
+#: and a huge `sample --n` builds none.
+JAM_TEST_POINTS = 14
+
+
+@lru_cache(maxsize=JAM_TEST_POINTS)
+def _plane_edges(k: int) -> np.ndarray:
+    """Flat indices into the 3 x k x k differences d[x][p][q] = x_q - x_p of
+    k points' coordinates x of the edges b - a and c - a of the C(k, 3)
+    planes through three points a, b, c, each with its coordinates in the
+    order x, y, z, x, y: [edge, coordinate, plane].  Read-only, as every
+    caller gets the cached array."""
+    i, j, l = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).T
+    coordinate = k * k * np.array([0, 1, 2, 0, 1])[:, None]
+    edges = np.array([coordinate + k * i + j, coordinate + k * i + l])
+    edges.flags.writeable = False
+    return edges
+
+
+def caps_cover(vectors: np.ndarray, h: float) -> bool:
+    """Whether the open caps {x : x . p > h}, 0 < h, around the unit vectors
+    p (the rows of `vectors`) cover the sphere.
+
+    They do if and only if the support function m(u) = max_p u . p exceeds
+    h at every unit u.  Where the origin lies inside the points' convex
+    hull, the least m(u) is the distance to the nearest facet plane,
+    attained at that facet's normal; where it does not, some facet normal
+    has m(u) <= 0.  A facet plane passes through three of the points, and
+    m(u) at any other direction is no smaller than its least value, so the
+    least m(u) over the normals of all planes through three points, in both
+    orientations, decides it (a plane through a repeated point has no
+    normal and counts as uncovered).  The caps of k points cover at most
+    k (1 - h) / 2 of the sphere, so fewer than 4 points, or too small caps,
+    never cover it.
+    """
+    k = len(vectors)
+    if k < 4 or k * (1.0 - h) < 2.0:
+        return False
+    xyz = vectors.T
+    b, c = (xyz[:, None, :] - xyz[:, :, None]).ravel()[_plane_edges(k)]
+    normals = b[1:4] * c[2:5] - b[2:5] * c[1:4]  # (b - a) x (c - a), a column per plane
+    heights = vectors @ normals
+    reach = np.minimum(heights.max(axis=0), -heights.min(axis=0))
+    return bool(np.all(reach > h * np.sqrt((normals * normals).sum(axis=0))))
+
 
 _thread_state = threading.local()
 
@@ -259,6 +317,25 @@ def random_separated_set(
 
     Raises SaturationError after max_tries consecutive rejections; its
     `placed` attribute is the PointSet accepted before saturation, in order.
+    It raises the same error, with the same message and points, as soon as
+    no later candidate could be accepted: once per stall, when the
+    rejections since the last acceptance first reach SAMPLER_BLOCK, and
+    while cos(min_sep) > 0 and at most JAM_TEST_POINTS points are placed,
+    it asks `caps_cover` whether the caps of cosine cos(min_sep) +
+    SAMPLER_MARGIN around the placed points cover the sphere.  If they do,
+    every candidate x has a placed point p with x . p > cos(min_sep) +
+    SAMPLER_MARGIN, which both the block test and the scalar rule reject.
+    In floats the computed least support value can exceed the true one only
+    by the error of the normal of the facet that attains it, and of that
+    normal's heights.  caps_cover looks at planes only when k (1 - h) >= 2
+    for the caps' cosine h, so min_sep > 31 degrees for k <= 14; the
+    facet's corners are then min_sep apart, its cross product is at least
+    chord(min_sep)^3 / 2 > 0.07 long (a triangle inscribed in a circle of
+    radius at most 1), and the error is under 1e-13.  A jam therefore means
+    that caps of cosine cos(min_sep) + SAMPLER_MARGIN - 1e-13 cover the
+    sphere, so every cosine the block test or the scalar rule forms, within
+    1e-14 of the true one, rejects.  The returned set, and `placed`, carry
+    the unit vectors the block test used, as their `vectors()`.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -282,6 +359,14 @@ def random_separated_set(
     block = np.empty((3, SAMPLER_BLOCK))
     x, y, z = block
     rejections = 0
+    # the jam test runs once per stall, when the rejections since the last
+    # acceptance first reach a whole block; never for caps of a hemisphere or more
+    jam_test_at = SAMPLER_BLOCK if cos_sep > 0.0 else -1
+
+    def jammed() -> bool:
+        k = len(accepted)
+        return k <= JAM_TEST_POINTS and caps_cover(vectors[:k], reject_above)
+
     while True:
         draws = state.random_sample(2 * SAMPLER_BLOCK)
         np.subtract(2.0 * draws[0::2], 1.0, out=z)
@@ -303,8 +388,10 @@ def random_separated_set(
                 run = SAMPLER_BLOCK - j
             if run:
                 rejections += run
-                if rejections >= max_tries:
-                    raise _saturated(accepted, n, max_tries, min_sep)
+                if rejections >= max_tries or (
+                    rejections - run < jam_test_at <= rejections and jammed()
+                ):
+                    raise _saturated(accepted, vectors, n, max_tries, min_sep)
                 j += run
                 if j == SAMPLER_BLOCK:
                     break
@@ -317,8 +404,8 @@ def random_separated_set(
                 for _, q_phi, q_ct, q_st in accepted
             ):
                 rejections += 1
-                if rejections >= max_tries:
-                    raise _saturated(accepted, n, max_tries, min_sep)
+                if rejections >= max_tries or (rejections == jam_test_at and jammed()):
+                    raise _saturated(accepted, vectors, n, max_tries, min_sep)
             else:
                 if len(accepted) == len(vectors):
                     vectors = np.concatenate((vectors, np.empty_like(vectors)))
@@ -326,22 +413,27 @@ def random_separated_set(
                 accepted.append((theta, phi, ct, st))
                 rejections = 0
                 if len(accepted) == n:
-                    return _point_set(accepted)
+                    return _point_set(accepted, vectors)
                 rest = closest[j + 1 :]
                 np.maximum(rest, vectors[len(accepted) - 1] @ block[:, j + 1 :], out=rest)
             j += 1
 
 
-def _saturated(accepted, n, max_tries, min_sep) -> SaturationError:
+def _saturated(accepted, vectors, n, max_tries, min_sep) -> SaturationError:
     return SaturationError(
         f"placed {len(accepted)}/{n} points before {max_tries} "
         f"consecutive rejections at separation {min_sep}",
-        placed=_point_set(accepted),
+        placed=_point_set(accepted, vectors),
     )
 
 
-def _point_set(accepted) -> PointSet:
-    return PointSet(SphericalPoint(theta, phi) for theta, phi, _, _ in accepted)
+def _point_set(accepted, vectors) -> PointSet:
+    """The accepted points, carrying their unit vectors: the sampler's rows
+    have the bits `PointSet.vectors()` would compute."""
+    return PointSet(
+        (SphericalPoint(theta, phi) for theta, phi, _, _ in accepted),
+        rows=vectors[: len(accepted)],
+    )
 
 
 # -- point-set text format: one "theta_deg phi_deg" pair per line ------------

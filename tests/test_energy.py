@@ -329,6 +329,23 @@ class TestJsonExport:
         )
         assert energy_report_difference(energy_json(summary), summary) is None
 
+    @pytest.mark.parametrize("S_i", [math.nan, math.inf, -math.inf, -0.0, 5e-324])
+    @pytest.mark.parametrize("T_i", [math.nan, math.inf, -math.inf, 1.0 / 3.0])
+    def test_non_finite_per_point_values(self, energy_report_difference, S_i, T_i):
+        # the per-point floats share one encode; each keeps its own spelling
+        # wherever it stands in the list
+        summary = EnergySummary(
+            n=3,
+            S=math.nan,
+            per_point=(
+                PerPoint(S_i, T_i, (2,)),
+                PerPoint(T_i, S_i, ()),
+                PerPoint(1e-300, -2.5, (0, 1)),
+            ),
+            min_sep=math.inf,
+        )
+        assert energy_report_difference(energy_json(summary), summary) is None
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_thousand_points(self, cert, energy_report_difference, seed):
         summary = energy(random_point_set(random.Random(seed), 1000), cert)

@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from kiss3 import harness, sphere
 from kiss3.energy import energy, expansion_energies, set_energies
 from kiss3.errors import SaturationError, SeparationViolation
 from kiss3.harness import (
@@ -26,7 +27,7 @@ from kiss3.harness import (
 )
 from kiss3.legendre import addition_weights, gegenbauer_sums, legendre, to_legendre_basis
 from kiss3.polynomial import RationalPoly
-from kiss3.sphere import PointSet, random_point, random_separated_set
+from kiss3.sphere import CosineBatch, PointSet, random_point, random_separated_set, unit_vectors
 
 FAST = dict(lemma1_sets=50, lemma3_sets=10)
 
@@ -250,10 +251,11 @@ def _batched(seed, count, cert):
     sizes, sums, S, gaps = [], [], [], []
     for batch in _random_sets(rng, count):
         sizes += batch.sizes.tolist()
-        sums += gegenbauer_sums(batch.cos, batch.starts, range(10)).T.tolist()
+        batch_sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
+        sums += batch_sums.T.tolist()
         energies = set_energies(batch, cert)
         S += energies.tolist()
-        gaps += np.abs(energies - expansion_energies(batch, cert)).tolist()
+        gaps += np.abs(energies - expansion_energies(batch_sums, cert)).tolist()
     return sizes, sums, S, gaps, rng.random()
 
 
@@ -276,6 +278,24 @@ class TestLemmaBatch:
             assert np.allclose(row, _reference_sums(ps), rtol=0.0, atol=tol)
             assert abs(s - energy(ps, cert).S) <= tol
             assert abs(gap - _reference_gap(ps, cert)) <= tol
+
+    @pytest.mark.parametrize("seed, count", [(42, 1000), (5, LEMMA_BLOCK + 1)])
+    def test_draws_are_uniform_bits(self, seed, count):
+        # the chunks take rng.random() and form the uniforms as arrays; the
+        # cosines are bit for bit those of rng.uniform's own floats
+        rng, uniform_rng = random.Random(seed), random.Random(seed)
+        for batch in _random_sets(rng, count):
+            sizes, draws = [], []
+            for _ in range(len(batch.sizes)):
+                n = uniform_rng.randint(1, 16)
+                sizes.append(n)
+                for _ in range(n):
+                    draws += (uniform_rng.uniform(-1.0, 1.0), uniform_rng.uniform(0.0, 2 * math.pi))
+            draws = np.array(draws)
+            expected = CosineBatch(unit_vectors(draws[0::2], draws[1::2]), sizes)
+            assert batch.sizes.tolist() == sizes
+            assert batch.cos.tobytes() == expected.cos.tobytes()
+        assert rng.random() == uniform_rng.random()
 
     def test_covers_every_size(self, cert):
         sizes = _batched(42, 1000, cert)[0] + _batched(3, 1100, cert)[0]
@@ -408,3 +428,87 @@ class TestLemma3Batch:
         assert result.failures == [
             f"{bad} separated sets with a point where S_i > T_i or T_i >= 13"
         ]
+
+
+class TestSharedRandomSets:
+    """lemma1 and lemma2 draw, batch and Gegenbauer-sum their random sets in
+    one pass per run, and each reports what it reports alone."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(rng, count):
+            calls.append(count)
+            return _random_sets(rng, count)
+
+        monkeypatch.setattr(harness, "_random_sets", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "suites", [("lemma1",), ("lemma2",), ("lemma1", "lemma2"), ALL_SUITES]
+    )
+    def test_one_pass(self, passes, suites):
+        report = run(RunConfig(suites=suites, lemma1_sets=LEMMA_BLOCK + 3, lemma3_sets=5))
+        assert report.ok
+        assert passes == [LEMMA_BLOCK + 3]
+
+    @pytest.mark.parametrize("seed", [42, 8])
+    @pytest.mark.parametrize("count", [0, 2 * LEMMA_BLOCK + 5, 1000])
+    def test_suites_report_as_alone(self, cert, seed, count):
+        splits = [("lemma1",), ("lemma2",), ("lemma1", "lemma2"), ALL_SUITES]
+        reports = {
+            suites: json.loads(
+                run(RunConfig(seed=seed, suites=suites, lemma1_sets=count, lemma3_sets=5)).to_json()
+            )["suites"]
+            for suites in splits
+        }
+        for name in ("lemma1", "lemma2"):
+            alone = json.dumps(reports[(name,)][name], sort_keys=True)
+            for suites in splits[2:]:
+                assert json.dumps(reports[suites][name], sort_keys=True) == alone
+        if count < 1000:  # the per-set reference loops take their time
+            config = RunConfig(seed=seed, lemma1_sets=count)
+            for name, reference in (
+                ("lemma1", _reference_lemma1(config)),
+                ("lemma2", _reference_lemma2(config, cert)),
+            ):
+                assert reports[(name,)][name] == {
+                    "passed": reference.passed,
+                    "failed": reference.failed,
+                    "skipped": reference.skipped,
+                    "failures": reference.failures,
+                }
+
+
+class _CountingState:
+    def __init__(self, state, counts):
+        self.state, self.counts = state, counts
+
+    def random_sample(self, size):
+        self.counts["blocks"] += 1
+        return self.state.random_sample(size)
+
+
+def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
+    """The default lemma3 suite at seed 42 draws 886 blocks of candidates and
+    runs 218 jam tests, 125 of which find a jam; without the jam test it
+    draws 1,232 blocks.  The report is the same either way."""
+    counts = {"blocks": 0, "tests": 0, "jams": 0}
+    seeded, caps_cover = sphere._seeded_state, sphere.caps_cover
+
+    def counted_cover(vectors, h):
+        counts["tests"] += 1
+        covered = caps_cover(vectors, h)
+        counts["jams"] += covered
+        return covered
+
+    monkeypatch.setattr(sphere, "_seeded_state", lambda seed: _CountingState(seeded(seed), counts))
+    monkeypatch.setattr(sphere, "caps_cover", counted_cover)
+    config = RunConfig(seed=42)
+    result = _suite_lemma3(config, cert)
+    assert counts == {"blocks": 886, "tests": 218, "jams": 125}
+    monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
+    counts.update(blocks=0, tests=0)
+    assert _suite_lemma3(config, cert) == result
+    assert counts["blocks"] == 1232 and counts["tests"] == 0

@@ -412,6 +412,181 @@ class TestBlockTest:
         assert sphere._seeded_state(seed).random_sample(10_000).tolist() == expected
 
 
+def _unit(theta, phi):
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+#: The jam test's cap cosine at 60 degrees, as random_separated_set asks it.
+SIXTY_CAPS = math.cos(math.pi / 3) + sphere.SAMPLER_MARGIN
+
+
+class _CountingState:
+    """A sampler RandomState that counts its random_sample blocks."""
+
+    def __init__(self, state, counts):
+        self.state, self.counts = state, counts
+
+    def random_sample(self, size):
+        self.counts["blocks"] += 1
+        return self.state.random_sample(size)
+
+
+@pytest.fixture
+def sampler_counts(monkeypatch):
+    """Counts the sampler's random_sample blocks and caps_cover calls, with
+    the size of each set caps_cover is asked about."""
+    counts = {"blocks": 0, "covered": [], "tested": []}
+    seeded, caps_cover = sphere._seeded_state, sphere.caps_cover
+
+    def counted_cover(vectors, h):
+        counts["tested"].append(len(vectors))
+        covered = caps_cover(vectors, h)
+        counts["covered"].append(covered)
+        return covered
+
+    monkeypatch.setattr(sphere, "_seeded_state", lambda seed: _CountingState(seeded(seed), counts))
+    monkeypatch.setattr(sphere, "caps_cover", counted_cover)
+    return counts
+
+
+class TestJamTest:
+    """caps_cover decides whether 60-degree caps cover the sphere, and the
+    sampler stops on it without changing what it returns or raises."""
+
+    OCTAHEDRON = np.array(
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float
+    )
+    CUBE = np.array(
+        [[x, y, z] for x in (1, -1) for y in (1, -1) for z in (1, -1)], dtype=float
+    ) / math.sqrt(3.0)
+
+    @pytest.mark.parametrize("name", ["octahedron", "cube", "icosahedron"])
+    def test_regular_solids_are_covered(self, name):
+        vectors = {
+            "octahedron": self.OCTAHEDRON,
+            "cube": self.CUBE,
+            "icosahedron": icosahedron().vectors(),
+        }[name]
+        for seed in range(5):
+            turned = vectors @ random_rotation(seed).T
+            assert sphere.caps_cover(turned, SIXTY_CAPS)
+            assert sphere.caps_cover(turned[::-1].copy(), SIXTY_CAPS)
+
+    def test_octahedron_is_covered_just_above_its_covering_radius(self):
+        # its covering radius is arccos(1/sqrt(3)), about 54.7 degrees
+        assert sphere.caps_cover(self.OCTAHEDRON, 1.0 / math.sqrt(3.0) - 1e-9)
+        assert not sphere.caps_cover(self.OCTAHEDRON, 1.0 / math.sqrt(3.0) + 1e-9)
+
+    def test_five_points_never_cover(self):
+        # the best five-point covering, the triangular bipyramid, needs caps
+        # of 63.4 degrees
+        bipyramid = np.array(
+            [_unit(0.0, 0.0), _unit(math.pi, 0.0)]
+            + [_unit(math.pi / 2, k * 2 * math.pi / 3) for k in range(3)]
+        )
+        assert not sphere.caps_cover(bipyramid, SIXTY_CAPS)
+        assert sphere.caps_cover(bipyramid, math.cos(math.radians(63.5)))
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            v = rng.normal(size=(5, 3))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            assert not sphere.caps_cover(v, SIXTY_CAPS)
+
+    def test_fewer_than_four_points_never_cover(self):
+        for k in range(4):
+            assert not sphere.caps_cover(self.OCTAHEDRON[:k], 1e-3)
+
+    def test_hemisphere_set_is_not_covered(self):
+        # every point has z >= 0, so the south pole is outside every cap; a
+        # test that turns each normal away from the origin misses it
+        ring = [_unit(math.pi / 2, k * math.pi / 4) for k in range(8)]
+        cap = [_unit(math.pi / 4, k * math.pi / 2) for k in range(4)] + [_unit(0.0, 0.0)]
+        for vectors in (np.array(ring + cap), np.array(ring[::2] + cap)):
+            assert not sphere.caps_cover(vectors, SIXTY_CAPS)
+            assert not sphere.caps_cover(vectors, 1e-3)
+
+    def test_covering_radius_just_under_sixty_degrees(self):
+        # a triangle at colatitude r about the north pole, the triangle
+        # turned by 60 degrees at colatitude 120 degrees, and the south
+        # pole: the top facet is the farthest from the origin's caps, so
+        # the covering radius is r, 1e-12 under 60 degrees
+        r = math.pi / 3 - 1e-12
+        vectors = np.array(
+            [_unit(r, k * 2 * math.pi / 3) for k in range(3)]
+            + [_unit(2 * math.pi / 3, (2 * k + 1) * math.pi / 3) for k in range(3)]
+            + [_unit(math.pi, 0.0)]
+        )
+        assert not sphere.caps_cover(vectors, SIXTY_CAPS)
+        assert sphere.caps_cover(vectors, math.cos(r) - 1e-9)
+        assert not sphere.caps_cover(vectors, math.cos(r) + 1e-9)
+
+    def test_repeated_point_is_not_covered(self):
+        assert not sphere.caps_cover(np.concatenate((self.OCTAHEDRON, self.OCTAHEDRON[:1])), 0.5)
+
+    def test_always_covered_breaks_the_block_test(self, monkeypatch):
+        # the shortcut is only sound because caps_cover is: one that always
+        # says "covered" stops sets that would still have grown
+        monkeypatch.setattr(sphere, "caps_cover", lambda vectors, h: True)
+        with pytest.raises(AssertionError):
+            TestBlockTest().test_max_tries(2000)
+
+    def test_jammed_seed_stops_early(self, monkeypatch, sampler_counts):
+        def outcome():
+            return _block_test(13, math.pi / 3, 0, 2000)
+
+        jammed = outcome()
+        assert jammed[0] == "saturated" and sampler_counts["covered"] == [True]
+        blocks = sampler_counts["blocks"]
+        monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
+        sampler_counts["blocks"] = 0
+        assert outcome() == jammed
+        # at the stall the rest of max_tries is still to draw
+        assert sampler_counts["blocks"] >= blocks + (2000 - SAMPLER_BLOCK) // SAMPLER_BLOCK
+
+    def test_a_jam_ends_the_call(self, sampler_counts):
+        # no test follows one that found a jam; the seeds give both answers
+        for seed in range(40):
+            before = len(sampler_counts["tested"])
+            try:
+                random_separated_set(12, math.pi / 3, seed, max_tries=4 * SAMPLER_BLOCK)
+            except SaturationError:
+                pass
+            covered = sampler_counts["covered"][before:]
+            assert True not in covered[:-1]
+        assert True in sampler_counts["covered"] and False in sampler_counts["covered"]
+
+    def test_never_tested_above_the_point_cap(self, sampler_counts):
+        # 40-degree sets jam at 16 to 19 points, past JAM_TEST_POINTS, and
+        # stall on the way there too
+        for seed in range(6):
+            with pytest.raises(SaturationError) as info:
+                random_separated_set(200, math.radians(40.0), seed, max_tries=2000)
+            assert len(info.value.placed) > sphere.JAM_TEST_POINTS
+        tested = sampler_counts["tested"]
+        assert tested and max(tested) <= sphere.JAM_TEST_POINTS
+
+    def test_never_tested_past_a_right_angle(self, sampler_counts):
+        # cos(min_sep) < 0: the caps are more than hemispheres
+        for min_sep in (1.6, 2.0, 3.0):
+            for seed in range(5):
+                with pytest.raises(SaturationError):
+                    random_separated_set(12, min_sep, seed, max_tries=2000)
+        assert sampler_counts["tested"] == []
+
+    def test_sets_carry_their_vectors(self):
+        sets = [random_separated_set(6, math.pi / 3, seed) for seed in range(10)]
+        for seed in range(10):
+            with pytest.raises(SaturationError) as info:
+                random_separated_set(13, math.pi / 3, seed, max_tries=2000)
+            sets.append(info.value.placed)
+        for ps in sets:
+            assert ps._rows is not None
+            carried = ps.vectors()
+            assert carried.tobytes() == PointSet(ps.points).vectors().tobytes()
+            carried[0] = 0.0  # a copy: the set's own rows stay as they were
+            assert ps.vectors().tobytes() == PointSet(ps.points).vectors().tobytes()
+
+
 def test_more_points_than_one_block():
     # the accepted vectors outgrow the SAMPLER_BLOCK rows they start with
     n = 2 * SAMPLER_BLOCK + 1

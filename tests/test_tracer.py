@@ -37,11 +37,13 @@ def test_install_trace_uninstall(tracer):
         t.uninstall()
     assert report.ok
     metrics = t.metrics()
-    # four chains for the certificate and its two properties; the F1/F2
+    # one chain of f, shared by the certificate's root count, its t0
+    # isolation and property ii, and one of f' for property i; the F1/F2
     # maxima come from Bernstein coefficients and build none
-    assert metrics["polynomial.sturm_chain.calls"] == 4
+    assert metrics["polynomial.sturm_chain.calls"] == 2
     assert metrics["polynomial.sturm_chain.max_bits"] == 129
-    # the root isolation evaluates the chain once per point
+    # the root isolation evaluates the chain once per point; sharing the
+    # chain builds fewer chains but evaluates the same points
     assert metrics["polynomial.eval.calls"] == 132
     assert metrics["polynomial.isolate_root.calls"] > 0
     # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
