@@ -41,8 +41,12 @@ from .polynomial import Interval
 SCHEMA_VERSION = 2
 
 #: Random point sets drawn and evaluated together by the lemma suites.  It
-#: bounds their working set (under 1 MB of arrays at 128 sets of at most 16
-#: points), whatever --lemma1-sets and --lemma3-sets are.
+#: bounds their working set, whatever --lemma1-sets and --lemma3-sets are:
+#: under 1 MB of arrays at 128 sets of at most 16 points.  lemma3 samples a
+#: chunk's sets together, in rounds whose arrays stay under 1 MB (at most
+#: 2^13 candidates at a time; a default run peaks about 1 MB above its
+#: start), from a pool of 128 RandomStates (about 0.4 MB) that the thread
+#: keeps.
 LEMMA_BLOCK = 128
 
 ALL_SUITES = ("certificate", "lemma1", "lemma2", "lemma3", "bounds", "theorem", "refine")
@@ -328,32 +332,27 @@ def _suite_lemma2(config: RunConfig, cert, shared=None) -> SuiteResult:
 
 def _separated_sets(config: RunConfig, s: SuiteResult):
     """The lemma 3 suite's tested point sets, LEMMA_BLOCK at a time, each
-    chunk as one sphere.CosineBatch; a set of fewer than 2 points counts as
-    a skip in `s` instead.
+    chunk as one sphere.CosineBatch of the sampler's unit vectors; a set of
+    fewer than 2 points counts as a skip in `s` instead.
 
     Set i has rng.randint(2, 12) points, rng = random.Random(seed + 1), and
-    is random_separated_set(n, 60 degrees, seed + 1000 + i).  When that set
-    saturates, every smaller target on its seed places the same points, so
-    the points already placed are tested instead.
+    is sampled as random_separated_set(n, 60 degrees, seed + 1000 + i) would
+    sample it, a chunk's sets together.  When that set saturates, every
+    smaller target on its seed places the same points, so the points already
+    placed are tested instead.
     """
     rng = random.Random(config.seed + 1)
-    chunk = []
-    for i in range(config.lemma3_sets):
-        n = rng.randint(2, 12)
-        try:
-            ps = sphere.random_separated_set(
-                n, math.pi / 3.0, seed=config.seed + 1000 + i, max_tries=2000
-            )
-        except sphere.SaturationError as exc:
-            ps = exc.placed
-        if len(ps) < 2:
-            s.skipped += 1
-        else:
-            chunk.append(ps)
-        if len(chunk) == LEMMA_BLOCK or (chunk and i == config.lemma3_sets - 1):
-            vectors = np.concatenate([ps.vectors() for ps in chunk])
-            yield sphere.CosineBatch(vectors, [len(ps) for ps in chunk])
-            chunk = []
+    for first in range(0, config.lemma3_sets, LEMMA_BLOCK):
+        seeds = range(
+            config.seed + 1000 + first,
+            config.seed + 1000 + min(first + LEMMA_BLOCK, config.lemma3_sets),
+        )
+        sizes = [rng.randint(2, 12) for _ in seeds]
+        sampled = sphere.random_separated_sets(sizes, math.pi / 3.0, seeds, max_tries=2000)
+        tested = [vectors for _, vectors, _ in sampled if len(vectors) >= 2]
+        s.skipped += len(sampled) - len(tested)
+        if tested:
+            yield sphere.CosineBatch(np.concatenate(tested), [len(v) for v in tested])
 
 
 def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:

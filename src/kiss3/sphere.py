@@ -15,6 +15,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,12 +208,16 @@ def random_point(rng: random.Random) -> SphericalPoint:
     return SphericalPoint(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, TWO_PI))
 
 
-#: Candidates drawn and filtered together by random_separated_set.
+#: Candidates per set drawn and filtered together by each of the sampler's
+#: rounds after the first few.
 SAMPLER_BLOCK = 512
-#: Half-width of the cosine band around cos(min_sep) inside which
-#: random_separated_set decides a candidate by the scalar rule.
+#: Candidates per set in the sampler's first round; each later round draws
+#: twice as many as the one before, up to SAMPLER_BLOCK.
+SAMPLER_FIRST_BLOCK = 32
+#: Half-width of the cosine band around cos(min_sep) inside which the
+#: sampler decides a candidate by the scalar rule.
 SAMPLER_MARGIN = 1e-9
-#: Most accepted points on which random_separated_set runs its jam test.  No
+#: Most accepted points on which the sampler runs its jam test.  No
 #: 60-degree separated set has more: their caps of radius 30 degrees are
 #: disjoint, so k (1 - cos 30 deg) / 2 <= 1 and k <= 14.  So every lemma-3
 #: set is tested, on at most C(14, 3) = 364 planes (20-45 us for 4-14 points
@@ -265,31 +270,52 @@ def caps_cover(vectors: np.ndarray, h: float) -> bool:
 _thread_state = threading.local()
 
 
-def _seeded_state(seed: int):
-    """A numpy RandomState whose random_sample stream is random.Random(seed)'s
-    random() stream.
+def _seeded_states(seeds) -> list:
+    """One numpy RandomState per seed, whose random_sample stream is
+    random.Random(seed)'s random() stream.
 
     Both seed MT19937 by init_by_array on the 32-bit words of abs(seed),
     least significant first (one zero word for seed 0), and build each double
     from two 32-bit outputs the same way; NumPy keeps this legacy stream
-    frozen.  One state per thread, made on the first call, so importing this
-    module does not load numpy.random.
+    frozen.  The states are a pool of the calling thread's, reseeded on each
+    call and grown to the most seeds a call has asked for; none is made
+    before the first call, so importing this module does not load
+    numpy.random.  A pool state starts from a constant seed sequence, not
+    the OS entropy a fresh RandomState() gathers, as reseeding overwrites it.
     """
-    state = getattr(_thread_state, "state", None)
-    if state is None:
-        from numpy.random import RandomState
+    pool = getattr(_thread_state, "pool", None)
+    if pool is None:
+        pool = _thread_state.pool = []
+    if len(pool) < len(seeds):
+        from numpy.random import MT19937, RandomState
+        from numpy.random.bit_generator import ISeedSequence
 
-        state = _thread_state.state = RandomState()
-    a = abs(operator.index(seed))
-    state.seed([(a >> s) & 0xFFFFFFFF for s in range(0, max(a.bit_length(), 1), 32)])
-    return state
+        class Constant(ISeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                # MT19937 copies the words one at a time: a list is quickest
+                return [0] * n_words
+
+        pool += (RandomState(MT19937(Constant())) for _ in range(len(seeds) - len(pool)))
+    for state, seed in zip(pool, seeds):
+        a = abs(operator.index(seed))
+        state.seed([(a >> s) & 0xFFFFFFFF for s in range(0, max(a.bit_length(), 1), 32)])
+    return pool[: len(seeds)]
 
 
-def random_separated_set(
-    n: int, min_sep: float, seed: int, max_tries: int = 20000
-) -> PointSet:
-    """n area-uniform points accepted by rejection against the separation
-    constraint; deterministic for a fixed seed.
+class SampledSet(NamedTuple):
+    """One set of `random_separated_sets`."""
+
+    angles: list[tuple[float, float]]  # (theta, phi) of each accepted point, in draw order
+    vectors: np.ndarray  # their unit vectors, one row each
+    saturated: bool  # whether the sampler stopped before placing all it was asked for
+
+
+def random_separated_sets(
+    sizes, min_sep: float, seeds, max_tries: int = 20000
+) -> list[SampledSet]:
+    """For each target sizes[i] = n and seed seeds[i], n area-uniform points
+    accepted by rejection against the separation constraint, as a
+    `SampledSet`; deterministic for a fixed seed.
 
     The draw sequence is part of the output contract.  Each candidate takes
     two draws from random.Random(seed): colatitude acos(uniform(-1, 1)), then
@@ -297,13 +323,14 @@ def random_separated_set(
     acos(_clamp(cos t cos t' + sin t sin t' cos(phi - phi'))), on math values,
     to every point already accepted is at least min_sep.  A seed therefore
     places the same points in the same order whatever n is, and the set for
-    n is a prefix of the set for any larger n.
+    n is a prefix of the set for any larger n.  After max_tries consecutive
+    rejections the set stops, saturated, with the points accepted so far.
 
-    The candidates are drawn and tested in blocks of SAMPLER_BLOCK, from a
-    numpy RandomState that reproduces random.Random(seed)'s doubles, and the
-    block test is decision-exact: it accepts and rejects exactly the
-    candidates the scalar rule does.  The test's cosine c from a candidate to
-    an accepted point is a product of unit vectors and lies within 1e-14 of
+    The candidates are drawn and tested in blocks, from a numpy RandomState
+    per seed that reproduces random.Random(seed)'s doubles, and the block
+    test is decision-exact: it accepts and rejects exactly the candidates
+    the scalar rule does.  The test's cosine c from a candidate to an
+    accepted point is a product of unit vectors and lies within 1e-14 of
     the scalar rule's sum.  One unit in the last place of math.acos, or of
     math.cos(min_sep), moves the cosine at min_sep by under 1e-15 (a relative
     error e in an angle x moves its cosine by x sin(x) e, and x sin(x) < pi).
@@ -315,125 +342,221 @@ def random_separated_set(
     values.  The argument needs 0 <= min_sep <= pi, where acos(c) >= min_sep
     means c <= cos(min_sep); other values, NaN included, raise ValueError.
 
-    Raises SaturationError after max_tries consecutive rejections; its
-    `placed` attribute is the PointSet accepted before saturation, in order.
-    It raises the same error, with the same message and points, as soon as
-    no later candidate could be accepted: once per stall, when the
-    rejections since the last acceptance first reach SAMPLER_BLOCK, and
-    while cos(min_sep) > 0 and at most JAM_TEST_POINTS points are placed,
-    it asks `caps_cover` whether the caps of cosine cos(min_sep) +
-    SAMPLER_MARGIN around the placed points cover the sphere.  If they do,
-    every candidate x has a placed point p with x . p > cos(min_sep) +
-    SAMPLER_MARGIN, which both the block test and the scalar rule reject.
-    In floats the computed least support value can exceed the true one only
-    by the error of the normal of the facet that attains it, and of that
-    normal's heights.  caps_cover looks at planes only when k (1 - h) >= 2
-    for the caps' cosine h, so min_sep > 31 degrees for k <= 14; the
-    facet's corners are then min_sep apart, its cross product is at least
+    The sets are sampled together, in rounds: in each, every set not yet
+    done draws its next block, SAMPLER_FIRST_BLOCK candidates in the first
+    round and twice as many in each later one up to SAMPLER_BLOCK, and the
+    blocks' unit vectors and the largest cosine from each candidate to its
+    set's accepted points are computed for many sets at once.  Then those
+    sets step through their blocks in lockstep, each taking its next
+    candidate that the filter does not reject; one that a set accepts
+    raises the largest cosines of that set's later candidates.  The lockstep
+    is decision-exact too.  Each set reads only its own stream, in draw
+    order, and its block test sees the cosines to exactly the points it has
+    accepted before each candidate, whatever the other sets do.  Its
+    rejections are counted candidate by candidate, across block ends, so a
+    stall reaches max_tries, and the jam test below, at the same candidate
+    whatever the block sizes.  So neither the blocks nor the other sets
+    change what a set accepts, rejects, tests or returns.
+
+    A set also stops, saturated with the same points, as soon as no later
+    candidate could be accepted: once per stall, when the rejections since
+    the last acceptance first reach SAMPLER_BLOCK, and while cos(min_sep) >
+    0 and at most JAM_TEST_POINTS points are placed, the sampler asks
+    `caps_cover` whether the caps of cosine cos(min_sep) + SAMPLER_MARGIN
+    around the placed points cover the sphere.  If they do, every candidate
+    x has a placed point p with x . p > cos(min_sep) + SAMPLER_MARGIN,
+    which both the block test and the scalar rule reject.  In floats the
+    computed least support value can exceed the true one only by the error
+    of the normal of the facet that attains it, and of that normal's
+    heights.  caps_cover looks at planes only when k (1 - h) >= 2 for the
+    caps' cosine h, so min_sep > 31 degrees for k <= 14; the facet's
+    corners are then min_sep apart, its cross product is at least
     chord(min_sep)^3 / 2 > 0.07 long (a triangle inscribed in a circle of
     radius at most 1), and the error is under 1e-13.  A jam therefore means
     that caps of cosine cos(min_sep) + SAMPLER_MARGIN - 1e-13 cover the
     sphere, so every cosine the block test or the scalar rule forms, within
-    1e-14 of the true one, rejects.  The returned set, and `placed`, carry
-    the unit vectors the block test used, as their `vectors()`.
+    1e-14 of the true one, rejects.  Each set's `vectors` are the unit
+    vectors its block test used, from the accepted points' math values.
     """
-    if n < 1:
+    sizes = list(sizes)
+    if len(sizes) != len(seeds):
+        raise ValueError("need one seed per set")
+    if any(n < 1 for n in sizes):
         raise ValueError("need n >= 1")
     if not 0.0 <= min_sep <= math.pi:
         raise ValueError(f"min_sep must lie in [0, pi], got {min_sep}")
-    state = _seeded_state(seed)
+    states = _seeded_states(seeds)
     acos, cos, sin = math.acos, math.cos, math.sin
     cos_sep = cos(min_sep)
     accept_below = cos_sep - SAMPLER_MARGIN
     reject_above = cos_sep + SAMPLER_MARGIN
-    # (theta, phi, cos theta, sin theta) of each accepted point; the sums are
-    # the ones cos_law forms, in the same operand order, so the scalar rule
-    # agrees bit for bit with angular_distance.  `vectors` holds their unit
-    # vectors for the block test, in rows that double as they fill up: n
-    # itself may be far more than memory holds.
-    accepted: list[tuple[float, float, float, float]] = []
-    vectors = np.empty((min(n, SAMPLER_BLOCK), 3))
-    # The block's unit vectors are its columns, so that the largest cosine
-    # of each candidate reduces the (accepted, candidate) product along its
-    # long axis; its rows take unit_vectors' operations, and bits.
-    block = np.empty((3, SAMPLER_BLOCK))
-    x, y, z = block
-    rejections = 0
     # the jam test runs once per stall, when the rejections since the last
     # acceptance first reach a whole block; never for caps of a hemisphere or more
     jam_test_at = SAMPLER_BLOCK if cos_sep > 0.0 else -1
+    # (theta, phi, cos theta, sin theta) of each set's accepted points; the
+    # sums are the ones cos_law forms, in the same operand order, so the
+    # scalar rule agrees bit for bit with angular_distance.
+    accepted = [[] for _ in sizes]
+    rejections = [0] * len(sizes)
+    saturated = [False] * len(sizes)
+    # The sets still sampling, and for each, the unit vectors of its k
+    # accepted points in points[row, :k] and copies of the first in its later
+    # rows, which leave the largest cosine to the set's points as it is.  The
+    # rows double as they fill up: a target may be far more than memory holds.
+    live = list(range(len(sizes)))
+    points = np.zeros((len(sizes), min(max(sizes, default=1), SAMPLER_BLOCK), 3))
 
-    def jammed() -> bool:
-        k = len(accepted)
-        return k <= JAM_TEST_POINTS and caps_cover(vectors[:k], reject_above)
+    def jammed(row, i) -> bool:
+        k = len(accepted[i])
+        return k <= JAM_TEST_POINTS and caps_cover(points[row, :k], reject_above)
 
-    while True:
-        draws = state.random_sample(2 * SAMPLER_BLOCK)
+    def sample(first: int, rows: int, size: int):
+        """One round of the `rows` sets from live[first], `size` candidates each."""
+        nonlocal points
+        draws = [states[i].random_sample(2 * size) for i in live[first : first + rows]]
+        draws = np.concatenate(draws) if rows > 1 else draws[0]
+        # Five planes over the candidates, set after set: their unit vectors'
+        # x, y and z, whose (rows, 3, size) view holds each set's block of
+        # columns, so that the largest cosine of each candidate reduces the
+        # (accepted, candidate) product along its long axis; their azimuths;
+        # and their largest cosines to their set's accepted points.  z and
+        # the azimuths have the bits of random.Random's uniform(-1, 1) and
+        # uniform(0, 2pi) on the same doubles, x and y unit_vectors' bits.
+        table = np.empty((5, rows * size))
+        x, y, z, azimuth, closest = table
         np.subtract(2.0 * draws[0::2], 1.0, out=z)
+        np.multiply(TWO_PI, draws[1::2], out=azimuth)
+        del draws
         s = np.sqrt((1.0 - z) * (1.0 + z))
-        azimuth = TWO_PI * draws[1::2]
         np.multiply(s, np.cos(azimuth), out=x)
         np.multiply(s, np.sin(azimuth), out=y)
-        # largest cosine from each candidate to an accepted point
-        if accepted:
-            closest = (vectors[: len(accepted)] @ block).max(axis=0)
+        del s
+        block = table[:3].reshape(3, rows, size).transpose(1, 0, 2)
+        closest = closest.reshape(rows, size)
+        # every set accepts the first candidate of its first round, so a
+        # round's sets have all accepted points or none
+        k = max(len(accepted[i]) for i in live[first : first + rows])
+        if k:
+            # on at most 2^15 products (256 kB) at a time: whole sets, or part of one
+            sets = max(1, (1 << 15) // (k * size))
+            part = min(k, (1 << 15) // size)
+            for r in range(0, rows, sets):
+                their = points[first + r : first + min(r + sets, rows)]
+                top = closest[r : r + sets]
+                (their[:, :part] @ block[r : r + sets]).max(axis=1, out=top)
+                for p in range(part, k, part):
+                    product = their[:, p : p + part] @ block[r : r + sets]
+                    np.maximum(top, product.max(axis=1), out=top)
         else:
-            closest = np.full(SAMPLER_BLOCK, -np.inf)
-        j = 0
-        while j < SAMPLER_BLOCK:
-            # the run of candidates the filter rejects, up to the next that survives it
-            survives = closest[j:] <= reject_above
-            run = int(survives.argmax())
-            if not survives[run]:
-                run = SAMPLER_BLOCK - j
-            if run:
-                rejections += run
-                if rejections >= max_tries or (
-                    rejections - run < jam_test_at <= rejections and jammed()
+            closest.fill(-np.inf)
+        # The lockstep: each active row takes its next candidate that the
+        # filter does not reject, and marks it taken with a cosine of +inf.
+        # One gather reads the candidates' z, azimuths and cosines.  new[row]
+        # is a point the row's set has accepted, the latest once it accepts
+        # one in this round: raising the set's cosines by their cosines to it
+        # leaves them right.
+        start = [0] * rows
+        active = list(range(rows))
+        offsets = np.arange(0, rows * size, size)
+        read = table[2:]
+        new = None
+        while active:
+            nxt = (closest <= reject_above).argmax(axis=1)
+            cos_thetas, azimuths, cosines = read.take(nxt + offsets, axis=1).tolist()
+            nxt = nxt.tolist()
+            going = []
+            grew = False
+            for row in active:
+                i = live[first + row]
+                c = cosines[row]
+                j = nxt[row] if c <= reject_above else size
+                run = j - start[row]
+                if run:
+                    # the run of candidates the filter rejects, up to the next that survives it
+                    r = rejections[i] = rejections[i] + run
+                    if r >= max_tries or (r - run < jam_test_at <= r and jammed(first + row, i)):
+                        saturated[i] = True
+                        continue
+                if j == size:
+                    continue
+                start[row] = j + 1
+                closest[row, j] = np.inf
+                theta = acos(cos_thetas[row])
+                phi = azimuths[row] % TWO_PI
+                ct, st = cos(theta), sin(theta)
+                if c > accept_below and not all(
+                    acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep
+                    for _, q_phi, q_ct, q_st in accepted[i]
                 ):
-                    raise _saturated(accepted, vectors, n, max_tries, min_sep)
-                j += run
-                if j == SAMPLER_BLOCK:
-                    break
-            # random.Random's uniform(-1, 1) and uniform(0, 2pi) on the same doubles
-            theta = acos(-1.0 + 2.0 * float(draws[2 * j]))
-            phi = TWO_PI * float(draws[2 * j + 1]) % TWO_PI
-            ct, st = cos(theta), sin(theta)
-            if closest[j] > accept_below and not all(
-                acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep
-                for _, q_phi, q_ct, q_st in accepted
-            ):
-                rejections += 1
-                if rejections >= max_tries or (rejections == jam_test_at and jammed()):
-                    raise _saturated(accepted, vectors, n, max_tries, min_sep)
+                    r = rejections[i] = rejections[i] + 1
+                    if r >= max_tries or (r == jam_test_at and jammed(first + row, i)):
+                        saturated[i] = True
+                        continue
+                else:
+                    k = len(accepted[i])
+                    if k == points.shape[1]:
+                        copies = np.repeat(points[:, :1], k, axis=1)
+                        points = np.concatenate((points, copies), axis=1)
+                    v = (st * cos(phi), st * sin(phi), ct)
+                    points[first + row, k if k else slice(None)] = v
+                    accepted[i].append((theta, phi, ct, st))
+                    rejections[i] = 0
+                    if k + 1 == sizes[i]:
+                        continue
+                    if new is None:
+                        new = points[first : first + rows, :1].copy()
+                    new[row, 0] = v
+                    grew = True
+                going.append(row)
+            if grew:
+                np.maximum(closest, (new @ block)[:, 0], out=closest)
+            active = going
+
+    done = [None] * len(sizes)  # each set's points' unit vectors, once it stops
+    size = SAMPLER_FIRST_BLOCK
+    while live:
+        # a round's sets go in groups of at most 2^13 candidates, so that
+        # its arrays stay under 1 MB
+        group = max(1, (1 << 13) // size)
+        for first in range(0, len(live), group):
+            sample(first, min(group, len(live) - first), size)
+        keep = []
+        for row, i in enumerate(live):
+            if saturated[i] or len(accepted[i]) == sizes[i]:
+                done[i] = points[row, : len(accepted[i])]
             else:
-                if len(accepted) == len(vectors):
-                    vectors = np.concatenate((vectors, np.empty_like(vectors)))
-                vectors[len(accepted)] = (st * cos(phi), st * sin(phi), ct)
-                accepted.append((theta, phi, ct, st))
-                rejections = 0
-                if len(accepted) == n:
-                    return _point_set(accepted, vectors)
-                rest = closest[j + 1 :]
-                np.maximum(rest, vectors[len(accepted) - 1] @ block[:, j + 1 :], out=rest)
-            j += 1
+                keep.append(row)
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            points = points[keep]
+        size = min(2 * size, SAMPLER_BLOCK)
+    return [
+        SampledSet([(theta, phi) for theta, phi, _, _ in placed], done[i], saturated[i])
+        for i, placed in enumerate(accepted)
+    ]
 
 
-def _saturated(accepted, vectors, n, max_tries, min_sep) -> SaturationError:
-    return SaturationError(
-        f"placed {len(accepted)}/{n} points before {max_tries} "
-        f"consecutive rejections at separation {min_sep}",
-        placed=_point_set(accepted, vectors),
-    )
+def random_separated_set(
+    n: int, min_sep: float, seed: int, max_tries: int = 20000
+) -> PointSet:
+    """n area-uniform points accepted by rejection against the separation
+    constraint, as `random_separated_sets` places them for this one seed.
 
-
-def _point_set(accepted, vectors) -> PointSet:
-    """The accepted points, carrying their unit vectors: the sampler's rows
-    have the bits `PointSet.vectors()` would compute."""
-    return PointSet(
-        (SphericalPoint(theta, phi) for theta, phi, _, _ in accepted),
-        rows=vectors[: len(accepted)],
-    )
+    Raises SaturationError after max_tries consecutive rejections, or as
+    soon as the placed points' caps are found to leave no room; its
+    `placed` attribute is the PointSet accepted before saturation, in
+    order.  The returned set, and `placed`, carry the unit vectors the
+    block test used, as their `vectors()`.
+    """
+    ((angles, vectors, saturated),) = random_separated_sets([n], min_sep, [seed], max_tries)
+    ps = PointSet((SphericalPoint(theta, phi) for theta, phi in angles), rows=vectors)
+    if saturated:
+        raise SaturationError(
+            f"placed {len(ps)}/{n} points before {max_tries} "
+            f"consecutive rejections at separation {min_sep}",
+            placed=ps,
+        )
+    return ps
 
 
 # -- point-set text format: one "theta_deg phi_deg" pair per line ------------
@@ -456,7 +579,13 @@ def parse_points(text: str) -> PointSet:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'theta_deg phi_deg', got {raw!r}")
         try:
-            points.append(SphericalPoint(*(math.radians(float(x)) for x in parts)))
+            theta, phi = (float(x) for x in parts)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        # checked in degrees, so that a bad value is named as the file wrote it
+        if not 0.0 <= theta <= 180.0:
+            raise ValueError(f"line {lineno}: colatitude out of range: {parts[0]} degrees")
+        if not math.isfinite(phi):
+            raise ValueError(f"line {lineno}: azimuth not finite: {parts[1]} degrees")
+        points.append(SphericalPoint(math.radians(theta), math.radians(phi)))
     return PointSet(points)

@@ -232,8 +232,20 @@ class TestSampleAndEnergy:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("cannot read point set: line 3: ")
-        assert captured.err.count("\n") == 1
+        message = f"line 3: azimuth not finite: {azimuth} degrees"
+        assert captured.err == f"cannot read point set: {message}\n"
+
+    @pytest.mark.parametrize("theta", ["200", "-5", "180.5"])
+    def test_energy_colatitude_out_of_range(self, tmp_path, capsys, theta):
+        # named in degrees, as the file wrote it
+        pts = tmp_path / "pts.txt"
+        pts.write_text(f"{theta} 20\n")
+        code = main(["energy", "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        message = f"line 1: colatitude out of range: {theta} degrees"
+        assert captured.err == f"cannot read point set: {message}\n"
 
     def test_energy_no_points(self, tmp_path, capsys):
         pts = tmp_path / "empty.txt"
@@ -303,7 +315,7 @@ def test_refine_leaves_scipy_unloaded():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # the sampler makes its RandomState on its first call
+    # the sampler builds its pool of RandomStates on its first call
     assert not _loaded_after_cli_import("numpy.random")
 
 

@@ -482,20 +482,25 @@ class TestSharedRandomSets:
 
 
 class _CountingState:
+    """A sampler RandomState from the pool that counts its draw calls and
+    the candidates drawn, two doubles each."""
+
     def __init__(self, state, counts):
         self.state, self.counts = state, counts
 
     def random_sample(self, size):
-        self.counts["blocks"] += 1
+        self.counts["draws"] += 1
+        self.counts["candidates"] += size // 2
         return self.state.random_sample(size)
 
 
 def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
-    """The default lemma3 suite at seed 42 draws 886 blocks of candidates and
-    runs 218 jam tests, 125 of which find a jam; without the jam test it
-    draws 1,232 blocks.  The report is the same either way."""
-    counts = {"blocks": 0, "tests": 0, "jams": 0}
-    seeded, caps_cover = sphere._seeded_state, sphere.caps_cover
+    """The default lemma3 suite at seed 42 makes 1,578 draw calls for
+    317,440 candidates and runs 218 jam tests, 125 of which find a jam;
+    without the jam test it makes 1,946 draw calls for 505,856 candidates.
+    The report is the same either way."""
+    counts = {"draws": 0, "candidates": 0, "tests": 0, "jams": 0}
+    seeded, caps_cover = sphere._seeded_states, sphere.caps_cover
 
     def counted_cover(vectors, h):
         counts["tests"] += 1
@@ -503,12 +508,14 @@ def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
         counts["jams"] += covered
         return covered
 
-    monkeypatch.setattr(sphere, "_seeded_state", lambda seed: _CountingState(seeded(seed), counts))
+    monkeypatch.setattr(
+        sphere, "_seeded_states", lambda seeds: [_CountingState(s, counts) for s in seeded(seeds)]
+    )
     monkeypatch.setattr(sphere, "caps_cover", counted_cover)
     config = RunConfig(seed=42)
     result = _suite_lemma3(config, cert)
-    assert counts == {"blocks": 886, "tests": 218, "jams": 125}
+    assert counts == {"draws": 1578, "candidates": 317_440, "tests": 218, "jams": 125}
     monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
-    counts.update(blocks=0, tests=0)
+    counts.update(draws=0, candidates=0, tests=0)
     assert _suite_lemma3(config, cert) == result
-    assert counts["blocks"] == 1232 and counts["tests"] == 0
+    assert counts["draws"] == 1946 and counts["candidates"] == 505_856 and counts["tests"] == 0

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import re
@@ -22,6 +23,7 @@ from kiss3.sphere import (
     parse_points,
     random_point,
     random_separated_set,
+    random_separated_sets,
     rho,
 )
 
@@ -251,16 +253,11 @@ class TestSamplerContract:
         saturated = 0
         for seed in range(30):
             for n in range(2, 13):
-                try:
-                    ps = random_separated_set(n, math.pi / 3, seed, self.MAX_TRIES)
-                except SaturationError as exc:
-                    saturated += 1
-                    placed = re.search(r"placed (\d+)/", str(exc)).group(1)
-                    assert placed == str(len(exc.placed))
-                    ps = exc.placed
+                status, _, points = _block_test(n, math.pi / 3, seed, self.MAX_TRIES)
+                saturated += status == "saturated"
                 expected = _reference_shrink_and_retry(n, math.pi / 3, seed, self.MAX_TRIES)
                 assert expected is not None
-                assert ps.points == expected.points
+                assert points == [(p.theta.hex(), p.phi.hex()) for p in expected]
         assert saturated > 0
 
     def test_carried_points_are_separated_and_in_draw_order(self):
@@ -301,7 +298,10 @@ def _scalar_loop(n, min_sep, seed, max_tries):
 
 
 def _block_test(n, min_sep, seed, max_tries):
-    """random_separated_set's outcome in the form of `_scalar_loop`."""
+    """random_separated_set's outcome in the form of `_scalar_loop`, once
+    random_separated_sets has given the same set, with the same unit
+    vectors, for the case at a seeded position in a batch of other seeds
+    and sizes."""
     try:
         ps = random_separated_set(n, min_sep, seed, max_tries)
     except SaturationError as exc:
@@ -309,7 +309,18 @@ def _block_test(n, min_sep, seed, max_tries):
         status, message, ps = "saturated", str(exc), exc.placed
     else:
         status, message = "placed", None
-    return status, message, [(p.theta.hex(), p.phi.hex()) for p in ps]
+    points = [(p.theta.hex(), p.phi.hex()) for p in ps]
+    rng = random.Random(f"{n} {min_sep!r} {seed} {max_tries}")
+    seeds = [rng.randrange(-(2**40), 2**40) for _ in range(2)]
+    sizes = [rng.randint(1, n + 3) for _ in seeds]
+    at = rng.randint(0, len(seeds))
+    seeds.insert(at, seed)
+    sizes.insert(at, n)
+    batched = random_separated_sets(sizes, min_sep, seeds, max_tries)[at]
+    assert batched.saturated == (status == "saturated")
+    assert [(theta.hex(), phi.hex()) for theta, phi in batched.angles] == points
+    assert batched.vectors.tobytes() == ps.vectors().tobytes()
+    return status, message, points
 
 
 class TestBlockTest:
@@ -348,6 +359,8 @@ class TestBlockTest:
         for min_sep in (-1e-300, math.nextafter(math.pi, 4.0), math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="min_sep"):
                 random_separated_set(3, min_sep, seed=0)
+            with pytest.raises(ValueError, match="min_sep"):
+                random_separated_sets([3, 4], min_sep, [0, 1])
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**40 + 7])
     def test_in_band_candidate_takes_the_scalar_rule(self, monkeypatch, seed):
@@ -371,7 +384,7 @@ class TestBlockTest:
             got = _block_test(2, min_sep, seed, 1)
             assert got == _scalar_loop(2, min_sep, seed, 1)
             assert got[0] == status
-            assert scalar_tests == [c]
+            assert scalar_tests == [c, c]  # once through each entry point
 
     def test_filter_decides_ordinary_candidates(self, monkeypatch):
         scalar_tests = []
@@ -379,18 +392,26 @@ class TestBlockTest:
         for seed in range(20):
             with pytest.raises(SaturationError):
                 random_separated_set(13, math.pi / 3, seed, max_tries=2000)
+        sets = random_separated_sets([13] * 20, math.pi / 3, range(20), max_tries=2000)
+        assert all(s.saturated for s in sets)
         assert scalar_tests == []
 
     def test_threads_sample_independently(self):
-        # each thread reseeds its own RandomState, so interleaved calls from
-        # more threads than cores still give the single-threaded sets
+        # each thread reseeds its own pool of RandomStates, so interleaved
+        # calls from more threads than cores, one set or a batch at a time,
+        # still give the single-threaded sets
         seeds = range(120)
         expected = {seed: _block_test(12, math.pi / 3, seed, 2000) for seed in seeds}
-        got = {}
+        got, batched = {}, {}
 
         def work(offset):
-            for seed in seeds[offset::6]:
+            mine = seeds[offset::6]
+            for seed in mine:
                 got[seed] = _block_test(12, math.pi / 3, seed, 2000)
+            sets = random_separated_sets([12] * len(mine), math.pi / 3, mine, 2000)
+            for seed, s in zip(mine, sets):
+                points = [(theta.hex(), phi.hex()) for theta, phi in s.angles]
+                batched[seed] = ("saturated" if s.saturated else "placed", points)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -404,12 +425,16 @@ class TestBlockTest:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == expected
+        assert batched == {seed: (status, points) for seed, (status, _, points) in expected.items()}
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1, 2**32, 2**40 + 7, 10**30, -5])
     def test_random_state_matches_random(self, seed):
-        rng = random.Random(seed)
-        expected = [rng.random() for _ in range(10_000)]
-        assert sphere._seeded_state(seed).random_sample(10_000).tolist() == expected
+        # the seed's state, alone and behind another one in the pool
+        for seeds in ([seed], [seed + 1, seed]):
+            state = sphere._seeded_states(seeds)[-1]
+            rng = random.Random(seed)
+            expected = [rng.random() for _ in range(10_000)]
+            assert state.random_sample(10_000).tolist() == expected
 
 
 def _unit(theta, phi):
@@ -421,30 +446,42 @@ SIXTY_CAPS = math.cos(math.pi / 3) + sphere.SAMPLER_MARGIN
 
 
 class _CountingState:
-    """A sampler RandomState that counts its random_sample blocks."""
+    """A sampler RandomState from the pool that counts the candidates drawn
+    from it, two doubles each, under its seed."""
 
-    def __init__(self, state, counts):
-        self.state, self.counts = state, counts
+    def __init__(self, state, seed, drawn):
+        self.state, self.seed, self.drawn = state, seed, drawn
 
     def random_sample(self, size):
-        self.counts["blocks"] += 1
+        self.drawn[self.seed] += size // 2
         return self.state.random_sample(size)
+
+
+def _first_row(outcome):
+    """The bytes of the unit vector the sampler holds for the first point
+    of an outcome in the form of `_scalar_loop`."""
+    theta, phi = (float.fromhex(x) for x in outcome[2][0])
+    return PointSet([SphericalPoint(theta, phi)]).vectors()[0].tobytes()
 
 
 @pytest.fixture
 def sampler_counts(monkeypatch):
-    """Counts the sampler's random_sample blocks and caps_cover calls, with
-    the size of each set caps_cover is asked about."""
-    counts = {"blocks": 0, "covered": [], "tested": []}
-    seeded, caps_cover = sphere._seeded_state, sphere.caps_cover
+    """Counts the candidates the sampler draws for each seed, and records
+    each caps_cover call as (the set's first unit vector's bytes, which name
+    the set, its size, the answer)."""
+    counts = {"drawn": collections.Counter(), "tests": []}
+    seeded, caps_cover = sphere._seeded_states, sphere.caps_cover
+
+    def counted_states(seeds):
+        states = seeded(seeds)
+        return [_CountingState(state, seed, counts["drawn"]) for seed, state in zip(seeds, states)]
 
     def counted_cover(vectors, h):
-        counts["tested"].append(len(vectors))
         covered = caps_cover(vectors, h)
-        counts["covered"].append(covered)
+        counts["tests"].append((vectors[:1].tobytes(), len(vectors), covered))
         return covered
 
-    monkeypatch.setattr(sphere, "_seeded_state", lambda seed: _CountingState(seeded(seed), counts))
+    monkeypatch.setattr(sphere, "_seeded_states", counted_states)
     monkeypatch.setattr(sphere, "caps_cover", counted_cover)
     return counts
 
@@ -535,25 +572,40 @@ class TestJamTest:
             return _block_test(13, math.pi / 3, 0, 2000)
 
         jammed = outcome()
-        assert jammed[0] == "saturated" and sampler_counts["covered"] == [True]
-        blocks = sampler_counts["blocks"]
+        assert jammed[0] == "saturated"
+        # tested once through each entry point, and found jammed
+        mine = _first_row(jammed)
+        tests = [covered for first, _, covered in sampler_counts["tests"] if first == mine]
+        assert tests == [True, True]
+        drawn = sampler_counts["drawn"][0]
         monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
-        sampler_counts["blocks"] = 0
+        sampler_counts["drawn"].clear()
         assert outcome() == jammed
-        # at the stall the rest of max_tries is still to draw
-        assert sampler_counts["blocks"] >= blocks + (2000 - SAMPLER_BLOCK) // SAMPLER_BLOCK
+        # at the stall the rest of max_tries is still to draw, less at most
+        # the block the jam left unused, through each entry point
+        assert sampler_counts["drawn"][0] >= drawn + 2 * (2000 - 2 * SAMPLER_BLOCK)
 
     def test_a_jam_ends_the_call(self, sampler_counts):
-        # no test follows one that found a jam; the seeds give both answers
+        # no test of a set follows one that found a jam, and a batch tests
+        # each set as it is tested alone; the seeds give both answers
+        tests = sampler_counts["tests"]
+        alone = []
         for seed in range(40):
-            before = len(sampler_counts["tested"])
+            before = len(tests)
             try:
                 random_separated_set(12, math.pi / 3, seed, max_tries=4 * SAMPLER_BLOCK)
             except SaturationError:
                 pass
-            covered = sampler_counts["covered"][before:]
+            covered = [covered for _, _, covered in tests[before:]]
             assert True not in covered[:-1]
-        assert True in sampler_counts["covered"] and False in sampler_counts["covered"]
+            alone += [covered] if covered else []
+        assert True in sum(alone, []) and False in sum(alone, [])
+        tests.clear()
+        random_separated_sets([12] * 40, math.pi / 3, range(40), max_tries=4 * SAMPLER_BLOCK)
+        per_set = collections.defaultdict(list)
+        for first, _, covered in tests:
+            per_set[first].append(covered)
+        assert sorted(per_set.values()) == sorted(alone)
 
     def test_never_tested_above_the_point_cap(self, sampler_counts):
         # 40-degree sets jam at 16 to 19 points, past JAM_TEST_POINTS, and
@@ -562,7 +614,9 @@ class TestJamTest:
             with pytest.raises(SaturationError) as info:
                 random_separated_set(200, math.radians(40.0), seed, max_tries=2000)
             assert len(info.value.placed) > sphere.JAM_TEST_POINTS
-        tested = sampler_counts["tested"]
+        for s in random_separated_sets([200] * 6, math.radians(40.0), range(6), max_tries=2000):
+            assert s.saturated and len(s.angles) > sphere.JAM_TEST_POINTS
+        tested = [k for _, k, _ in sampler_counts["tests"]]
         assert tested and max(tested) <= sphere.JAM_TEST_POINTS
 
     def test_never_tested_past_a_right_angle(self, sampler_counts):
@@ -571,7 +625,9 @@ class TestJamTest:
             for seed in range(5):
                 with pytest.raises(SaturationError):
                     random_separated_set(12, min_sep, seed, max_tries=2000)
-        assert sampler_counts["tested"] == []
+            sets = random_separated_sets([12] * 5, min_sep, range(5), max_tries=2000)
+            assert all(s.saturated for s in sets)
+        assert sampler_counts["tests"] == []
 
     def test_sets_carry_their_vectors(self):
         sets = [random_separated_set(6, math.pi / 3, seed) for seed in range(10)]
@@ -585,6 +641,10 @@ class TestJamTest:
             assert carried.tobytes() == PointSet(ps.points).vectors().tobytes()
             carried[0] = 0.0  # a copy: the set's own rows stay as they were
             assert ps.vectors().tobytes() == PointSet(ps.points).vectors().tobytes()
+        batch = random_separated_sets([6] * 10 + [13] * 10, math.pi / 3, list(range(10)) * 2, 2000)
+        for ps, s in zip(sets, batch):
+            assert s.vectors.tobytes() == ps.vectors().tobytes()
+            assert PointSet(SphericalPoint(*p) for p in s.angles).points == ps.points
 
 
 def test_more_points_than_one_block():
@@ -613,8 +673,24 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_points("1.0\n")
 
-    @pytest.mark.parametrize("line", ["10 nan", "10 inf", "nan 10", "200 10", "10 x"])
+    #: Each bad line's message: values as the file wrote them, in degrees.
+    BAD_LINES = {
+        "10 nan": "azimuth not finite: nan degrees",
+        "10 inf": "azimuth not finite: inf degrees",
+        "nan 10": "colatitude out of range: nan degrees",
+        "200 10": "colatitude out of range: 200 degrees",
+        "10 x": "could not convert string to float: 'x'",
+        "-1e-9 10": "colatitude out of range: -1e-9 degrees",
+        "180.0000000001 10": "colatitude out of range: 180.0000000001 degrees",
+    }
+
+    @pytest.mark.parametrize("line", BAD_LINES)
     def test_bad_point_names_its_line(self, line):
-        with pytest.raises(ValueError, match=r"^line 2: "):
+        with pytest.raises(ValueError) as info:
             parse_points(f"0 0\n{line}\n")
+        assert str(info.value) == f"line 2: {self.BAD_LINES[line]}"
+
+    def test_colatitude_range_ends_parse(self):
+        ps = parse_points("0 0\n180 359.5\n")
+        assert [p.theta for p in ps] == [0.0, math.pi]
 
