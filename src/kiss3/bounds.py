@@ -10,15 +10,16 @@ maximum is a valid upper bound.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
+from types import MappingProxyType
 
 from . import sphere
 from .certificate import Certificate
-from .energy import energy
 from .errors import BoundFailure, DomainError
 from .polynomial import Interval, RationalPoly, _outward, convolve, max_on_interval
 
@@ -59,7 +60,7 @@ class TheoremReport:
     expansion_ok: bool
     witness_size: int
     witness_min_sep: float  # radians
-    witness_energy: float
+    witness_energy: Fraction
     conclusion: int | None
 
 
@@ -233,30 +234,57 @@ def compute_bound_table(c: Certificate) -> BoundTable:
     )
 
 
+@cache
+def icosahedron_pair_classes() -> MappingProxyType[Fraction, int]:
+    """The ordered pairs of `sphere.icosahedron`'s 12 vertices, each with
+    itself included, counted by their exact squared cosine c^2: 24 at 1 (a
+    vertex with itself or its antipode) and 120 at 1/5.  The vertices are
+    the cyclic (0, +-1, +-tau) family, a + b tau held as (a, b), with
+    tau^2 = tau + 1.  Every norm is tau + 2, whose square is 5 + 5 tau, so
+    c^2 = x / 5 where (u.v)^2 = x + x tau: one `Fraction` per class."""
+
+    def mul(p, q):
+        (a, b), (c, d) = p, q
+        return a * c + b * d, a * d + b * c + b * d
+
+    def dot(u, v):
+        return tuple(map(sum, zip(*map(mul, u, v))))
+
+    signs = itertools.product(((1, 0), (-1, 0)), ((0, 1), (0, -1)))
+    vs = {v for a, b in signs for v in (((0, 0), a, b), (a, b, (0, 0)), (b, (0, 0), a))}
+    (norm,) = {dot(u, u) for u in vs}  # tau + 2 for every vertex
+    p, q = mul(norm, norm)
+    squares = Counter(mul(dot(u, v), dot(u, v)) for u in vs for v in vs)
+    if any(x * q != y * p for x, y in squares):
+        raise DomainError("an icosahedron pair has an irrational squared cosine")
+    return MappingProxyType({Fraction(x, p): count for (x, _), count in squares.items()})
+
+
 def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
     """The full chain: nonnegative Legendre expansion (lower side n^2), the
     bound table (upper side 13n), the arithmetic n^2 < 13n => n <= 12, and
-    the icosahedron as the 12-point witness.
+    the icosahedron as the 12-point witness, exactly: 2n of its n^2 pairs at
+    c^2 = 1 make it antipodal, so S = sum f(c) = sum E(c^2), E the even part
+    of f in x^2; c^2 <= 1/4 elsewhere puts its vertices 60 degrees apart.
 
     `table` is the bound table of `c`, from `compute_bound_table`; it is
     used as given, not recomputed or checked against `c`."""
     from .certificate import verify_expansion
 
     expansion_ok = verify_expansion(c)
-    ico = sphere.icosahedron()
-    summary = energy(ico, c)
-    witness_ok = (
-        len(ico) == 12
-        and summary.min_sep >= 60.0 * DEG - 1e-9
-        and summary.S >= 144.0 * (1.0 - 1e-9)
-        and summary.S < 156.0
-    )
+    classes = icosahedron_pair_classes()
+    n = math.isqrt(sum(classes.values()))
+    even = RationalPoly.from_integers(c.f.ints[0::2], c.f.den)
+    S = sum(count * even.eval(c2) for c2, count in classes.items())
+    nearest = max(c2 for c2 in classes if c2 != 1)  # c^2 of the largest cosine
+    witness_ok = n == 12 and classes.get(1) == 2 * n and nearest <= Fraction(1, 4)
+    witness_ok = witness_ok and 144 <= S < 156
     conclusion = 12 if (expansion_ok and table.verdict and witness_ok) else None
     return TheoremReport(
         expansion_ok=expansion_ok,
-        witness_size=len(ico),
-        witness_min_sep=summary.min_sep,
-        witness_energy=summary.S,
+        witness_size=n,
+        witness_min_sep=math.acos(math.sqrt(nearest)),
+        witness_energy=S,
         conclusion=conclusion,
     )
 
@@ -283,22 +311,23 @@ def _triangle_score(c: Certificate, f_at_1: float, psi, u):
     return f_at_1 + f.eval_real(-c1) + f.eval_real(-c2) + f.eval_real(-cos_psi)
 
 
-def _rhombus_cosines(d1, te, pe) -> np.ndarray:
+def _rhombus_cosines(d1, te, pe):
     """Cosines of the pole distances to the four vertices of the unit-edge
     rhombus with diagonals d1 and rho(d1), pole at colatitude te / azimuth pe
-    relative to the rhombus center.  Floats give the four cosines; numpy
-    arrays that broadcast together give them along a new first axis."""
+    relative to the rhombus center.  Floats give a list of the four cosines;
+    numpy arrays that broadcast together give them along a new first axis."""
     xp = sphere.array_module(d1, te, pe)
-    d1 = np.clip(d1, 1e-9, 2.0 * math.pi / 3.0 - 1e-9)
+    clip = sphere._clamp if xp is math else xp.clip
+    d1 = clip(d1, 1e-9, 2.0 * math.pi / 3.0 - 1e-9)
     d2 = sphere.rho(d1)
     s1, c1 = xp.sin(d1 / 2.0), xp.cos(d1 / 2.0)
     s2, c2 = xp.sin(d2 / 2.0), xp.cos(d2 / 2.0)
     ex, ey, ez = xp.sin(te) * xp.cos(pe), xp.sin(te) * xp.sin(pe), xp.cos(te)
     verts = [s1 * ex + c1 * ez, s2 * ey + c2 * ez, c1 * ez - s1 * ex, c2 * ez - s2 * ey]
-    return np.clip(np.array(verts), -1.0, 1.0)
+    return list(map(clip, verts)) if xp is math else clip(xp.array(verts), -1.0, 1.0)
 
 
-def _rhombus_score(c: Certificate, f_at_1: float, cos_th: np.ndarray):
+def _rhombus_score(c: Certificate, f_at_1: float, cos_th):
     """The rhombus profile at the vertex cosines `_rhombus_cosines` gives,
     plus f_at_1 = float(f(1)); one score per cell for array cosines."""
     f = c.f

@@ -1,6 +1,6 @@
 """Quadratic-form energies of point sets under the certificate polynomial:
 the full double sum S(X), the per-point sums S_i, their cap truncations T_i,
-and the deep-cap index sets J(i).
+and the deep-cap index sets J(i).  Each function imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -8,8 +8,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .certificate import Certificate
 from .errors import SeparationViolation
@@ -50,6 +48,7 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     the values matrix in place once S and the S_i are taken.
     `energy_json` writes the summary as the `kiss3 energy` report.
     """
+    import numpy as np
     n = len(ps)
     cosm = ps.cos_matrix()
     sep = min_angle(cosm) if n >= 2 else math.nan
@@ -75,6 +74,7 @@ def _eval_f(cos: np.ndarray, c: Certificate) -> np.ndarray:
     done in place, so the bits are np.polyval(c.f.real_coeffs(), cos)'s
     without a new temporary array at each step.
     """
+    import numpy as np
     lead, *rest = c.f.real_coeffs()
     values = np.full_like(cos, lead)
     for a in rest:
@@ -93,6 +93,7 @@ def _f_values(batch: CosineBatch, c: Certificate) -> np.ndarray:
 def set_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
     """S(X) of every set of a batch: f over the flat cosines, each diagonal
     term set to f(1), and one sum per set."""
+    import numpy as np
     return np.add.reduceat(_f_values(batch, c), batch.starts)
 
 
@@ -116,6 +117,7 @@ def point_energies(batch: CosineBatch, c: Certificate):
     each row of it; T_i is f(1) plus the row's sum over the terms whose
     cosine lies below -t0.lo, the lower endpoint, as in `energy`.
     """
+    import numpy as np
     values = _f_values(batch, c)
     S = np.add.reduceat(values, batch.starts)
     # row r of set s, its point p = first_points[s] + r, starts at
@@ -141,6 +143,7 @@ def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.nda
     the first set whose smallest angle is below 60 degrees less 1e-9.  A
     diagonal entry counts as -1 there, so a one-point set always passes.
     """
+    import numpy as np
     closest = np.maximum.reduceat(np.where(batch.diagonal, -1.0, batch.cos), batch.starts)
     close = np.flatnonzero(np.arccos(closest) < SIXTY_DEG - 1e-9)
     if close.size:
@@ -162,7 +165,7 @@ def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
     """Every Gegenbauer sum of a set of n points is >= 0, with floating slack
     1e-9 n^2.  `sums` holds one row per degree and one column per set, as
     legendre.gegenbauer_sums gives them; `n` is the sizes, one per set."""
-    return np.all(sums >= -1e-9 * n**2, axis=0)
+    return (sums >= -1e-9 * n**2).all(axis=0)
 
 
 def check_lemma1(ps: PointSet) -> list[float]:
@@ -179,6 +182,7 @@ def expansion_energies(sums: np.ndarray, c: Certificate) -> np.ndarray:
     least one row per coefficient; a degree-9 f has 10.  The lower-bound
     lemma's one-line proof is that this equals S(X); its distance from
     `set_energies` is the linearity-bridge gap."""
+    import numpy as np
     weights = [float(ck) for ck in c.legendre_coeffs]
     return np.dot(weights, sums[: len(weights)])
 

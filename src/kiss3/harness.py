@@ -2,7 +2,8 @@
 report assembly.
 
 Everything is deterministic for a fixed seed; the JSON report for a given
-(seed, config) pair is byte-identical across runs.
+(seed, config) pair is byte-identical across runs.  Only the sampled suites
+load numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import sphere
@@ -182,6 +181,7 @@ def _random_sets(rng: random.Random, count: int):
     with the same bits.  A chunk's draws are all taken before it is yielded,
     so the draws that follow the last chunk do not depend on LEMMA_BLOCK.
     """
+    import numpy as np
     randint, random = rng.randint, rng.random
     for first in range(0, count, LEMMA_BLOCK):
         sizes, draws = [], []
@@ -279,6 +279,7 @@ def _random_set_counts(config: RunConfig, cert=None) -> _RandomSetCounts:
     when a certificate is given, reads S(X) and the expansion energies the
     same sums give.  Only the counts are kept, with the generator, whose
     next draws are lemma 1's addition-theorem samples."""
+    import numpy as np
     rng = random.Random(config.seed)
     negative = below = gaps = 0
     for batch in _random_sets(rng, config.lemma1_sets):
@@ -296,6 +297,7 @@ def _suite_lemma1(config: RunConfig, shared=None) -> SuiteResult:
     """Lemma 1 on the random sets, and on 1000 addition-theorem samples.
     `shared`, when the run shares one pass over the sets with lemma 2,
     gives its `_random_set_counts`."""
+    import numpy as np
     s = SuiteResult("lemma1")
     counts = shared() if shared else _random_set_counts(config)
     bad = counts.negative_sums
@@ -341,6 +343,7 @@ def _separated_sets(config: RunConfig, s: SuiteResult):
     smaller target on its seed places the same points, so the points already
     placed are tested instead.
     """
+    import numpy as np
     rng = random.Random(config.seed + 1)
     for first in range(0, config.lemma3_sets, LEMMA_BLOCK):
         seeds = range(
@@ -359,6 +362,7 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
     """Lemma 3 on the separated sets, as one check over them.  A failure
     names each way the sets broke it: S >= 13n, and a point with S_i > T_i
     or T_i >= 13 (the proof's chain), each with the sets that broke it."""
+    import numpy as np
     s = SuiteResult("lemma3")
     bad = bad_sum = bad_chain = generated = 0
     for batch in _separated_sets(config, s):
@@ -388,7 +392,7 @@ def _suite_theorem(report: VerificationReport, cert) -> SuiteResult:
         "icosahedron minimal separation mismatch",
     )
     s.check(
-        144.0 * (1.0 - 1e-9) <= theorem.witness_energy < 156.0,
+        144 <= theorem.witness_energy < 156,
         f"S(icosahedron) = {theorem.witness_energy} outside [144, 156)",
     )
     s.check(theorem.conclusion == 12, "theorem chain did not conclude 12")
@@ -397,7 +401,7 @@ def _suite_theorem(report: VerificationReport, cert) -> SuiteResult:
             "config": "icosahedron",
             "n": theorem.witness_size,
             "min_sep_deg": math.degrees(theorem.witness_min_sep),
-            "S": theorem.witness_energy,
+            "S": float(theorem.witness_energy),
         }
     )
     return s

@@ -2,7 +2,8 @@
 theorem.
 
 The exact routines (recurrence, Rodrigues, basis conversion) are capped at
-degree 12; everything the proof needs stops at degree 9.
+degree 12; everything the proof needs stops at degree 9.  Only the float
+routines on arrays import numpy.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .polynomial import RationalPoly, X
 from .sphere import CosineBatch, cos_law
@@ -112,6 +111,7 @@ def addition_theorem_residual(k: int, theta1, theta2, phi):
     floats, or numpy arrays that broadcast together, for one degree k: the
     weights and derivative coefficients are converted to floats once per k.
     """
+    import numpy as np
     lhs_coeffs, terms = _addition_terms(k)
     lhs = np.polyval(lhs_coeffs, cos_law(theta1, theta2, phi))
     # the associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
@@ -135,6 +135,7 @@ def gegenbauer_sums(cos: np.ndarray, starts: np.ndarray, degrees) -> np.ndarray:
     P_0 = 1, P_1 = t and (k + 1) P_{k+1} = (2k + 1) t P_k - k P_{k-1} give
     one pass over the array per degree, up to the highest one asked for.
     """
+    import numpy as np
     degrees = tuple(degrees)
     for k in degrees:
         _check_degree(k)

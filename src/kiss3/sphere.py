@@ -3,7 +3,8 @@ diagonal map, and point-set generation (icosahedron witness, seeded random
 separated sets).
 
 Angles are radians everywhere inside the library; degrees appear only at the
-CLI boundary and in the point-set text format.
+CLI boundary and in the point-set text format.  Only the functions that
+build or take arrays import numpy.
 """
 
 from __future__ import annotations
@@ -12,20 +13,20 @@ import itertools
 import math
 import operator
 import random
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError, SaturationError, TooFewPoints
 
 TWO_PI = 2.0 * math.pi
 
 
-def _clamp(x: float) -> float:
-    return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
+    """x clipped into [lo, hi], by comparisons: np.clip's value on a float."""
+    return lo if x < lo else (hi if x > hi else x)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ class SphericalPoint:
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
     def to_vector(self) -> np.ndarray:
+        import numpy as np
         st = math.sin(self.theta)
         return np.array(
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
@@ -50,6 +52,7 @@ class SphericalPoint:
 
     @staticmethod
     def from_vector(v) -> "SphericalPoint":
+        import numpy as np
         v = np.asarray(v, dtype=float)
         v = v / np.linalg.norm(v)
         return SphericalPoint(math.acos(_clamp(v[2])), math.atan2(v[1], v[0]))
@@ -81,6 +84,7 @@ class PointSet:
         made with its rows (random_separated_set's) returns a copy of them."""
         if self._rows is not None:
             return self._rows.copy()
+        import numpy as np
         rows = []
         for p in self.points:
             st = math.sin(p.theta)
@@ -90,12 +94,13 @@ class PointSet:
     def cos_matrix(self) -> np.ndarray:
         """Pairwise cosines of angular distance, clamped into [-1, 1]."""
         v = self.vectors()
-        return np.clip(v @ v.T, -1.0, 1.0)
+        return (v @ v.T).clip(-1.0, 1.0)
 
 
 def unit_vectors(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """One unit vector per row, from the cosines z of the colatitudes and the
     azimuths."""
+    import numpy as np
     s = np.sqrt((1.0 - z) * (1.0 + z))
     return np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1)
 
@@ -114,6 +119,7 @@ class CosineBatch:
 
     def __init__(self, vectors: np.ndarray, sizes):
         """`vectors` holds the sets' unit vectors, one per row, set after set."""
+        import numpy as np
         self.sizes = np.asarray(sizes, dtype=np.intp)
         if np.any(self.sizes < 1) or self.sizes.sum() != len(vectors):
             raise ValueError("every set needs a point, and every point a set")
@@ -141,9 +147,10 @@ class CosineBatch:
 
 
 def array_module(*xs):
-    """numpy if any argument is a numpy array, else math.  Floats keep math's
-    bits: numpy's vectorised trigonometry may differ in the last place."""
-    return np if any(isinstance(x, np.ndarray) for x in xs) else math
+    """numpy if any argument is a numpy array, else math, never loading numpy.
+    Floats keep math's bits: numpy's vectorised trigonometry may differ."""
+    np = sys.modules.get("numpy")
+    return np if np and any(isinstance(x, np.ndarray) for x in xs) else math
 
 
 def cos_law(theta1, theta2, dphi):
@@ -151,7 +158,7 @@ def cos_law(theta1, theta2, dphi):
     Takes floats, or numpy arrays that broadcast together."""
     xp = array_module(theta1, theta2, dphi)
     c = xp.cos(theta1) * xp.cos(theta2) + xp.sin(theta1) * xp.sin(theta2) * xp.cos(dphi)
-    return _clamp(c) if xp is math else np.clip(c, -1.0, 1.0)
+    return _clamp(c) if xp is math else xp.clip(c, -1.0, 1.0)
 
 
 def angular_distance(p: SphericalPoint, q: SphericalPoint) -> float:
@@ -167,9 +174,9 @@ def rho(s):
     """
     xp = array_module(s)
     c = xp.cos(s / 2.0)
-    if np.any(c <= 0.5):
+    if (c <= 0.5) if xp is math else xp.any(c <= 0.5):
         raise DomainError(f"rho requires cos(s/2) > 1/2, got s = {s}")
-    return 2.0 * (math.acos if xp is math else np.arccos)(1.0 / (2.0 * c))
+    return 2.0 * (math.acos if xp is math else xp.arccos)(1.0 / (2.0 * c))
 
 
 def min_angle(cosm: np.ndarray) -> float:
@@ -181,6 +188,7 @@ def min_angle(cosm: np.ndarray) -> float:
     entry, the n^2 - 1 flat entries fall into n - 1 rows of n + 1 whose last
     entry is the next diagonal one.
     """
+    import numpy as np
     n = len(cosm)
     return float(np.arccos(cosm.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].max()))
 
@@ -233,6 +241,7 @@ def _plane_edges(k: int) -> np.ndarray:
     planes through three points a, b, c, each with its coordinates in the
     order x, y, z, x, y: [edge, coordinate, plane].  Read-only, as every
     caller gets the cached array."""
+    import numpy as np
     i, j, l = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).T
     coordinate = k * k * np.array([0, 1, 2, 0, 1])[:, None]
     edges = np.array([coordinate + k * i + j, coordinate + k * i + l])
@@ -259,6 +268,7 @@ def caps_cover(vectors: np.ndarray, h: float) -> bool:
     k = len(vectors)
     if k < 4 or k * (1.0 - h) < 2.0:
         return False
+    import numpy as np
     xyz = vectors.T
     b, c = (xyz[:, None, :] - xyz[:, :, None]).ravel()[_plane_edges(k)]
     normals = b[1:4] * c[2:5] - b[2:5] * c[1:4]  # (b - a) x (c - a), a column per plane
@@ -279,10 +289,11 @@ def _seeded_states(seeds) -> list:
     from two 32-bit outputs the same way; NumPy keeps this legacy stream
     frozen.  The states are a pool of the calling thread's, reseeded on each
     call and grown to the most seeds a call has asked for; none is made
-    before the first call, so importing this module does not load
+    before the first call, so importing this module loads neither numpy nor
     numpy.random.  A pool state starts from a constant seed sequence, not
     the OS entropy a fresh RandomState() gathers, as reseeding overwrites it.
     """
+    import numpy as np
     pool = getattr(_thread_state, "pool", None)
     if pool is None:
         pool = _thread_state.pool = []
@@ -385,6 +396,7 @@ def random_separated_sets(
         raise ValueError("need n >= 1")
     if not 0.0 <= min_sep <= math.pi:
         raise ValueError(f"min_sep must lie in [0, pi], got {min_sep}")
+    import numpy as np
     states = _seeded_states(seeds)
     acos, cos, sin = math.acos, math.cos, math.sin
     cos_sep = cos(min_sep)

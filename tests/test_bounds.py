@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 import random
 import re
@@ -18,6 +20,7 @@ from kiss3.bounds import (
     build_omega,
     build_triangle_profile,
     compute_bound_table,
+    icosahedron_pair_classes,
     mu_angle,
     mu_upper_bound,
     psi_grid,
@@ -26,6 +29,7 @@ from kiss3.bounds import (
     verify_theorem,
 )
 from kiss3.certificate import build_certificate
+from kiss3.energy import energy
 from kiss3.errors import BoundFailure, DomainError
 from kiss3.polynomial import Interval, _outward, max_on_interval
 
@@ -338,7 +342,29 @@ class TestTheorem:
         report = verify_theorem(cert, bound_table)
         assert report.witness_size == 12
         assert math.degrees(report.witness_min_sep) == pytest.approx(63.4349, abs=1e-3)
-        assert 144.0 * (1 - 1e-9) <= report.witness_energy < 156.0
+        assert report.witness_min_sep == math.acos(1.0 / math.sqrt(5.0))
+        assert 144 <= report.witness_energy < 156
+        assert report.witness_energy == Fraction(144)
+
+    def test_witness_pair_classes(self):
+        # each vertex with itself and its antipode at c^2 = 1, every other
+        # pair at c^2 = 1/5, as the float icosahedron's cosines give them
+        assert icosahedron_pair_classes() == {Fraction(1): 24, Fraction(1, 5): 120}
+        squares = sphere.icosahedron().cos_matrix().ravel() ** 2
+        assert sorted(collections.Counter(np.round(squares, 12).tolist()).items()) == [
+            (0.2, 120),
+            (1.0, 24),
+        ]
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 100), Fraction(-3, 7)])
+    def test_exact_witness_matches_the_float_energy(self, cert, bound_table, delta):
+        # an even coefficient a_8 moves E(t) by delta t^4, so S by
+        # delta (24 + 120 / 5^4); energy() over the float icosahedron agrees
+        f = polynomial.RationalPoly(harness.perturbed_coeffs(8, delta))
+        perturbed = dataclasses.replace(cert, f=f)
+        S = verify_theorem(perturbed, bound_table).witness_energy
+        assert S == 144 + delta * (24 + Fraction(120, 5**4))
+        assert float(S) == pytest.approx(energy(sphere.icosahedron(), perturbed).S, rel=1e-9)
 
 
 def _triangle_u0(psi):

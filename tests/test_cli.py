@@ -266,16 +266,21 @@ class TestTable:
         assert "conclusion" in out
 
 
-def _loaded_after_cli_import(module: str, argv: list[str] | None = None) -> bool:
-    """Whether `import kiss3.cli`, then `kiss3.cli.main(argv)` when argv is
-    given, in a fresh interpreter loads `module`."""
+def _last_line_of_fresh(probe: str) -> str:
+    """The last line `probe` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))
-    run = "" if argv is None else f"kiss3.cli.main({argv!r}); "
-    probe = f"import sys, kiss3.cli; {run}print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    return {"True": True, "False": False}[out.splitlines()[-1]]
+    return out.splitlines()[-1]
+
+
+def _loaded_after_cli_import(module: str, argv: list[str] | None = None) -> bool:
+    """Whether `import kiss3.cli`, then `kiss3.cli.main(argv)` when argv is
+    given, in a fresh interpreter loads `module`."""
+    run = "" if argv is None else f"kiss3.cli.main({argv!r}); "
+    probe = f"import sys, kiss3.cli; {run}print({module!r} in sys.modules)"
+    return {"True": True, "False": False}[_last_line_of_fresh(probe)]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +322,54 @@ def test_refine_leaves_scipy_unloaded():
 def test_import_leaves_numpy_random_unloaded():
     # the sampler builds its pool of RandomStates on its first call
     assert not _loaded_after_cli_import("numpy.random")
+
+
+EXACT_SUITES = ["verify", "--suite", "certificate", "--suite", "bounds", "--suite", "theorem"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [None, EXACT_SUITES + ["--format", "json"], ["table"], ["table", "--skip-refine"]],
+)
+def test_verdict_path_leaves_numpy_unloaded(argv):
+    # the exact suites, the table and refine run on Fraction and math alone
+    assert not _loaded_after_cli_import("numpy", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "lemma1", "--lemma1-sets", "1"], ["energy", "--points", "{points}"]],
+)
+def test_sampled_path_loads_numpy(tmp_path, argv):
+    # the positive control: the probe sees numpy when a command needs it
+    points = tmp_path / "pts.txt"
+    points.write_text("0 0\n90 0\n")
+    assert _loaded_after_cli_import("numpy", [a.format(points=points) for a in argv])
+
+
+def test_package_exports_survive_lazy_loading(tmp_path):
+    # numpy loads only once a sampled suite and `energy` run; after them
+    # every export is still its module's object, and `from kiss3 import
+    # energy` the function, not the submodule a late import of kiss3.energy
+    # would bind over it
+    points = tmp_path / "pts.txt"
+    points.write_text("0 0\n90 0\n")
+    probe = f"""
+import sys, types, kiss3, kiss3.cli
+kiss3.cli.main(["verify", "--suite", "lemma1", "--lemma1-sets", "1"])
+kiss3.cli.main(["energy", "--points", {str(points)!r}])
+from kiss3 import energy, legendre
+wrong = [
+    name
+    for name in kiss3.__all__
+    if isinstance(getattr(kiss3, name), types.ModuleType)
+    or getattr(sys.modules[getattr(kiss3, name).__module__], name) is not getattr(kiss3, name)
+]
+assert "kiss3.energy" in sys.modules and "kiss3.legendre" in sys.modules
+ok = energy is sys.modules["kiss3.energy"].energy and legendre(2).degree == 2
+print(wrong, ok)
+"""
+    assert _last_line_of_fresh(probe) == "[] True"
 
 
 def test_readme_names_only_real_options():
