@@ -81,7 +81,8 @@ class PointSet:
     def vectors(self) -> np.ndarray:
         """One row per point, with the bits of its `to_vector`: one array
         over tuples of the same math floats, not one array per point.  A set
-        made with its rows (random_separated_set's) returns a copy of them."""
+        made with its rows (random_separated_set's) returns a copy of them.
+        The shape is (n, 3), (0, 3) for a set of no points."""
         if self._rows is not None:
             return self._rows.copy()
         import numpy as np
@@ -89,12 +90,15 @@ class PointSet:
         for p in self.points:
             st = math.sin(p.theta)
             rows.append((st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)))
-        return np.array(rows)
+        return np.array(rows).reshape(len(rows), 3)
 
     def cos_matrix(self) -> np.ndarray:
-        """Pairwise cosines of angular distance, clamped into [-1, 1]."""
+        """Pairwise cosines of angular distance, clamped into [-1, 1] in
+        place.  The matrix is exactly symmetric (energy() relies on it):
+        numpy takes v @ v.T by BLAS syrk and mirrors one triangle."""
         v = self.vectors()
-        return (v @ v.T).clip(-1.0, 1.0)
+        m = v @ v.T
+        return m.clip(-1.0, 1.0, out=m)
 
 
 def unit_vectors(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
@@ -143,7 +147,7 @@ class CosineBatch:
     @classmethod
     def of(cls, ps: PointSet) -> "CosineBatch":
         """The one-set batch of a point set."""
-        return cls(ps.vectors().reshape(len(ps), 3), [len(ps)])
+        return cls(ps.vectors(), [len(ps)])
 
 
 def array_module(*xs):

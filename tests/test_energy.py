@@ -9,6 +9,7 @@ import pytest
 
 from kiss3.certificate import build_certificate
 from kiss3.energy import (
+    EVAL_CHUNK,
     EnergySummary,
     PerPoint,
     _eval_f,
@@ -161,8 +162,9 @@ class TestWholeArrayEnergy:
     def test_icosahedron(self, cert):
         assert _hex_energy(icosahedron(), cert) == _loop_energy(icosahedron(), cert)
 
-    def test_thousand_points(self, cert):
-        ps = random_point_set(random.Random(1), 1000)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_thousand_points(self, cert, seed):
+        ps = random_point_set(random.Random(seed), 1000)
         assert _hex_energy(ps, cert) == _loop_energy(ps, cert)
 
     def test_no_deep_pairs(self, cert):
@@ -300,6 +302,14 @@ class TestJsonExport:
         assert d["min_sep_deg"] == pytest.approx(63.4349, abs=1e-3)
         assert len(d["per_point"]) == 12
 
+    def test_no_points(self, cert, energy_report_difference):
+        summary = energy(PointSet([]), cert)
+        assert (summary.n, summary.S, summary.per_point) == (0, 0.0, ())
+        assert math.isnan(summary.min_sep)
+        text = energy_json(summary)
+        assert energy_report_difference(text, summary) is None
+        assert '"per_point": []' in text
+
     def test_singleton_min_sep_null(self, cert, energy_report_difference):
         summary = energy(PointSet([SphericalPoint(0.1, 0.2)]), cert)
         text = energy_json(summary)
@@ -383,3 +393,13 @@ class TestEvalF:
         batch = _batch(sets + [icosahedron()])
         expected = np.polyval(certificate.f.real_coeffs(), batch.cos)
         assert np.array_equal(_eval_f(batch.cos, certificate), expected)
+
+    @pytest.mark.parametrize(
+        "size", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2 * EVAL_CHUNK + 5]
+    )
+    def test_flat_cosines(self, certificate, size):
+        # one chunk, exactly one, and a partial last chunk after full ones
+        cos = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+        cos[0] = -1.0
+        expected = np.polyval(certificate.f.real_coeffs(), cos)
+        assert np.array_equal(_eval_f(cos, certificate), expected)

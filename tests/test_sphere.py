@@ -197,6 +197,42 @@ class TestVectors:
         for ps in (icosahedron(), poles):
             assert ps.vectors().tobytes() == self._stacked(ps).tobytes()
 
+    def test_no_points(self):
+        v = PointSet([]).vectors()
+        assert v.shape == (0, 3) and v.dtype == np.float64
+        assert PointSet([]).cos_matrix().shape == (0, 0)
+
+
+class TestCosMatrix:
+    """cos_matrix() is symmetric bit for bit, which energy()'s T_i relies
+    on: it sums column i in place of row i."""
+
+    @staticmethod
+    def _assert_symmetric(ps):
+        m = ps.cos_matrix()
+        assert m.shape == (len(ps), len(ps))
+        assert np.array_equal(m, m.T)
+
+    def test_random_sets(self):
+        rng = random.Random(61)
+        for n in list(range(1, 41)) + [1000]:
+            self._assert_symmetric(PointSet(random_point(rng) for _ in range(n)))
+
+    def test_poles_and_repeated_point(self):
+        rng = random.Random(62)
+        p = random_point(rng)
+        points = [SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0), p, p]
+        ps = PointSet(points + [random_point(rng) for _ in range(20)])
+        m = ps.cos_matrix()
+        assert m.min() == -1.0 and m.max() <= 1.0
+        self._assert_symmetric(ps)
+
+    def test_sampler_rows(self):
+        for n, seed in ((2, 0), (8, 5), (12, 3)):
+            ps = random_separated_set(n, math.pi / 4, seed=seed)
+            assert ps._rows is not None
+            self._assert_symmetric(ps)
+
 
 class TestRandomSeparatedSet:
     def test_single_point(self):
