@@ -71,31 +71,39 @@ def _symmetric_pair_poly(
     v^2 = r2 * (1 - s^2).  Odd powers of v cancel, so only v^2 appears.
 
     Built in integers: with f = a / da, base = b / db and r2 = nw / dw on
-    their integer images, and N = deg f, each term
-    2 a_j C(j, i) base^(j-i) (v^2)^(i/2) is an integer polynomial over the
-    one denominator da db^N dw^(N//2), so the sum takes one `Fraction` per
-    coefficient.
+    their integer images, N = deg f and K = N // 2, the sum is
+    sum_m S_2m X^m dw^(K-m) over the one denominator da db^N dw^K, where
+    X = nw (1 - s^2) and S_i = sum_j 2 a_j C(j, i) b^(j-i) db^(N-j+i)
+    gathers every term with v^i.  The powers of db and dw and the
+    homogeneous powers b^k db^(N-k) are built once; the sum over m is a
+    Horner pass in X, one step per even power of v.
     """
     a, da = f.ints, f.den
     b, db = base.ints, base.den
     nw, dw = r2.numerator, r2.denominator
     n = max(f.degree, 0)
-    b_pow = [[1]]  # b^k
-    w_pow = [[1]]  # (nw (1 - s^2))^m
+    half = n // 2
+    db_pow, dw_pow, b_pow = [1], [1], [[1]]  # db^k, dw^k, b^k
     for _ in range(n):
+        db_pow.append(db_pow[-1] * db)
         b_pow.append(convolve(b_pow[-1], b))
-    for _ in range(n // 2):
-        w_pow.append(convolve(w_pow[-1], [nw, 0, -nw]))
+    for _ in range(half):
+        dw_pow.append(dw_pow[-1] * dw)
+    homog = [[db_pow[n - k] * v for v in bk] for k, bk in enumerate(b_pow)]  # b^k db^(n-k)
     # (p+v)^j + (p-v)^j = 2 sum_{i even} C(j,i) p^{j-i} v^i
     out = [0] * (n * max(len(b) - 1, 1) + 1)
-    for j, aj in enumerate(a):
-        if aj == 0:
-            continue
-        for i in range(0, j + 1, 2):
-            scale = 2 * aj * math.comb(j, i) * db ** (n - j + i) * dw ** (n // 2 - i // 2)
-            for k, v in enumerate(convolve(b_pow[j - i], w_pow[i // 2])):
-                out[k] += scale * v
-    return RationalPoly.from_integers(out, da * db**n * dw ** (n // 2))
+    for i in reversed(range(0, len(a), 2)):
+        t = [nw * v for v in out]
+        out = [x - y for x, y in zip(t, [0, 0] + t)]  # out X, whose degree fits in out
+        s_i = [0] * len(out)
+        for j in range(i, len(a)):
+            if a[j]:
+                c = 2 * a[j] * math.comb(j, i)
+                for k, v in enumerate(homog[j - i]):
+                    s_i[k] += c * v
+        w = dw_pow[half - i // 2]
+        out = [x + w * y for x, y in zip(out, s_i)]
+    return RationalPoly.from_integers(out, da * db_pow[n] * dw_pow[half])
 
 
 def build_omega(c: Certificate, psi: float) -> ProfilePoly:
@@ -192,7 +200,7 @@ def compute_bound_table(c: Certificate) -> BoundTable:
     values rounded outward, and each sum rounds its ends outward.
     """
     mu = mu_upper_bound(c)
-    f_at_1, f_at_m1 = c.f.eval(1), c.f.eval(-1)
+    f_at_m1, f_at_1 = c.f_ends
     grid = psi_grid(c)
     split = RHOMBUS_SPLIT_DEG * DEG
     rhombus = (sphere.rho(2.0 * c.theta0.hi), sphere.rho(split), split, 90.0 * DEG)

@@ -53,9 +53,14 @@ class Certificate:
     theta0: Interval  # arccos(t0), radians, outward rounded
 
     @cached_property
+    def f_ends(self) -> tuple[Fraction, Fraction]:
+        """The exact (f(-1), f(1)), evaluated once per certificate."""
+        return self.f.eval(-1), self.f.eval(1)
+
+    @cached_property
     def f_at_1(self) -> float:
         """float(f(1)), from the exact value, taken once per certificate."""
-        return float(self.f.eval(1))
+        return float(self.f_ends[1])
 
     @cached_property
     def sturm_chain(self) -> SturmChain:
@@ -133,11 +138,10 @@ def verify_property_ii(c: Certificate) -> bool:
     """f < 0 on (-t0, 1/2]: exactly one root on (-1, 1/2), f(-1) > 0 and
     f(1/2) < 0, all in exact arithmetic.
     """
-    f = c.f
     return (
         c.sturm_chain.count_open(Fraction(-1), Fraction(1, 2)) == 1
-        and f.eval(Fraction(1, 2)) < 0
-        and f.eval(-1) > 0
+        and c.f.eval(Fraction(1, 2)) < 0
+        and c.f_ends[0] > 0
     )
 
 
@@ -146,4 +150,4 @@ def classic_delsarte_gap(c: Certificate) -> Fraction:
     Delsarte sign condition on [-1, 1/2], which is what forces the extended
     method's cap analysis.
     """
-    return c.f.eval(-1)
+    return c.f_ends[0]

@@ -216,8 +216,8 @@ def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
         "degree": cert.f.degree,
         "t0": [cert.t0.lo, cert.t0.hi],
         "theta0_deg": [math.degrees(cert.theta0.lo), math.degrees(cert.theta0.hi)],
-        "f_at_1": str(cert.f.eval(1)),
-        "f_at_minus_1": str(cert.f.eval(-1)),
+        "f_at_1": str(cert.f_ends[1]),
+        "f_at_minus_1": str(cert.f_ends[0]),
         "legendre_coefficients": [str(x) for x in cert.legendre_coeffs],
     }
     return s

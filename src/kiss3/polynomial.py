@@ -20,6 +20,9 @@ handled by the count itself (`_count`), not by dividing it out.
 A maximum on [a, b] takes no derivative and no Sturm chain: an exact Taylor
 shift onto [0, 1] gives Bernstein coefficients, whose convex hull bounds p
 (Farouki and Rajan, CAGD 1987), and de Casteljau halves what it must.
+Root bisection and the Bernstein comparisons build no `Fraction` at all:
+they compare integers over known scales, and make a float only of each end
+of the result.
 """
 
 from __future__ import annotations
@@ -332,10 +335,16 @@ class SturmChain:
             chain = [_divide_exact(q, g) for q in chain]
         self.chain = [RationalPoly.from_integers(q) for q in chain]
         self.squarefree = self.chain[0]
+        self._values = {}
 
     def values(self, t: Scalar) -> list[Fraction]:
-        """The value of each chain term at t, `chain[0]`'s first."""
-        return [q.eval(t) for q in self.chain]
+        """The value of each chain term at t, `chain[0]`'s first.  Each point
+        is evaluated once per chain; later calls return the same list."""
+        t = _to_fraction(t)
+        values = self._values.get(t)
+        if values is None:
+            values = self._values[t] = [q.eval(t) for q in self.chain]
+        return values
 
     def count_open(self, a: Scalar, b: Scalar) -> int:
         """Number of distinct real roots in the open interval (a, b)."""
@@ -380,7 +389,15 @@ def isolate_root(
     One Sturm chain of p, `chain` when the caller holds it already, must
     count exactly one root in (a, b).  Its squarefree part q changes sign
     there, so exact bisection on q encloses the root; at a root a, q's sign
-    just inside is chain[1]'s."""
+    just inside is chain[1]'s.  The bisection runs on integers: with
+    a = A / D and b = B / D, the k-th interval is [x, x + B - A] over
+    D 2^k, each midpoint's sign is a sign-only homogeneous Horner
+    (`_sign_at`), and a float is made only from the final ends, by int/int
+    true division, which rounds as `float(Fraction)` does.  A midpoint root
+    is returned as a point when it is a float, and rounded outward when not.
+    """
+    if not width > 0:
+        raise ValueError(f"require width > 0, got width = {width}")
     if p.is_zero():
         raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     lo, hi = _to_fraction(a), _to_fraction(b)
@@ -393,23 +410,42 @@ def isolate_root(
         raise NoRoot(f"no root of p in ({a}, {b})")
     if count > 1:
         raise MultipleRoots(f"{count} roots of p in ({a}, {b})")
-    q = chain.squarefree
-    slo = at_lo[0] or at_lo[1]
-    while float(hi - lo) > width:
-        mid = (lo + hi) / 2
-        smid = q.eval(mid)
+    q = chain.squarefree.ints
+    slo = (at_lo[0] or at_lo[1]) > 0
+    den = math.lcm(lo.denominator, hi.denominator)
+    x = lo.numerator * (den // lo.denominator)
+    step = hi.numerator * (den // hi.denominator) - x
+    scaled = [c * den**i for i, c in enumerate(reversed(q))]  # c_i den^(deg - i)
+    shift = 0  # the interval is [x, x + step] / (den << shift)
+    while step / (den << shift) > width:
+        shift += 1
+        x <<= 1
+        mid = x + step
+        smid = _sign_at(scaled, mid, shift)
         if smid == 0:
-            return Interval(float(mid), float(mid))
-        if slo * smid < 0:
-            hi = mid
-        else:
-            lo, slo = mid, smid
-    return _outward(lo, hi)
+            point = mid / (den << shift)
+            num, d = point.as_integer_ratio()
+            if num * (den << shift) == mid * d:
+                return Interval.point(point)
+            return _outward(point, point)
+        if (smid > 0) == slo:
+            x = mid
+    return _outward(x / (den << shift), (x + step) / (den << shift))
 
 
-def _outward(lo: Fraction, hi: Fraction) -> Interval:
-    """A float interval holding [lo, hi]: each end rounded, then moved one
-    float outward."""
+def _sign_at(scaled: Sequence[int], n: int, shift: int) -> int:
+    """The sign of q at n / (D 2^shift), where `scaled` holds q's integer
+    coefficients times D^(deg - i), highest power first: a homogeneous Horner
+    sum c_i D^(deg - i) n^i 2^(shift (deg - i)), whose sign is q's."""
+    acc = scaled[0]
+    for k, c in enumerate(scaled[1:], 1):
+        acc = acc * n + (c << (shift * k))
+    return (acc > 0) - (acc < 0)
+
+
+def _outward(lo: Scalar | float, hi: Scalar | float) -> Interval:
+    """A float interval holding [lo, hi]: each end rounded to nearest (or
+    given as a float already so rounded), then moved one float outward."""
     return Interval(
         math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
     )
@@ -421,8 +457,10 @@ def _bernstein(p: RationalPoly, a: Fraction, b: Fraction) -> tuple[list[int], in
 
     A homogeneous Horner sum_i ints[i] (A + H t)^i d^(n - i), with a = A / d
     and b - a = H / d, gives the Taylor shift p(a + (b - a) t) as integers
-    Q_i over den d^n.  Then C(n, k) b_k = sum_i C(n - i, k - i) Q_i, and
-    k! (n - k)! = n! / C(n, k) makes each b_k an integer over n! den d^n."""
+    Q_i over den d^n.  Then b_k = sum_i C(k, i) Q_i / C(n, i), so with
+    P_i = i! (n - i)! Q_i each n! b_k = sum_i C(k, i) P_i is an integer over
+    n! den d^n, and n rounds of Pascal's rule, row[k] += row[k - 1], take the
+    P_i to these sums with additions alone."""
     ints = p.ints or (0,)
     n = len(ints) - 1
     d = math.lcm(a.denominator, (b - a).denominator)
@@ -433,11 +471,11 @@ def _bernstein(p: RationalPoly, a: Fraction, b: Fraction) -> tuple[list[int], in
         q = [A * x + H * y for x, y in zip(q + [0], [0] + q)]
         q[0] += c * scale
     fact = math.factorial
-    coeffs = [
-        fact(k) * fact(n - k) * sum(math.comb(n - i, k - i) * q[i] for i in range(k + 1))
-        for k in range(n + 1)
-    ]
-    return coeffs, fact(n) * p.den * scale
+    row = [fact(i) * fact(n - i) * v for i, v in enumerate(q)]
+    for j in range(1, n + 1):
+        for k in range(n, j - 1, -1):
+            row[k] += row[k - 1]
+    return row, fact(n) * p.den * scale
 
 
 def _halves(coeffs: list[int]) -> tuple[list[int], list[int]]:
@@ -460,21 +498,41 @@ def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> I
     coefficients are p's exact values at the cell's ends.  A cell whose
     largest coefficient is within tol of the best end value so far is kept;
     any other is halved by de Casteljau.  The enclosure runs from the best
-    end value to the largest kept coefficient, rounded outward."""
+    end value to the largest kept coefficient, rounded outward.
+
+    Every coefficient of a cell k halvings deep is an integer over the first
+    cell's scale times 2^(n k), so values are compared as integers
+    (`_excess`), and only the two ends become floats, by int/int true
+    division, which rounds as `float(Fraction)` does."""
     if not (a <= b and tol > 0):
         raise ValueError(f"require a <= b and tol > 0, got a = {a}, b = {b}, tol = {tol}")
-    slack = Fraction(tol)
     coeffs, scale = _bernstein(p, Fraction(a), Fraction(b))
-    best = upper = max(Fraction(coeffs[0], scale), Fraction(coeffs[-1], scale))
-    cells = [(coeffs, scale)]
+    n = len(coeffs) - 1
+    tol_num, tol_den = _to_fraction(tol).as_integer_ratio()
+    slack = tol_num * scale  # tol as an integer over scale tol_den
+    # (value, e) stands for value / (scale 2^e)
+    best = upper = (max(coeffs[0], coeffs[-1]), 0)
+    cells = [(coeffs, 0)]
     while cells:
-        coeffs, scale = cells.pop()
-        top = Fraction(max(coeffs), scale)
-        if top <= best + slack:
-            upper = max(upper, top)
+        coeffs, e = cells.pop()
+        top = (max(coeffs), e)
+        gap, g = _excess(top, best)
+        if gap * tol_den <= slack << g:
+            if _excess(top, upper)[0] > 0:
+                upper = top
             continue
         left, right = _halves(coeffs)
-        scale <<= len(coeffs) - 1
-        best = max(best, Fraction(left[-1], scale))
-        cells += [(left, scale), (right, scale)]
-    return _outward(best, upper)
+        e += n
+        if _excess((left[-1], e), best)[0] > 0:
+            best = (left[-1], e)
+        cells += [(left, e), (right, e)]
+    return _outward(best[0] / (scale << best[1]), upper[0] / (scale << upper[1]))
+
+
+def _excess(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - y as (num, g), num / (scale 2^g), for values held as (v, e), that
+    is v / (scale 2^e), over one scale."""
+    (xv, xe), (yv, ye) = x, y
+    if xe >= ye:
+        return xv - (yv << (xe - ye)), xe
+    return (xv << (ye - xe)) - yv, ye

@@ -1,8 +1,10 @@
+import collections
 import math
 from fractions import Fraction as Fr
 
 import pytest
 
+from kiss3 import harness
 from kiss3.certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -14,7 +16,7 @@ from kiss3.certificate import (
 )
 from kiss3.errors import CertificateInvalid
 from kiss3.legendre import from_legendre_basis
-from kiss3.polynomial import RationalPoly
+from kiss3.polynomial import RationalPoly, SturmChain
 
 
 def perturbed(index, delta):
@@ -103,6 +105,37 @@ class TestAnalyticProperties:
     def test_f_sign_values(self, cert):
         assert cert.f.eval(Fr(1, 2)) < 0
         assert cert.f.eval(-1) > 0
+
+
+class TestEvaluationsOnce:
+    def test_exact_suites_evaluate_each_pair_once(self, monkeypatch):
+        # a certificate+bounds+theorem run evaluates each (polynomial, point)
+        # pair once per chain and once per certificate; the only repeats are
+        # f' chain terms equal to terms of f's chain (its first, f' made
+        # primitive, and its last, a constant), both at -1
+        seen = []
+        original = RationalPoly.eval
+
+        def counted(q, t):
+            seen.append((q, Fr(t)))
+            return original(q, t)
+
+        monkeypatch.setattr(RationalPoly, "eval", counted)
+        report = harness.run(harness.RunConfig(suites=("certificate", "bounds", "theorem")))
+        assert report.ok
+        monkeypatch.undo()
+        f = build_certificate().f
+        f_chain, df_chain = SturmChain(f).chain, SturmChain(f.derivative()).chain
+        repeats = collections.Counter(seen) - collections.Counter(set(seen))
+        assert sorted(repeats.items(), key=lambda kv: kv[0][0].degree) == [
+            ((df_chain[-1], -1), 1),
+            ((df_chain[0], -1), 1),
+        ]
+        assert df_chain[0] == f_chain[1] and df_chain[-1] == f_chain[-1]
+
+    def test_f_ends_are_the_exact_values(self, cert):
+        assert cert.f_ends == (cert.f.eval(-1), cert.f.eval(1))
+        assert cert.f_at_1 == float(cert.f.eval(1))
 
 
 class TestClassicGap:

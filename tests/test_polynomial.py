@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kiss3 import bounds, harness, polynomial
-from kiss3.certificate import F_COEFFS
+from kiss3.certificate import F_COEFFS, build_certificate
 from kiss3.errors import DegenerateEndpoint, MultipleRoots, NoRoot
 from kiss3.legendre import legendre
 from kiss3.polynomial import (
@@ -235,6 +235,21 @@ class TestIsolateRoot:
                                     (-0.5, 0.0, 1.0)):
             assert abs(isolate_root(p, a, b, 1e-10).mid - expected) < 1e-9
 
+    def test_midpoint_root_that_is_not_a_float(self):
+        # the first midpoint of (0, 2/3) is the root 1/3, which no float is:
+        # the enclosure is rounded outward and holds it
+        iv = isolate_root(RationalPoly([Fr(-1, 3), 1]), 0, Fr(2, 3), 1e-12)
+        assert Fr(iv.lo) < Fr(1, 3) < Fr(iv.hi)
+        assert iv == _outward(Fr(1, 3), Fr(1, 3))
+        # a float midpoint root stays a point
+        iv = isolate_root(RationalPoly([Fr(-1, 2), 1]), Fr(1, 3), Fr(2, 3), 1e-12)
+        assert iv == Interval(0.5, 0.5)
+
+    @pytest.mark.parametrize("width", [-1.0, 0.0, -math.inf, math.nan])
+    def test_rejects_a_width_not_above_zero(self, width):
+        with pytest.raises(ValueError, match="width > 0"):
+            isolate_root(RationalPoly([-2, 0, 1]), 1, 2, width)
+
     def test_evaluates_each_term_once_per_point(self, monkeypatch):
         # (t + 2)^2 t (t - 1/2) (t - 1) (t^2 - 2): a double root at the end
         # -2 of the first cell, and roots at the midpoints 0 and 1 of two more
@@ -348,6 +363,7 @@ class TestBernsteinMatchesFraction:
             a = rng.uniform(-2.0, 1.0)
             for b in (a, a + rng.uniform(0.0, 2.0), a + 2.0**-30):
                 coeffs, scale = _bernstein(p, Fr(a), Fr(b))
+                assert (coeffs, scale) == comb_bernstein(p, Fr(a), Fr(b))
                 assert [Fr(c, scale) for c in coeffs] == ref_bernstein(p, a, b)
                 assert (Fr(coeffs[0], scale), Fr(coeffs[-1], scale)) == (p.eval(a), p.eval(b))
                 mid = (Fr(a) + Fr(b)) / 2
@@ -517,6 +533,7 @@ class RefChain:
                     break
                 chain.append(ref_primitive(-r))
         self.chain = chain
+        self._values = {}  # the memo `SturmChain.values` keeps
 
     count_open = SturmChain.count_open
     values = SturmChain.values
@@ -763,6 +780,204 @@ class TestIntegerImageMatchesFraction:
             got = bounds._symmetric_pair_poly(p, base, r2)
             assert got.coeffs == ref_symmetric_pair_poly(p, base, r2).coeffs
 
+
+# -- the exact kernels before their integer rewrite -------------------------
+# Profiles by one convolution per (j, i) term, root isolation by `Fraction`
+# bisection on `RationalPoly.eval`, and Bernstein maxima compared as
+# `Fraction`s over comb-sum coefficients.  The rewritten kernels must give
+# the same `ints`/`den` and the same interval bits.
+
+
+def convolution_pair_poly(f, base, r2):
+    """`bounds._symmetric_pair_poly` with one integer convolution per term
+    2 a_j C(j, i) base^(j-i) (v^2)^(i/2)."""
+    a, da = f.ints, f.den
+    b, db = base.ints, base.den
+    nw, dw = r2.numerator, r2.denominator
+    n = max(f.degree, 0)
+    b_pow, w_pow = [[1]], [[1]]
+    for _ in range(n):
+        b_pow.append(polynomial.convolve(b_pow[-1], b))
+    for _ in range(n // 2):
+        w_pow.append(polynomial.convolve(w_pow[-1], [nw, 0, -nw]))
+    out = [0] * (n * max(len(b) - 1, 1) + 1)
+    for j, aj in enumerate(a):
+        if aj == 0:
+            continue
+        for i in range(0, j + 1, 2):
+            scale = 2 * aj * math.comb(j, i) * db ** (n - j + i) * dw ** (n // 2 - i // 2)
+            for k, v in enumerate(polynomial.convolve(b_pow[j - i], w_pow[i // 2])):
+                out[k] += scale * v
+    return RationalPoly.from_integers(out, da * db**n * dw ** (n // 2))
+
+
+def fraction_isolate_root(p, a, b, width=1e-9):
+    """`isolate_root` by `Fraction` bisection.  A midpoint root is a point
+    interval when it is a float and is rounded outward when not."""
+    if not width > 0:
+        raise ValueError(f"require width > 0, got width = {width}")
+    if p.is_zero():
+        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
+    lo, hi = Fr(a), Fr(b)
+    count = 0
+    if lo < hi:
+        chain = SturmChain(p)
+        at_lo = chain.values(lo)
+        count = polynomial._count(at_lo, chain.values(hi))
+    if count == 0:
+        raise NoRoot(f"no root of p in ({a}, {b})")
+    if count > 1:
+        raise MultipleRoots(f"{count} roots of p in ({a}, {b})")
+    q = chain.squarefree
+    slo = at_lo[0] or at_lo[1]
+    while float(hi - lo) > width:
+        mid = (lo + hi) / 2
+        smid = q.eval(mid)
+        if smid == 0:
+            if Fr(float(mid)) == mid:
+                return Interval(float(mid), float(mid))
+            return _outward(mid, mid)
+        if slo * smid < 0:
+            hi = mid
+        else:
+            lo, slo = mid, smid
+    return _outward(lo, hi)
+
+
+def comb_bernstein(p, a, b):
+    """`_bernstein` with C(n, k) b_k = sum_i C(n - i, k - i) Q_i, scaled by
+    k! (n - k)!."""
+    ints = p.ints or (0,)
+    n = len(ints) - 1
+    d = math.lcm(a.denominator, (b - a).denominator)
+    A, H = int(a * d), int((b - a) * d)
+    q, scale = [ints[-1]], 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        q = [A * x + H * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c * scale
+    fact = math.factorial
+    coeffs = [
+        fact(k) * fact(n - k) * sum(math.comb(n - i, k - i) * q[i] for i in range(k + 1))
+        for k in range(n + 1)
+    ]
+    return coeffs, fact(n) * p.den * scale
+
+
+def fraction_max_on_interval(p, a, b, tol=1e-7):
+    """`max_on_interval` with every comparison between `Fraction`s."""
+    if not (a <= b and tol > 0):
+        raise ValueError(f"require a <= b and tol > 0, got a = {a}, b = {b}, tol = {tol}")
+    slack = Fr(tol)
+    coeffs, scale = comb_bernstein(p, Fr(a), Fr(b))
+    best = upper = max(Fr(coeffs[0], scale), Fr(coeffs[-1], scale))
+    cells = [(coeffs, scale)]
+    while cells:
+        coeffs, scale = cells.pop()
+        top = Fr(max(coeffs), scale)
+        if top <= best + slack:
+            upper = max(upper, top)
+            continue
+        left, right = polynomial._halves(coeffs)
+        scale <<= len(coeffs) - 1
+        best = max(best, Fr(left[-1], scale))
+        cells += [(left, scale), (right, scale)]
+    return _outward(best, upper)
+
+
+def kernel_profiles(cert):
+    """The ten bound-table profiles of the certificate, and of the one that
+    `verify --perturb 9:1/100` builds, then 20 at seeded psi."""
+    from test_bounds import table_profiles
+
+    perturbed = build_certificate(harness.perturbed_coeffs(9, Fr(1, 100)))
+    out = [prof for c in (cert, perturbed) for _, _, prof in table_profiles(c)]
+    rng = random.Random(59)
+    for _ in range(10):
+        out.append(bounds.build_omega(cert, rng.uniform(60.0 * bounds.DEG, 2.0 * cert.theta0.lo)))
+        out.append(bounds.build_triangle_profile(cert, rng.uniform(bounds.R0, cert.theta0.lo)))
+    return out
+
+
+class TestKernelsMatchTheirPredecessors:
+    def test_profiles_equal_integer_for_integer(self, cert, monkeypatch):
+        inputs = []  # (f, base, r2) of every `kernel_profiles` profile
+        build = bounds._symmetric_pair_poly
+
+        def record(f, base, r2):
+            inputs.append((f, base, r2))
+            return build(f, base, r2)
+
+        monkeypatch.setattr(bounds, "_symmetric_pair_poly", record)
+        kernel_profiles(cert)
+        monkeypatch.undo()
+        assert len(inputs) == 40
+        rng = random.Random(61)
+        for _ in range(60):  # non-dyadic, constant, zero and quadratic inputs
+            f = random_poly(rng, 10) if rng.random() < 0.9 else RationalPoly([])
+            base = random_poly(rng, 2) if rng.random() < 0.9 else RationalPoly([])
+            r2 = rng.choice([Fr(0), Fr(rng.randint(-9, 9), rng.randint(1, 9))])
+            inputs.append((f, base, r2))
+        for f, base, r2 in inputs:
+            got, want = bounds._symmetric_pair_poly(f, base, r2), convolution_pair_poly(f, base, r2)
+            assert (got.ints, got.den) == (want.ints, want.den), (f, base, r2)
+
+    def test_root_enclosures_equal_bit_for_bit(self, cert):
+        cases = [(F, -1, 0, w) for w in (1e-12, 1e-9, 1e-3, 0.75)]
+        cases += [(F.derivative(), -1, 0, 1e-9), (RationalPoly([-2, 0, 1]), 1, 2, 1e-15)]
+        # a width that the 20th halving meets exactly, which ends the bisection
+        cases += [(RationalPoly([-2, 0, 1]), 1, 2, 2.0**-20)]
+        # roots at dyadic midpoints: 1/2 of (0, 1) and of (1/3, 2/3), 3/8 of
+        # (1/4, 1/2), and one that no bisection of (0, 1) meets
+        p = RationalPoly([Fr(-1, 2), 1]) * RationalPoly([Fr(-3, 8), 1]) * RationalPoly([-3, 0, 1])
+        cases += [(p, 0, Fr(7, 16), 1e-9), (p, Fr(7, 16), 1, 1e-9), (p, Fr(1, 3), Fr(2, 3), 1e-9)]
+        cases += [(p, Fr(1, 4), Fr(1, 2) - Fr(1, 1000), 1e-9)]
+        # roots at an end: the end root is not counted and the sign just
+        # inside comes from chain[1]
+        cases += [(p, Fr(1, 2), 1, 1e-9), (p, Fr(3, 8), Fr(1, 2), 1e-9), (p, 0, Fr(3, 8), 1e-6)]
+        # no root, a constant, an empty and a one-point interval
+        cases += [(p, 1, Fr(3, 2), 1e-9), (RationalPoly([3]), 0, 1, 1e-9), (p, 1, 1, 1e-9)]
+        rng = random.Random(67)
+        for _ in range(150):  # not squarefree, with roots at the ends
+            q, roots = repeated_root_poly(rng)
+            for a, b in comparison_intervals(rng, roots):
+                cases.append((q, a, b, rng.choice([1e-3, 1e-6, 1e-12])))
+        ran = 0
+        for q, a, b, width in cases:
+            got = outcome(isolate_root, q, a, b, width)
+            assert got == outcome(fraction_isolate_root, q, a, b, width), (q, a, b, width)
+            ran += isinstance(got[0], str) and got[0].startswith(("0x", "-0x"))
+        assert ran >= 100
+
+    def test_maxima_equal_bit_for_bit(self, cert):
+        cases = [(prof.poly, prof.domain.lo, prof.domain.hi, 1e-7) for prof in kernel_profiles(cert)]
+        # interior peaks away from every dyadic point need de Casteljau halving
+        for root in (Fr(1, 3), Fr(2, 3), Fr(1, 7)):
+            peak = RationalPoly([-root, 1]) ** 2 * -9
+            cases += [(peak, 0.0, 1.0, tol) for tol in (1e-3, 1e-7, 1e-12, 1e-30)]
+        # a middle coefficient exactly tol above both ends is kept unhalved
+        for tol in (2.0**-10, 2.0**-40):
+            cases.append((RationalPoly([0, 2 * Fr(tol), -2 * Fr(tol)]), 0.0, 1.0, tol))
+        # constants, the zero polynomial and one-point intervals
+        cases += [(RationalPoly([v]), 0.0, 1.0, 1e-7) for v in (Fr(1, 3), Fr(-2, 3), 0)]
+        cases += [(RationalPoly([Fr(1, 3), 1]), 0.5, 0.5, 1e-7), (F, 0.25, 0.25, 1e-12)]
+        rng = random.Random(71)
+        tols = [1e-1, 1e-4, 1e-7, 1e-12]
+        for _ in range(120):
+            a = rng.uniform(-2.0, 1.0)
+            b = a + rng.choice([0.0, rng.uniform(0.0, 2.0), 2.0**-30])
+            cases.append((random_poly(rng), a, b, rng.choice(tols)))
+        for _ in range(60):  # two interior peaks, at 0, and negative ends
+            r1, r2 = (Fr(rng.randint(1, 98), 99) for _ in range(2))
+            twin = RationalPoly([-r1, 1]) ** 2 * RationalPoly([-r2, 1]) ** 2 * -rng.randint(1, 9)
+            cases.append((twin + RationalPoly([rng.randint(-9, 9)]), 0.0, 1.0, rng.choice(tols)))
+        halved = 0
+        for p, a, b, tol in cases:
+            got = outcome(max_on_interval, p, a, b, tol)
+            assert got == outcome(fraction_max_on_interval, p, a, b, tol), (p, a, b, tol)
+            coeffs, scale = polynomial._bernstein(p, Fr(a), Fr(b))
+            halved += Fr(max(coeffs) - max(coeffs[0], coeffs[-1]), scale) > Fr(tol)
+        assert halved >= 60
 
 class TestInterval:
     def test_invalid_order(self):

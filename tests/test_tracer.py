@@ -42,9 +42,10 @@ def test_install_trace_uninstall(tracer):
     # maxima come from Bernstein coefficients and build none
     assert metrics["polynomial.sturm_chain.calls"] == 2
     assert metrics["polynomial.sturm_chain.max_bits"] == 129
-    # the root isolation evaluates the chain once per point; sharing the
-    # chain builds fewer chains but evaluates the same points
-    assert metrics["polynomial.eval.calls"] == 132
+    # each chain evaluates each point once, the root isolation bisects on
+    # integer signs without `RationalPoly.eval`, and f(-1) and f(1) are
+    # taken once per certificate (`Certificate.f_ends`)
+    assert metrics["polynomial.eval.calls"] == 57
     assert metrics["polynomial.isolate_root.calls"] > 0
     # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
     assert metrics["bounds.refine_h34.calls"] == 1
