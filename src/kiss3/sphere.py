@@ -227,8 +227,9 @@ SAMPLER_BLOCK = 512
 #: twice as many as the one before, up to SAMPLER_BLOCK.
 SAMPLER_FIRST_BLOCK = 32
 #: Half-width of the cosine band around cos(min_sep) inside which the
-#: sampler decides a candidate by the scalar rule.
-SAMPLER_MARGIN = 1e-9
+#: sampler decides a candidate by the scalar rule; over 16 times the error
+#: of the filter's float32 directions (see random_separated_sets).
+SAMPLER_MARGIN = 1e-5
 #: Most accepted points on which the sampler runs its jam test.  No
 #: 60-degree separated set has more: their caps of radius 30 degrees are
 #: disjoint, so k (1 - cos 30 deg) / 2 <= 1 and k <= 14.  So every lemma-3
@@ -317,6 +318,18 @@ def _seeded_states(seeds) -> list:
     return pool[: len(seeds)]
 
 
+def _filter_xy(z: np.ndarray, azimuth: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Write the x and y of the candidates' unit vectors, as the sampler's
+    filter takes them, into `x` and `y`: sqrt((1 - z)(1 + z)) times the
+    float32 cosine and sine of the azimuths rounded to float32.  They are
+    within 6e-7 of the exact coordinates (see random_separated_sets)."""
+    import numpy as np
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    a32 = azimuth.astype(np.float32)
+    np.multiply(s, np.cos(a32), out=x)
+    np.multiply(s, np.sin(a32), out=y)
+
+
 class SampledSet(NamedTuple):
     """One set of `random_separated_sets`."""
 
@@ -345,17 +358,29 @@ def random_separated_sets(
     per seed that reproduces random.Random(seed)'s doubles, and the block
     test is decision-exact: it accepts and rejects exactly the candidates
     the scalar rule does.  The test's cosine c from a candidate to an
-    accepted point is a product of unit vectors and lies within 1e-14 of
-    the scalar rule's sum.  One unit in the last place of math.acos, or of
-    math.cos(min_sep), moves the cosine at min_sep by under 1e-15 (a relative
-    error e in an angle x moves its cosine by x sin(x) e, and x sin(x) < pi).
-    So the scalar rule accepts wherever c < cos(min_sep) - SAMPLER_MARGIN
-    and rejects wherever c > cos(min_sep) + SAMPLER_MARGIN, with five orders
-    of magnitude to spare; only a candidate within the margin of
-    cos(min_sep) for some accepted point, and no rejecting one, is decided
-    by the scalar rule itself.  Accepted points keep their math.acos/cos/sin
-    values.  The argument needs 0 <= min_sep <= pi, where acos(c) >= min_sep
-    means c <= cos(min_sep); other values, NaN included, raise ValueError.
+    accepted point is the product of the point's unit vector, from its math
+    values, and the candidate's as `_filter_xy` gives it: float64 z, but x
+    and y from float32 cos and sin of the azimuth rounded to float32.  The
+    rounding moves an azimuth in [0, 2pi) by at most 2^-22 (half a float32
+    unit in [4, 8)), so (cos, sin) moves at most 2^-22 along the unit
+    circle, and the float32 cos and sin add at most 2^-22 each (numpy's
+    were within 1.21 * 2^-24 of the float64 values on every float32 in
+    [0, 2pi], checked exhaustively on an x86-64 AVX-512 host: 3.3 times
+    spare).  Scaled by sin t <= 1, the candidate's vector is within
+    (1 + sqrt 2) 2^-22 < 5.8e-7 of its exact one, so c is within 6e-7 of
+    the exact cosine, and of the scalar rule's sum, which lies within 1e-14
+    of it.  One unit in the last place of math.acos, or of math.cos(min_sep),
+    moves the cosine at min_sep by under 1e-15 (a relative error e in an
+    angle x moves its cosine by x sin(x) e, and x sin(x) < pi).  So the
+    scalar rule accepts wherever c < cos(min_sep) - SAMPLER_MARGIN and
+    rejects wherever c > cos(min_sep) + SAMPLER_MARGIN: the band, 1e-5, is
+    over 16 times the 6e-7 bound and over 34 times the largest error
+    measured, under 2.9e-7 over 10^7 random pairs.  Only a candidate within
+    the band of cos(min_sep) for some accepted point, and no rejecting one,
+    is decided by the scalar rule itself.  Accepted points keep their
+    math.acos/cos/sin values; their vectors never pass through float32.
+    The argument needs 0 <= min_sep <= pi, where acos(c) >= min_sep means
+    c <= cos(min_sep); other values, NaN included, raise ValueError.
 
     The sets are sampled together, in rounds: in each, every set not yet
     done draws its next block, SAMPLER_FIRST_BLOCK candidates in the first
@@ -380,7 +405,7 @@ def random_separated_sets(
     `caps_cover` whether the caps of cosine cos(min_sep) + SAMPLER_MARGIN
     around the placed points cover the sphere.  If they do, every candidate
     x has a placed point p with x . p > cos(min_sep) + SAMPLER_MARGIN,
-    which both the block test and the scalar rule reject.  In floats the
+    which the scalar rule rejects and the filter never accepts.  In floats the
     computed least support value can exceed the true one only by the error
     of the normal of the facet that attains it, and of that normal's
     heights.  caps_cover looks at planes only when k (1 - h) >= 2 for the
@@ -389,9 +414,13 @@ def random_separated_sets(
     chord(min_sep)^3 / 2 > 0.07 long (a triangle inscribed in a circle of
     radius at most 1), and the error is under 1e-13.  A jam therefore means
     that caps of cosine cos(min_sep) + SAMPLER_MARGIN - 1e-13 cover the
-    sphere, so every cosine the block test or the scalar rule forms, within
-    1e-14 of the true one, rejects.  Each set's `vectors` are the unit
-    vectors its block test used, from the accepted points' math values.
+    sphere: every candidate has a placed point whose exact cosine to it is
+    above that.  The filter's cosine, within 6e-7 of it, stays above
+    cos(min_sep) - SAMPLER_MARGIN, so the filter never accepts the
+    candidate, and the scalar rule's, within 1e-14, stays above
+    cos(min_sep), so the scalar rule rejects it.  Each set's `vectors` are
+    the unit vectors its block test used for its accepted points, from
+    their math values.
     """
     sizes = list(sizes)
     if len(sizes) != len(seeds):
@@ -437,16 +466,14 @@ def random_separated_sets(
         # (accepted, candidate) product along its long axis; their azimuths;
         # and their largest cosines to their set's accepted points.  z and
         # the azimuths have the bits of random.Random's uniform(-1, 1) and
-        # uniform(0, 2pi) on the same doubles, x and y unit_vectors' bits.
+        # uniform(0, 2pi) on the same doubles; x and y, which only the
+        # filter reads, are `_filter_xy`'s.
         table = np.empty((5, rows * size))
         x, y, z, azimuth, closest = table
         np.subtract(2.0 * draws[0::2], 1.0, out=z)
         np.multiply(TWO_PI, draws[1::2], out=azimuth)
         del draws
-        s = np.sqrt((1.0 - z) * (1.0 + z))
-        np.multiply(s, np.cos(azimuth), out=x)
-        np.multiply(s, np.sin(azimuth), out=y)
-        del s
+        _filter_xy(z, azimuth, x, y)
         block = table[:3].reshape(3, rows, size).transpose(1, 0, 2)
         closest = closest.reshape(rows, size)
         # every set accepts the first candidate of its first round, so a

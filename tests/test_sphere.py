@@ -422,6 +422,33 @@ class TestBlockTest:
             assert got[0] == status
             assert scalar_tests == [c, c]  # once through each entry point
 
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**40 + 7])
+    def test_nine_digit_band_is_narrower_than_the_filter_error(self, monkeypatch, seed):
+        # the band the float64 filter used: the float32 directions' error
+        # carries the in-band candidate out of it, to a filter decision
+        monkeypatch.setattr(sphere, "SAMPLER_MARGIN", 1e-9)
+        with pytest.raises(AssertionError):
+            self.test_in_band_candidate_takes_the_scalar_rule(monkeypatch, seed)
+
+    def test_filter_error_is_an_eighth_of_the_band(self):
+        # 10^6 (accepted point, candidate) pairs: the candidates' directions
+        # by the sampler's own code and its product, against the scalar
+        # rule's cosine; numpy stands in for math on the accepted side,
+        # which moves the cosines by ulps
+        rng = np.random.default_rng(24)
+        z = 2.0 * rng.random(1000) - 1.0
+        azimuth = sphere.TWO_PI * rng.random(1000)
+        block = np.empty((3, 1000))
+        sphere._filter_xy(z, azimuth, block[0], block[1])
+        block[2] = z
+        theta, phi = np.arccos(2.0 * rng.random(1000) - 1.0), sphere.TWO_PI * rng.random(1000)
+        points = np.stack(
+            (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=1
+        )
+        scalar = cos_law(theta[:, None], np.arccos(z), azimuth - phi[:, None])
+        error = np.abs(points @ block - scalar).max()
+        assert 0.0 < error <= sphere.SAMPLER_MARGIN / 8
+
     def test_filter_decides_ordinary_candidates(self, monkeypatch):
         scalar_tests = []
         monkeypatch.setattr(sphere, "_clamp", lambda x: scalar_tests.append(x) or x)
