@@ -19,7 +19,7 @@ from functools import cache
 from types import MappingProxyType
 
 from . import sphere
-from .certificate import Certificate
+from .certificate import Certificate, verify_expansion
 from .errors import BoundFailure, DomainError
 from .polynomial import Interval, RationalPoly, _outward, convolve, max_on_interval
 
@@ -277,8 +277,6 @@ def verify_theorem(c: Certificate, table: BoundTable) -> TheoremReport:
 
     `table` is the bound table of `c`, from `compute_bound_table`; it is
     used as given, not recomputed or checked against `c`."""
-    from .certificate import verify_expansion
-
     expansion_ok = verify_expansion(c)
     classes = icosahedron_pair_classes()
     n = math.isqrt(sum(classes.values()))

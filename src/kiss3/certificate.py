@@ -63,6 +63,12 @@ class Certificate:
         return float(self.f_ends[1])
 
     @cached_property
+    def _reconstructs(self) -> bool:
+        """Whether the Legendre coefficients rebuild f exactly, checked once
+        per certificate."""
+        return from_legendre_basis(self.legendre_coeffs) == self.f
+
+    @cached_property
     def sturm_chain(self) -> SturmChain:
         """The Sturm chain of f: the one build_certificate counted and
         isolated the root with, or built on first use."""
@@ -100,9 +106,10 @@ def build_certificate(coeffs=F_COEFFS) -> Certificate:
         math.nextafter(math.acos(t0.lo), math.pi),
     )
     cert = Certificate(f=f, legendre_coeffs=expansion, t0=t0, theta0=theta0)
-    # seed the cached property with the chain t0 came from; a copy made by
-    # dataclasses.replace builds its own from its f
-    cert.__dict__["sturm_chain"] = chain
+    # seed the cached properties with the reconstruction checked above and
+    # the chain t0 came from; a copy made by dataclasses.replace checks and
+    # builds its own from its f and coefficients
+    cert.__dict__.update(_reconstructs=True, sturm_chain=chain)
     return cert
 
 
@@ -112,7 +119,7 @@ def verify_expansion(c: Certificate, expected=None) -> bool:
     equality with it as well.
     """
     e = c.legendre_coeffs
-    if from_legendre_basis(e) != c.f:
+    if not c._reconstructs:
         return False
     if e[0] != 1 or any(ck < 0 for ck in e):
         return False

@@ -34,41 +34,28 @@ class EnergySummary:
 
 def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     """Full double sum S(X) = sum_ij f(cos dist(x_i, x_j)), diagonal included
-    (each diagonal term is f(1)), with the per-point decomposition.
+    (each diagonal term is f(1)), with the per-point decomposition: S, S_i
+    and T_i are `point_energies` of the set's one-set batch, bit for bit
+    what lemma 3 gets for the same set in any batch.
 
     J(i) collects the j with cos dist < -t0; membership is tested against the
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
-    only increase T_i -- conservative for the < 13 direction.
-
-    Works on whole arrays: f is evaluated in place over the cosine matrix
-    (`_eval_f`), S_i is each row's numpy sum, and J(i) is each row of one
-    mask.  T_i is f(1) plus column i of one sum over axis 0 of the values
-    with every term outside J(i) multiplied by zero, in place once S and the
-    S_i are taken.  That column is row i, term for term, and it is added
-    from the top one term at a time, as a Python sum over J(i) would:
-    - numpy reduces axis 0 of a C-contiguous array by adding whole rows in
-      order, so each column's sum is sequential;
-    - the values matrix is exactly symmetric: numpy takes v @ v.T by BLAS
-      syrk and mirrors the result, and the clamp, the diagonal and f act
-      entry by entry;
-    - a masked-out term is +-0.0, and x + +-0.0 == x, as with a zero.
-    `energy_json` writes the summary as the `kiss3 energy` report.
+    only increase T_i -- conservative for the < 13 direction.  J(i) and the
+    minimum separation are read from the batch's cosines.  A set of no
+    points has S = 0 and no per-point rows.  `energy_json` writes the summary
+    as the `kiss3 energy` report.
     """
-    import numpy as np
     n = len(ps)
-    cosm = ps.cos_matrix()
+    if not n:
+        return EnergySummary(n=0, S=0.0, per_point=(), min_sep=math.nan)
+    batch = CosineBatch.of(ps)
+    S, S_i, T_i = point_energies(batch, c)
+    cosm = batch.cos.reshape(n, n)
     sep = min_angle(cosm) if n >= 2 else math.nan
-    np.fill_diagonal(cosm, 1.0)
-    values = _eval_f(cosm, c)
-    np.fill_diagonal(values, c.f_at_1)
-    S = float(values.sum())
-    S_i = values.sum(axis=1).tolist()
     deep = cosm < -c.t0.lo  # the diagonal is 1.0, never in J(i)
     J = [tuple(row.nonzero()[0].tolist()) for row in deep]
-    np.multiply(values, deep, out=values)
-    T_i = (c.f_at_1 + values.sum(axis=0)).tolist()
-    per_point = tuple(map(PerPoint, S_i, T_i, J))
-    return EnergySummary(n=n, S=S, per_point=per_point, min_sep=sep)
+    per_point = tuple(map(PerPoint, S_i.tolist(), T_i.tolist(), J))
+    return EnergySummary(n=n, S=float(S[0]), per_point=per_point, min_sep=sep)
 
 
 # Entries per slice of `_eval_f`'s Horner steps: a slice of the cosines and
@@ -131,24 +118,23 @@ def check_lemma2(ps: PointSet, c: Certificate) -> bool:
 
 
 def point_energies(batch: CosineBatch, c: Certificate):
-    """`energy`'s S, S_i and T_i for every set of a batch: S one per set, and
-    S_i and T_i one per point, set after set.
+    """S, S_i and T_i for every set of a batch: S one per set, and S_i and
+    T_i one per point, set after set; `energy` is its one-set call.
 
     S and the S_i are sums of the f values over each set's block and over
     each row of it; T_i is f(1) plus the row's sum over the terms whose
-    cosine lies below -t0.lo, the lower endpoint, as in `energy`.
+    cosine lies below -t0.lo, the lower endpoint (see `energy`), with every
+    other term multiplied by zero in place.
     """
     import numpy as np
     values = _f_values(batch, c)
     S = np.add.reduceat(values, batch.starts)
-    # row r of set s, its point p = first_points[s] + r, starts at
-    # starts[s] + r * n = (starts[s] - first_points[s] * n) + p * n
-    n = batch.sizes.repeat(batch.sizes)
-    rows = (batch.starts - batch.first_points * batch.sizes).repeat(batch.sizes)
-    rows += n * np.arange(len(n))
+    # row r of a set starts r entries before its diagonal entry
+    r = np.arange(len(batch.diagonal)) - batch.first_points.repeat(batch.sizes)
+    rows = batch.diagonal - r
     S_i = np.add.reduceat(values, rows)
     deep = batch.cos < -c.t0.lo  # the diagonal is 1.0, never deep
-    np.copyto(values, 0.0, where=~deep)
+    np.multiply(values, deep, out=values)
     T_i = c.f_at_1 + np.add.reduceat(values, rows)
     return S, S_i, T_i
 
@@ -165,7 +151,9 @@ def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.nda
     diagonal entry counts as -1 there, so a one-point set always passes.
     """
     import numpy as np
-    closest = np.maximum.reduceat(np.where(batch.diagonal, -1.0, batch.cos), batch.starts)
+    off = batch.cos.copy()
+    off[batch.diagonal] = -1.0
+    closest = np.maximum.reduceat(off, batch.starts)
     close = np.flatnonzero(np.arccos(closest) < SIXTY_DEG - 1e-9)
     if close.size:
         sep = float(np.arccos(closest[close[0]]))

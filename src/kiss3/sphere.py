@@ -92,14 +92,6 @@ class PointSet:
             rows.append((st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)))
         return np.array(rows).reshape(len(rows), 3)
 
-    def cos_matrix(self) -> np.ndarray:
-        """Pairwise cosines of angular distance, clamped into [-1, 1] in
-        place.  The matrix is exactly symmetric (energy() relies on it):
-        numpy takes v @ v.T by BLAS syrk and mirrors one triangle."""
-        v = self.vectors()
-        m = v @ v.T
-        return m.clip(-1.0, 1.0, out=m)
-
 
 def unit_vectors(z: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """One unit vector per row, from the cosines z of the colatitudes and the
@@ -114,11 +106,17 @@ class CosineBatch:
 
     Set s, of sizes[s] = n points, holds its n x n cosine matrix row-major at
     cos[starts[s] : starts[s] + n * n]: each off-diagonal entry is the dot
-    product of two unit vectors clamped into [-1, 1], and each diagonal entry,
-    marked in `diagonal`, is exactly 1.  Its points are rows first_points[s]
-    onward of the vectors the batch was made from.  Per-set sums are
-    np.add.reduceat(values, starts); every set has a point, so no segment is
-    empty.
+    product of two unit vectors clamped into [-1, 1], and each diagonal entry
+    is exactly 1.  `diagonal` holds the flat indices of the diagonal entries,
+    one per point: starts[s] + r (n + 1) for row r.  Its points are rows
+    first_points[s] onward of the vectors the batch was made from.  Per-set
+    sums are np.add.reduceat(values, starts); every set has a point, so no
+    segment is empty.
+
+    Each block is one np.matmul(v, v.T) of the set's vectors, written into
+    its slice.  numpy takes it by BLAS syrk and mirrors one triangle, so the
+    block is exactly symmetric, and a set's cosines have the same bits
+    whichever batch holds it.
     """
 
     def __init__(self, vectors: np.ndarray, sizes):
@@ -127,21 +125,21 @@ class CosineBatch:
         self.sizes = np.asarray(sizes, dtype=np.intp)
         if np.any(self.sizes < 1) or self.sizes.sum() != len(vectors):
             raise ValueError("every set needs a point, and every point a set")
+        vectors = np.ascontiguousarray(vectors, dtype=float)
         squares = self.sizes * self.sizes
         self.starts = np.cumsum(squares) - squares
-        # entry e of set s pairs points i, j = divmod(e - starts[s], n) of the set
-        i, j = np.divmod(
-            np.arange(squares.sum()) - np.repeat(self.starts, squares),
-            np.repeat(self.sizes, squares),
-        )
-        self.diagonal = i == j
         self.first_points = np.cumsum(self.sizes) - self.sizes
-        first = np.repeat(self.first_points, squares)
-        i += first
-        j += first
-        x, y, z = vectors.T
-        self.cos = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+        self.cos = np.empty(squares.sum())
+        blocks = zip(self.starts.tolist(), self.first_points.tolist(), self.sizes.tolist())
+        for start, first, n in blocks:
+            v = vectors[first : first + n]
+            np.matmul(v, v.T, out=self.cos[start : start + n * n].reshape(n, n))
         np.clip(self.cos, -1.0, 1.0, out=self.cos)
+        # row r of set s is its point p = first_points[s] + r, and
+        # starts[s] + r (n + 1) = (starts[s] - first_points[s] (n + 1)) + p (n + 1)
+        step = self.sizes + 1
+        self.diagonal = (self.starts - self.first_points * step).repeat(self.sizes)
+        self.diagonal += step.repeat(self.sizes) * np.arange(len(vectors))
         self.cos[self.diagonal] = 1.0
 
     @classmethod
@@ -200,7 +198,8 @@ def min_angle(cosm: np.ndarray) -> float:
 def min_separation(ps: PointSet) -> float:
     if len(ps) < 2:
         raise TooFewPoints("min_separation needs at least two points")
-    return min_angle(ps.cos_matrix())
+    n = len(ps)
+    return min_angle(CosineBatch.of(ps).cos.reshape(n, n))
 
 
 def icosahedron() -> PointSet:

@@ -350,7 +350,7 @@ class TestTheorem:
         # each vertex with itself and its antipode at c^2 = 1, every other
         # pair at c^2 = 1/5, as the float icosahedron's cosines give them
         assert icosahedron_pair_classes() == {Fraction(1): 24, Fraction(1, 5): 120}
-        squares = sphere.icosahedron().cos_matrix().ravel() ** 2
+        squares = sphere.CosineBatch.of(sphere.icosahedron()).cos ** 2
         assert sorted(collections.Counter(np.round(squares, 12).tolist()).items()) == [
             (0.2, 120),
             (1.0, 24),

@@ -1,10 +1,11 @@
 import collections
 import math
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
-from kiss3 import harness
+from kiss3 import certificate, harness
 from kiss3.certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -69,6 +70,15 @@ class TestExpansion:
         assert sum(cert.legendre_coeffs) == cert.f.eval(1)
         assert cert.f.eval(1) == Fr(4044, 400)
 
+    def test_replaced_copy_checks_its_own_reconstruction(self, cert):
+        # the built certificate's cached check does not pass to a copy with
+        # another f or other coefficients, which rebuild f no more
+        assert verify_expansion(cert)
+        other_f = replace(cert, f=RationalPoly(perturbed(8, Fr(1, 100))))
+        other_coeffs = replace(cert, legendre_coeffs=cert.legendre_coeffs[:-1] + (Fr(9, 25),))
+        assert not verify_expansion(other_f)
+        assert not verify_expansion(other_coeffs)
+
     def test_perturbed_leading_coefficient_detected(self):
         cert = build_certificate(perturbed(9, Fr(1, 1000)))
         assert not verify_expansion(cert, EXPECTED_LEGENDRE_COEFFS)
@@ -132,6 +142,21 @@ class TestEvaluationsOnce:
             ((df_chain[0], -1), 1),
         ]
         assert df_chain[0] == f_chain[1] and df_chain[-1] == f_chain[-1]
+
+    def test_one_legendre_reconstruction(self, monkeypatch):
+        # build_certificate checks that the expansion rebuilds f, and the
+        # certificate and theorem suites' verify_expansion reuse that check
+        calls = []
+        original = certificate.from_legendre_basis
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return original(coeffs)
+
+        monkeypatch.setattr(certificate, "from_legendre_basis", counted)
+        report = harness.run(harness.RunConfig(suites=("certificate", "bounds", "theorem")))
+        assert report.ok
+        assert len(calls) == 1
 
     def test_f_ends_are_the_exact_values(self, cert):
         assert cert.f_ends == (cert.f.eval(-1), cert.f.eval(1))

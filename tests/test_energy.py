@@ -118,54 +118,72 @@ class TestEnergy:
                 assert rec.T_i < 13.0
 
 
+#: The unit roundoff of a float.
+U = 2.0**-53
+
+
+def _sum(terms):
+    """The correctly rounded sum of `terms`, and the standard bound N u
+    sum |terms| on the error of any sum of those N terms by N - 1 floating
+    additions, in any order."""
+    terms = [float(t) for t in terms]
+    return math.fsum(terms), len(terms) * U * math.fsum(map(abs, terms))
+
+
 def _loop_energy(ps, c):
-    """energy() as a Python loop over rows and pairs, in .hex() form: the
-    per-row numpy sum, J(i) by a pair test, T_i as a Python sum over J(i)."""
+    """energy() as a Python loop over rows and pairs: f by np.polyval, each
+    sum correctly rounded with its error bound (`_sum`), J(i) by a pair
+    test and T_i as f(1) plus the sum over J(i)."""
     n = len(ps)
-    cosm = ps.cos_matrix()
+    cosm = CosineBatch.of(ps).cos.reshape(n, n)
     sep = min_angle(cosm) if n >= 2 else math.nan
-    np.fill_diagonal(cosm, 1.0)
     values = np.polyval([float(x) for x in reversed(c.f.coeffs)], cosm)
     f_at_1 = float(c.f.eval(1))
     np.fill_diagonal(values, f_at_1)
     threshold = -c.t0.lo
     per_point = []
     for i in range(n):
-        S_i = float(values[i].sum())
         J_i = tuple(j for j in range(n) if j != i and cosm[i, j] < threshold)
-        T_i = f_at_1 + float(sum(values[i, j] for j in J_i))
-        per_point.append((S_i.hex(), T_i.hex(), J_i))
-    return n, float(values.sum()).hex(), sep.hex(), per_point
+        T_i = _sum([f_at_1] + [values[i, j] for j in J_i])
+        per_point.append((_sum(values[i]), T_i, J_i))
+    return n, _sum(values.ravel()), sep, per_point
 
 
-def _hex_energy(ps, c):
+def _assert_energy_matches_loop(ps, c):
+    """energy() has the loop's n, min_sep and J(i) bit for bit, and each S,
+    S_i and T_i within its sum's error bound of the loop's."""
+    n, S, sep, per_point = _loop_energy(ps, c)
     summary = energy(ps, c)
-    per_point = [(r.S_i.hex(), r.T_i.hex(), r.J_i) for r in summary.per_point]
-    return summary.n, summary.S.hex(), summary.min_sep.hex(), per_point
+    assert (summary.n, summary.min_sep.hex()) == (n, sep.hex())
+    assert [r.J_i for r in summary.per_point] == [J_i for _, _, J_i in per_point]
+    got = [summary.S] + [x for r in summary.per_point for x in (r.S_i, r.T_i)]
+    expected = [S] + [x for S_i, T_i, _ in per_point for x in (S_i, T_i)]
+    for value, (exact, bound) in zip(got, expected, strict=True):
+        assert abs(value - exact) <= bound
+    return per_point
 
 
 class TestWholeArrayEnergy:
-    """energy() matches the loop bit for bit."""
+    """energy() matches the loop: n, min_sep and J(i) bit for bit, and S,
+    S_i and T_i within the summation error bound, as the order in which
+    numpy adds the terms is its own."""
 
     def test_small_sets(self, cert):
         rng = random.Random(55)
         empty = full = 0
         for n in range(1, 41):
             for _ in range(3):
-                ps = random_point_set(rng, n)
-                expected = _loop_energy(ps, cert)
-                assert _hex_energy(ps, cert) == expected
-                empty += sum(1 for _, _, J in expected[3] if not J)
-                full += sum(1 for _, _, J in expected[3] if J)
+                per_point = _assert_energy_matches_loop(random_point_set(rng, n), cert)
+                empty += sum(1 for _, _, J in per_point if not J)
+                full += sum(1 for _, _, J in per_point if J)
         assert empty > 0 and full > 0
 
     def test_icosahedron(self, cert):
-        assert _hex_energy(icosahedron(), cert) == _loop_energy(icosahedron(), cert)
+        _assert_energy_matches_loop(icosahedron(), cert)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_thousand_points(self, cert, seed):
-        ps = random_point_set(random.Random(seed), 1000)
-        assert _hex_energy(ps, cert) == _loop_energy(ps, cert)
+        _assert_energy_matches_loop(random_point_set(random.Random(seed), 1000), cert)
 
     def test_no_deep_pairs(self, cert):
         # every point within 20 degrees of the pole: no J(i) has a member
@@ -174,9 +192,8 @@ class TestWholeArrayEnergy:
             SphericalPoint(rng.uniform(0.0, math.radians(10.0)), rng.uniform(0.0, 6.0))
             for _ in range(15)
         )
-        expected = _loop_energy(ps, cert)
-        assert all(not J for _, _, J in expected[3])
-        assert _hex_energy(ps, cert) == expected
+        per_point = _assert_energy_matches_loop(ps, cert)
+        assert all(not J for _, _, J in per_point)
 
 
 class TestLemma2:
@@ -217,19 +234,20 @@ def _batch(sets):
 
 class TestLemma3Batch:
     def test_sums_match_energy(self, cert):
-        # unconstrained sets, so that many rows have deep terms in T_i
+        # unconstrained sets, so that many rows have deep terms in T_i; a
+        # set's S, S_i and T_i are energy()'s bit for bit, in a mixed batch
         rng = random.Random(57)
-        sets = [random_point_set(rng, n) for n in list(range(2, 13)) * 4]
+        sets = [random_point_set(rng, n) for n in list(range(1, 41)) * 4]
         S, S_i, T_i = point_energies(_batch(sets), cert)
         assert len(S) == len(sets) and len(S_i) == len(T_i) == sum(map(len, sets))
         first = deep = 0
-        for ps, s in zip(sets, S):
+        for ps, s in zip(sets, S.tolist()):
             summary = energy(ps, cert)
-            tol = 1e-12 * len(ps) ** 2
-            assert abs(s - summary.S) <= tol
-            for rec, si, ti in zip(summary.per_point, S_i[first:], T_i[first:]):
-                assert abs(si - rec.S_i) <= tol and abs(ti - rec.T_i) <= tol
-                deep += bool(rec.J_i)
+            assert s.hex() == summary.S.hex()
+            rows, points = summary.per_point, slice(first, first + len(ps))
+            assert S_i[points].tobytes() == np.array([r.S_i for r in rows]).tobytes()
+            assert T_i[points].tobytes() == np.array([r.T_i for r in rows]).tobytes()
+            deep += sum(bool(r.J_i) for r in rows)
             first += len(ps)
         assert deep > 20
 
@@ -367,8 +385,8 @@ def _cosines_with_both_ends():
     exactly 1 (the diagonal) and -1 (the poles) among the rest."""
     rng = random.Random(59)
     points = [random_point(rng) for _ in range(300)]
-    cosm = PointSet(points + [SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0)]).cos_matrix()
-    np.fill_diagonal(cosm, 1.0)
+    ps = PointSet(points + [SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0)])
+    cosm = CosineBatch.of(ps).cos.reshape(len(ps), len(ps))
     assert cosm.min() == -1.0 and cosm.max() == 1.0
     return cosm
 

@@ -165,7 +165,7 @@ def _reference_sets(rng, count):
 def _reference_sums(ps, kmax=9):
     """The Gegenbauer sums of one set: np.polyval of each P_k over the
     set's cosine matrix."""
-    cosm = ps.cos_matrix()
+    cosm = CosineBatch.of(ps).cos.reshape(len(ps), len(ps))
     return [float(np.polyval(legendre(k).real_coeffs(), cosm).sum()) for k in range(kmax + 1)]
 
 

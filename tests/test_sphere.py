@@ -12,6 +12,7 @@ from kiss3 import sphere
 from kiss3.errors import DomainError, SaturationError, TooFewPoints
 from kiss3.sphere import (
     SAMPLER_BLOCK,
+    CosineBatch,
     PointSet,
     SphericalPoint,
     angular_distance,
@@ -26,6 +27,11 @@ from kiss3.sphere import (
     random_separated_sets,
     rho,
 )
+
+def _cosines(ps):
+    """The set's cosine matrix, as its one-set CosineBatch holds it."""
+    return CosineBatch.of(ps).cos.reshape(len(ps), len(ps))
+
 
 def rotated(ps, matrix):
     """Apply a 3x3 rotation matrix to every point."""
@@ -152,7 +158,7 @@ class TestMinSeparation:
         rng = random.Random(57)
         sizes = [n for n in range(2, 41) for _ in range(25)] + [1000]
         for n in sizes:
-            cosm = PointSet(random_point(rng) for _ in range(n)).cos_matrix()
+            cosm = _cosines(PointSet(random_point(rng) for _ in range(n)))
             upper = float(np.arccos(cosm[np.triu_indices(n, 1)]).min())
             assert min_angle(cosm).hex() == upper.hex()
 
@@ -163,7 +169,7 @@ class TestIcosahedron:
 
     def test_each_vertex_has_five_nearest_neighbors(self):
         ico = icosahedron()
-        d = np.arccos(ico.cos_matrix())
+        d = np.arccos(_cosines(ico))
         for i in range(12):
             near = sum(
                 1 for j in range(12) if j != i and abs(d[i, j] - ICO_SEP) < 1e-9
@@ -200,38 +206,48 @@ class TestVectors:
     def test_no_points(self):
         v = PointSet([]).vectors()
         assert v.shape == (0, 3) and v.dtype == np.float64
-        assert PointSet([]).cos_matrix().shape == (0, 0)
 
 
-class TestCosMatrix:
-    """cos_matrix() is symmetric bit for bit, which energy()'s T_i relies
-    on: it sums column i in place of row i."""
+class TestCosineBatch:
+    """Each set's block of a CosineBatch is symmetric bit for bit, has a
+    diagonal of exactly 1 at the `diagonal` indices, and has the same bits
+    whichever batch holds the set."""
 
     @staticmethod
-    def _assert_symmetric(ps):
-        m = ps.cos_matrix()
-        assert m.shape == (len(ps), len(ps))
-        assert np.array_equal(m, m.T)
+    def _assert_blocks(sets):
+        batch = CosineBatch(np.concatenate([ps.vectors() for ps in sets]), [len(ps) for ps in sets])
+        diagonal = []
+        for ps, start in zip(sets, batch.starts.tolist()):
+            n = len(ps)
+            m = batch.cos[start : start + n * n].reshape(n, n)
+            assert np.array_equal(m, m.T)
+            assert m.tobytes() == _cosines(ps).tobytes()
+            assert np.all(np.diag(m) == 1.0) and np.all(np.abs(m) <= 1.0)
+            diagonal += range(start, start + n * n, n + 1)
+        assert batch.diagonal.tolist() == diagonal
 
     def test_random_sets(self):
         rng = random.Random(61)
-        for n in list(range(1, 41)) + [1000]:
-            self._assert_symmetric(PointSet(random_point(rng) for _ in range(n)))
+        sets = [PointSet(random_point(rng) for _ in range(n)) for n in range(1, 41)]
+        self._assert_blocks(sets)
+        self._assert_blocks([PointSet(random_point(rng) for _ in range(1000))])
 
     def test_poles_and_repeated_point(self):
         rng = random.Random(62)
         p = random_point(rng)
         points = [SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0), p, p]
         ps = PointSet(points + [random_point(rng) for _ in range(20)])
-        m = ps.cos_matrix()
-        assert m.min() == -1.0 and m.max() <= 1.0
-        self._assert_symmetric(ps)
+        assert _cosines(ps).min() == -1.0
+        self._assert_blocks([ps, PointSet([p]), ps])
 
     def test_sampler_rows(self):
-        for n, seed in ((2, 0), (8, 5), (12, 3)):
-            ps = random_separated_set(n, math.pi / 4, seed=seed)
-            assert ps._rows is not None
-            self._assert_symmetric(ps)
+        sets = [random_separated_set(n, math.pi / 4, seed) for n, seed in ((2, 0), (8, 5), (12, 3))]
+        assert all(ps._rows is not None for ps in sets)
+        self._assert_blocks(sets)
+
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="every set needs a point"):
+            CosineBatch.of(PointSet([]))
 
 
 class TestRandomSeparatedSet:
