@@ -70,40 +70,40 @@ def _symmetric_pair_poly(
     """f(p + v) + f(p - v) as a polynomial in s, where p = base(s) and
     v^2 = r2 * (1 - s^2).  Odd powers of v cancel, so only v^2 appears.
 
-    Built in integers: with f = a / da, base = b / db and r2 = nw / dw on
-    their integer images, N = deg f and K = N // 2, the sum is
-    sum_m S_2m X^m dw^(K-m) over the one denominator da db^N dw^K, where
-    X = nw (1 - s^2) and S_i = sum_j 2 a_j C(j, i) b^(j-i) db^(N-j+i)
-    gathers every term with v^i.  The powers of db and dw and the
-    homogeneous powers b^k db^(N-k) are built once; the sum over m is a
-    Horner pass in X, one step per even power of v.
+    Built in integers from one Taylor shift of f (von zur Gathen and
+    Gerhard, ISSAC 1997): with f = a / da, base = (b0 + q) / db, q(0) = 0,
+    r2 = nw / dw, N = deg f and K = N // 2, a homogeneous Horner pass gives
+    g(y) = sum_j a_j db^(N-j) (b0 + y)^j.  The sum is sum_m db^2m dw^(K-m)
+    X^m S_2m over da db^N dw^K, X = nw (1 - s^2), S_i = 2 sum_k C(k, i) g_k
+    q^(k-i), joined by a Horner pass in X.  Each q^m = s^(e m) r^m is kept
+    sparse, one monomial for a linear base.  The weights shift by their
+    powers of two less the one all share, which the denominator leaves out.
     """
     a, da = f.ints, f.den
-    b, db = base.ints, base.den
+    b, db = base.ints or (0,), base.den
     nw, dw = r2.numerator, r2.denominator
     n = max(f.degree, 0)
     half = n // 2
-    db_pow, dw_pow, b_pow = [1], [1], [[1]]  # db^k, dw^k, b^k
-    for _ in range(n):
-        db_pow.append(db_pow[-1] * db)
-        b_pow.append(convolve(b_pow[-1], b))
-    for _ in range(half):
-        dw_pow.append(dw_pow[-1] * dw)
-    homog = [[db_pow[n - k] * v for v in bk] for k, bk in enumerate(b_pow)]  # b^k db^(n-k)
-    # (p+v)^j + (p-v)^j = 2 sum_{i even} C(j,i) p^{j-i} v^i
+    g, scale = list(a[-1:]) or [0], 1  # g(y), lowest power first
+    for c in reversed(a[:-1]):
+        scale *= db
+        g = [b[0] * x + y for x, y in zip(g + [0], [0] + g)]
+        g[0] += c * scale
+    e = next((k for k, v in enumerate(b) if k and v), 0)  # q = s^e r, or e = 0 for q = 0
+    r_pow = list(itertools.accumulate([b[e:] if e else []] * n, convolve, initial=[1]))  # r^m
+    zb, zw = (db & -db).bit_length() - 1, (dw & -dw).bit_length() - 1
+    z0 = half * min(zw, 2 * zb)  # the power of two every weight db^2m dw^(K-m) holds
     out = [0] * (n * max(len(b) - 1, 1) + 1)
-    for i in reversed(range(0, len(a), 2)):
-        t = [nw * v for v in out]
-        out = [x - y for x, y in zip(t, [0, 0] + t)]  # out X, whose degree fits in out
-        s_i = [0] * len(out)
-        for j in range(i, len(a)):
-            if a[j]:
-                c = 2 * a[j] * math.comb(j, i)
-                for k, v in enumerate(homog[j - i]):
-                    s_i[k] += c * v
-        w = dw_pow[half - i // 2]
-        out = [x + w * y for x, y in zip(out, s_i)]
-    return RationalPoly.from_integers(out, da * db_pow[n] * dw_pow[half])
+    for i in reversed(range(0, len(g), 2)):
+        out = [nw * (x - y) for x, y in zip(out, [0, 0] + out)]  # out X, whose degree fits
+        m = half - i // 2
+        w = (db >> zb) ** i * (dw >> zw) ** m << zb * i + zw * m - z0 + 1  # + 1: S_i's 2
+        for k in range(i, len(g)):
+            if g[k]:
+                c = w * g[k] * math.comb(k, i)
+                for j, v in enumerate(r_pow[k - i], e * (k - i)):
+                    out[j] += c * v
+    return RationalPoly.from_integers(out, da * db**n * dw**half >> z0)
 
 
 def build_omega(c: Certificate, psi: float) -> ProfilePoly:
@@ -118,9 +118,10 @@ def build_omega(c: Certificate, psi: float) -> ProfilePoly:
     hi = 2.0 * c.theta0.hi + 1e-12
     if not lo <= psi <= hi:
         raise DomainError(f"build_omega: psi = {psi} outside [60deg, 2*theta0]")
-    ch = Fraction(math.cos(psi / 2.0))
-    sh = Fraction(math.sin(psi / 2.0))
-    poly = _symmetric_pair_poly(c.f, RationalPoly([0, -ch]), sh * sh)
+    ch, dh = math.cos(psi / 2.0).as_integer_ratio()
+    sh, ds = math.sin(psi / 2.0).as_integer_ratio()
+    base = RationalPoly.from_integers([0, -ch], dh)
+    poly = _symmetric_pair_poly(c.f, base, Fraction(sh * sh, ds * ds))
     s_lo = math.nextafter(math.cos(c.theta0.hi - psi / 2.0), -math.inf)
     return ProfilePoly(poly=poly, domain=Interval(min(s_lo, 1.0), 1.0))
 
@@ -143,12 +144,12 @@ def build_triangle_profile(c: Certificate, psi: float) -> ProfilePoly:
     hi = c.theta0.hi + 1e-12
     if not lo <= psi <= hi:
         raise DomainError(f"triangle profile: psi = {psi} outside [R0, theta0]")
-    # cos theta_{1,2} = cos60 cos psi + sin60 sin psi cos(R0 -+ u)
-    a = Fraction(math.cos(psi) / 2.0)
-    b = Fraction(math.sin(60.0 * DEG) * math.sin(psi))
-    cr, sr = Fraction(math.cos(R0)), Fraction(math.sin(R0))
-    base = RationalPoly([-a, -b * cr])  # -(a + b cos R0 s)
-    poly = _symmetric_pair_poly(c.f, base, b * b * sr * sr)
+    # cos theta_{1,2} = a + b cos(R0 -+ u) = a + b cos R0 s +- b sin R0 sin u
+    an, ad = (math.cos(psi) / 2.0).as_integer_ratio()
+    bn, bd = (math.sin(60.0 * DEG) * math.sin(psi)).as_integer_ratio()
+    (crn, crd), (srn, srd) = math.cos(R0).as_integer_ratio(), math.sin(R0).as_integer_ratio()
+    base = RationalPoly.from_integers([-an * bd * crd, -bn * crn * ad], ad * bd * crd)
+    poly = _symmetric_pair_poly(c.f, base, Fraction((bn * srn) ** 2, (bd * srd) ** 2))
     cot = math.cos(psi) / math.sin(psi)
     u0 = max(math.acos(min(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
     s_lo = math.nextafter(math.cos(u0), -math.inf)

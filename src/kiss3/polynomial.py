@@ -27,7 +27,9 @@ of the result.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -112,9 +114,15 @@ class RationalPoly:
         return p
 
     def _set(self, ints: list[int], den: int) -> None:
+        """Lowest terms: shift out the power of two that den and all ints share;
+        then one of them is odd, and the gcd needs only den's odd part."""
         while ints and ints[-1] == 0:
             ints.pop()
-        g = math.gcd(den, *ints)
+        if not den & 1 and not (ints and ints[-1] & 1):
+            low = functools.reduce(operator.or_, ints, den)
+            z = (low & -low).bit_length() - 1
+            ints, den = [v >> z for v in ints], den >> z
+        g = math.gcd(den // (den & -den), *ints)
         if g > 1:
             ints, den = [v // g for v in ints], den // g
         object.__setattr__(self, "ints", tuple(ints))

@@ -224,6 +224,21 @@ class TestBoundTable:
         assert bound_table.mu == 4
         assert all(h.hi < 13.0 for h in bound_table.h)
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_an_upper_end_of_exactly_13_fails_the_verdict(self, cert, below):
+        # f(-1), seeded into the cached `f_ends`, makes h1 = f(1) + f(-1) the
+        # float just below 13, whose outward enclosure ends at 13.0 exactly,
+        # or one float lower; the rest of the table keeps the certificate's
+        top = math.nextafter(13.0, 0.0)
+        if below:
+            top = math.nextafter(top, 0.0)
+        c = dataclasses.replace(cert)
+        c.__dict__["f_ends"] = (Fraction(top) - cert.f_ends[1], cert.f_ends[1])
+        table = compute_bound_table(c)
+        assert table.h[1].hi == math.nextafter(top, math.inf)
+        assert all(h.hi < 13.0 for i, h in enumerate(table.h) if i != 1)
+        assert table.verdict is below
+
     def test_h_max_at_least_h1(self, bound_table):
         assert 12.88 - 1e-12 <= bound_table.h_max.hi < 13.0
 
@@ -355,6 +370,21 @@ class TestTheorem:
             (0.2, 120),
             (1.0, 24),
         ]
+
+    @pytest.mark.parametrize(
+        "nearest, separated", [(Fraction(1, 4), True), (Fraction(1, 3), False)]
+    )
+    def test_witness_separation_cutoff(self, cert, bound_table, monkeypatch, nearest, separated):
+        # one of the 120 pairs at c^2 = 1/5 moved to `nearest`: the set stays
+        # 12 points with 24 pairs at c^2 = 1, and S stays in [144, 156), so
+        # only the 60-degree test (c^2 <= 1/4) decides the conclusion
+        classes = {Fraction(1): 24, Fraction(1, 5): 119, nearest: 1}
+        monkeypatch.setattr(bounds, "icosahedron_pair_classes", lambda: classes)
+        report = verify_theorem(cert, bound_table)
+        assert report.witness_size == 12
+        assert 144 <= report.witness_energy < 156
+        assert report.witness_min_sep == math.acos(math.sqrt(nearest))
+        assert (report.conclusion == 12) is separated
 
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 100), Fraction(-3, 7)])
     def test_exact_witness_matches_the_float_energy(self, cert, bound_table, delta):

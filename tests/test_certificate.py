@@ -95,6 +95,21 @@ class TestAnalyticProperties:
     def test_property_ii(self, cert):
         assert verify_property_ii(cert)
 
+    @pytest.mark.parametrize(
+        "f, holds",
+        [
+            (RationalPoly([Fr(-1, 2), -1]), True),  # -t - 1/2: f(-1) = 1/2
+            (RationalPoly([-1, -1]) * RationalPoly([Fr(1, 2), 1]) ** 2, False),  # f(-1) = 0
+            (RationalPoly([Fr(1, 2), 1]) ** 2 * -1, False),  # f(-1) = -1/4
+        ],
+    )
+    def test_property_ii_needs_only_a_positive_f_at_minus_one(self, cert, f, holds):
+        # each f has one distinct root on (-1, 1/2), at -1/2, and f(1/2) < 0,
+        # so the sign of f(-1) alone decides
+        c = replace(cert, f=f)
+        assert c.sturm_chain.count_open(Fr(-1), Fr(1, 2)) == 1 and f.eval(Fr(1, 2)) < 0
+        assert verify_property_ii(c) is holds
+
     def test_monotone_quadratic(self, cert):
         # t^2 is decreasing on [-1, -t0]; same two-part test applies
         from kiss3.polynomial import sturm_count

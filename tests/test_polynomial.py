@@ -979,6 +979,124 @@ class TestKernelsMatchTheirPredecessors:
             halved += Fr(max(coeffs) - max(coeffs[0], coeffs[-1]), scale) > Fr(tol)
         assert halved >= 60
 
+
+def recorded_pair_inputs(build, *calls):
+    """The (f, base, r2) that `_symmetric_pair_poly` is given across
+    `build(*args)` for each args in `calls`."""
+    inputs = []
+    pair = bounds._symmetric_pair_poly
+
+    def record(f, base, r2):
+        inputs.append((f, base, r2))
+        return pair(f, base, r2)
+
+    bounds._symmetric_pair_poly = record
+    try:
+        for args in calls:
+            build(*args)
+    finally:
+        bounds._symmetric_pair_poly = pair
+    return inputs
+
+
+def fraction_bases(kind, psi):
+    """A bound-table builder's base and r2 as products of `Fraction`s of
+    its float trig values."""
+    if kind == "omega":
+        ch, sh = Fr(math.cos(psi / 2.0)), Fr(math.sin(psi / 2.0))
+        return RationalPoly([0, -ch]), sh * sh
+    a = Fr(math.cos(psi) / 2.0)
+    b = Fr(math.sin(60.0 * bounds.DEG) * math.sin(psi))
+    cr, sr = Fr(math.cos(bounds.R0)), Fr(math.sin(bounds.R0))
+    return RationalPoly([-a, -b * cr]), b * b * sr * sr
+
+
+def plain_lowest_terms(ints, den):
+    """ints / den with trailing zeros dropped and one gcd divided out."""
+    ints = list(ints)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = math.gcd(den, *ints)
+    return tuple(v // g for v in ints), den // g
+
+
+class TestTaylorShiftBuild:
+    """The profile build by one Taylor shift of f, the integer-ratio bases
+    of its two callers, and the power-of-two strip before the gcd."""
+
+    def assert_predecessor_equal(self, inputs):
+        for f, base, r2 in inputs:
+            got = bounds._symmetric_pair_poly(f, base, r2)
+            want = convolution_pair_poly(f, base, r2)
+            assert (got.ints, got.den) == (want.ints, want.den), (f, base, r2)
+
+    def test_bases_with_only_a_constant_term(self):
+        rng = random.Random(83)
+        inputs = []
+        for _ in range(40):
+            den = rng.choice([1, 3, 2 ** rng.randint(1, 60)])
+            b0 = Fr(rng.choice([-1, 1]) * rng.randint(1, 50), den)
+            r2 = Fr(rng.randint(-9, 9), rng.randint(1, 9))
+            inputs.append((random_poly(rng, 10), RationalPoly([b0]), r2))
+        assert all(base.degree == 0 for _, base, _ in inputs)
+        self.assert_predecessor_equal(inputs)
+
+    def test_odd_degree_f(self):
+        rng = random.Random(89)
+        inputs = []
+        for deg in [1, 3, 5, 7, 9, 11] * 8:
+            coeffs = [Fr(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(deg)]
+            top = Fr(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 20))
+            f = RationalPoly(coeffs + [top])
+            base = random_poly(rng, 2) if rng.random() < 0.8 else RationalPoly([])
+            r2 = Fr(rng.randint(-9, 9), rng.randint(1, 2 ** rng.randint(0, 60)))
+            inputs.append((f, base, r2))
+        assert {f.degree % 2 for f, _, _ in inputs} == {1}
+        self.assert_predecessor_equal(inputs)
+
+    def test_perturbed_certificate_table(self):
+        from test_bounds import table_profiles
+
+        perturbed = build_certificate(harness.perturbed_coeffs(9, Fr(1, 100)))
+        inputs = recorded_pair_inputs(table_profiles, (perturbed,))
+        assert len(inputs) == 10
+        self.assert_predecessor_equal(inputs)
+
+    def test_integer_ratio_bases_equal_fraction_products(self, cert):
+        from test_bounds import table_profiles
+
+        perturbed = build_certificate(harness.perturbed_coeffs(9, Fr(1, 100)))
+        kinds = {"F1": "omega", "F2": "triangle"}
+        angles = [(kinds[k], psi) for c in (cert, perturbed) for k, psi, _ in table_profiles(c)]
+        rng = random.Random(97)
+        for _ in range(100):
+            angles.append(("omega", rng.uniform(60.0 * bounds.DEG, 2.0 * cert.theta0.lo)))
+            angles.append(("triangle", rng.uniform(bounds.R0, cert.theta0.lo)))
+        builders = {"omega": bounds.build_omega, "triangle": bounds.build_triangle_profile}
+        for kind, psi in angles:
+            ((_, base, r2),) = recorded_pair_inputs(builders[kind], (cert, psi))
+            want_base, want_r2 = fraction_bases(kind, psi)
+            assert base.coeffs == want_base.coeffs
+            assert (base.ints, base.den) == (want_base.ints, want_base.den)
+            assert (r2.numerator, r2.denominator) == (want_r2.numerator, want_r2.denominator)
+
+    def test_power_of_two_strip_matches_the_plain_gcd(self):
+        rng = random.Random(101)
+        cases = [([], 1), ([], 8), ([], 7), ([0, 0], 2**90), ([0], 1), ([4, 0, -8], 16), ([-3], 6)]
+        cases += [([6, 0, -10], 1), ([2**70, -2**71], 2**70 * 3), ([2**70, -2**71], 5 * 2**69)]
+        for _ in range(400):
+            shared = 2 ** rng.choice([0, 0, 1, 5, 64, 842])
+            size = rng.randint(0, 10)
+            ints = [rng.choice([0, rng.randint(-(10**6), 10**6)]) * shared for _ in range(size)]
+            ints += [0] * rng.choice([0, 0, 2])
+            den = rng.choice([1, rng.randrange(1, 10**6, 2), rng.randint(1, 10**6) * shared])
+            cases.append((ints, den))
+        assert {den % 2 for _, den in cases} == {0, 1} and any(den == 1 for _, den in cases)
+        for ints, den in cases:
+            p = RationalPoly.from_integers(ints, den)
+            assert (p.ints, p.den) == plain_lowest_terms(ints, den), (ints, den)
+
+
 class TestInterval:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
