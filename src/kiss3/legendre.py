@@ -92,38 +92,69 @@ def from_legendre_basis(coeffs) -> RationalPoly:
 
 
 @lru_cache(maxsize=None)
-def _addition_terms(k: int):
-    """The float image of the addition theorem at degree k: the coefficients
-    of P_k and, for m = 0 ... k, the weight c_{m,k} with the coefficients of
-    P_k^(m), highest power first."""
-    p, terms = legendre(k), []
-    for w in addition_weights(k):
-        terms.append((float(w), p.real_coeffs()))
-        p = p.derivative()
-    return legendre(k).real_coeffs(), tuple(terms)
+def _addition_tables(size: int):
+    """The float image of the addition theorem below degree `size`,
+    zero-padded: coeffs[k, m, j] is the t^j coefficient of P_k^(m), the m-th
+    derivative of P_k, and weights[m, k] is the weight c_{m,k} (0 for m > k)."""
+    import numpy as np
+    coeffs, weights = np.zeros((size, size, size)), np.zeros((size, size))
+    for k in range(size):
+        p = legendre(k)
+        for m, w in enumerate(addition_weights(k)):
+            coeffs[k, m, : p.degree + 1] = p.real_coeffs()[::-1]
+            weights[m, k] = w
+            p = p.derivative()
+    coeffs.setflags(write=False)  # cached: shared by every later call
+    weights.setflags(write=False)
+    return coeffs, weights
 
 
-def addition_theorem_residual(k: int, theta1, theta2, phi):
+def addition_theorem_residual(k, theta1, theta2, phi):
     """|P_k(cos of the spherical law of cosines) - the addition-theorem sum|.
 
     The theorem makes this identically zero; the residual measures only the
     floating-point evaluation error of the two independent routes.  Takes
-    floats, or numpy arrays that broadcast together, for one degree k: the
-    weights and derivative coefficients are converted to floats once per k.
+    floats, or numpy arrays that broadcast together; the degree k is an
+    integer, or an integer array that broadcasts with the angles, one degree
+    per sample.  All samples are evaluated at once: the powers of t and of
+    cos and sin of both colatitudes meet zero-padded float tables of every
+    degree's derivative coefficients, in one matrix product for the left
+    side and one per order m for the right, and each sample keeps its own
+    degree's row.
     """
     import numpy as np
-    lhs_coeffs, terms = _addition_terms(k)
-    lhs = np.polyval(lhs_coeffs, cos_law(theta1, theta2, phi))
-    # the associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
-    # t = cos(theta), with (1 - t^2)^{m/2} taken as sin(theta)^m: near a
-    # pole 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
-    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+    k, theta1, theta2, phi = np.broadcast_arrays(k, theta1, theta2, phi)
+    degrees, theta1, theta2, phi = (a.ravel() for a in (k, theta1, theta2, phi))
+    top, n = int(degrees.max(initial=0)), degrees.size
+    _check_degree(int(degrees.min(initial=0)))
+    _check_degree(top)
+    size, samples = top + 1, np.arange(n)
+    coeffs, weights = _addition_tables(size)
+    # powers 0 ... top of t, cos theta1, cos theta2, sin theta1, sin theta2.
+    # The associated Legendre function (1 - t^2)^{m/2} P_k^(m)(t) at
+    # t = cos(theta) takes (1 - t^2)^{m/2} as sin(theta)^m: near a pole
+    # 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
+    powers = np.empty((size, 5, n))
+    powers[0] = 1.0
+    t = cos_law(theta1, theta2, phi)
+    # row 1 as a slice, which is empty when every degree is 0
+    powers[1:2] = (t, np.cos(theta1), np.cos(theta2), np.sin(theta1), np.sin(theta2))
+    for j in range(2, size):
+        np.multiply(powers[j - 1], powers[1], out=powers[j])
+    flat = powers.reshape(size, 5 * n)
+    lhs = (coeffs[:, 0] @ flat[:, :n])[degrees, samples]
+    # one order at a time, so that no temporary holds every degree's
+    # P_k^(m) for every m: row k of the product is P_k^(m) at the n
+    # cos theta1, then at the n cos theta2, and sample i takes row k_i
+    terms = weights[:, degrees] * np.cos(np.multiply.outer(np.arange(size), phi))
+    at = degrees * (2 * n) + samples + np.array([[0], [n]])
     rhs = 0.0
-    for m, (w, coeffs) in enumerate(terms):
-        polar1 = np.polyval(coeffs, c1) * s1**m
-        polar2 = np.polyval(coeffs, c2) * s2**m
-        rhs = rhs + w * polar1 * polar2 * np.cos(m * phi)
-    return np.abs(lhs - rhs)
+    for m in range(size):
+        polar1, polar2 = (coeffs[:, m] @ flat[:, n : 3 * n]).take(at)
+        polar1 *= powers[m, 3]
+        polar2 *= powers[m, 4]
+        rhs = rhs + terms[m] * polar1 * polar2
+    return np.abs(lhs - rhs).reshape(k.shape)[()]
 
 
 def gegenbauer_sums(cos: np.ndarray, starts: np.ndarray, degrees) -> np.ndarray:

@@ -1041,6 +1041,25 @@ class TestTaylorShiftBuild:
         assert all(base.degree == 0 for _, base, _ in inputs)
         self.assert_predecessor_equal(inputs)
 
+    def test_bases_with_a_zero_constant_term(self, cert):
+        # a Taylor shift by b0 = 0: random f and bases, and the omega
+        # profiles of the table angles and 100 seeded ones, whose bases are
+        # all of this kind
+        from test_bounds import table_profiles
+
+        rng = random.Random(101)
+        inputs = []
+        for _ in range(60):
+            rest = random_poly(rng, 3).coeffs[1:] or [Fr(rng.randint(1, 9), 2 ** rng.randint(0, 60))]
+            base = RationalPoly([0, *rest])
+            r2 = Fr(rng.randint(-9, 9), rng.randint(1, 2 ** rng.randint(0, 60)))
+            inputs.append((random_poly(rng, 10), base, r2))
+        angles = [psi for kind, psi, _ in table_profiles(cert) if kind == "F1"]
+        angles += [rng.uniform(60.0 * bounds.DEG, 2.0 * cert.theta0.lo) for _ in range(100)]
+        inputs += recorded_pair_inputs(bounds.build_omega, *((cert, psi) for psi in angles))
+        assert all(base.ints[0] == 0 and base.degree >= 1 for _, base, _ in inputs)
+        self.assert_predecessor_equal(inputs)
+
     def test_odd_degree_f(self):
         rng = random.Random(89)
         inputs = []

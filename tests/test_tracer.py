@@ -55,3 +55,15 @@ def test_install_trace_uninstall(tracer):
     assert polynomial.SturmChain.__dict__["__init__"] is methods["__init__"]
     assert polynomial.RationalPoly.__dict__["eval"] is methods["eval"]
     assert polynomial.RationalPoly.__dict__["eval_real"] is methods["eval_real"]
+
+
+def test_lemma1_makes_one_addition_theorem_call(tracer):
+    # all 1,000 addition-theorem samples, of every degree, in one call
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report = harness.run(harness.RunConfig(suites=("lemma1",), lemma1_sets=50))
+    finally:
+        t.uninstall()
+    assert report.ok
+    assert t.metrics()["legendre.addition_theorem_residual.calls"] == 1
