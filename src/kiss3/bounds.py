@@ -21,7 +21,7 @@ from types import MappingProxyType
 from . import sphere
 from .certificate import Certificate, verify_expansion
 from .errors import BoundFailure, DomainError
-from .polynomial import Interval, RationalPoly, _outward, convolve, max_on_interval
+from .polynomial import Interval, RationalPoly, _outward, convolve, max_on_interval, taylor_shift
 
 DEG = math.pi / 180.0
 
@@ -70,25 +70,20 @@ def _symmetric_pair_poly(
     """f(p + v) + f(p - v) as a polynomial in s, where p = base(s) and
     v^2 = r2 * (1 - s^2).  Odd powers of v cancel, so only v^2 appears.
 
-    Built in integers from one Taylor shift of f (von zur Gathen and
-    Gerhard, ISSAC 1997): with f = a / da, base = (b0 + q) / db, q(0) = 0,
-    r2 = nw / dw, N = deg f and K = N // 2, a homogeneous Horner pass gives
+    Built in integers from one Taylor shift of f: with f = a / da,
+    base = (b0 + q) / db, q(0) = 0, r2 = nw / dw, N = deg f and K = N // 2,
+    `taylor_shift` to (b0 + y) / db gives
     g(y) = sum_j a_j db^(N-j) (b0 + y)^j.  The sum is sum_m db^2m dw^(K-m)
     X^m S_2m over da db^N dw^K, X = nw (1 - s^2), S_i = 2 sum_k C(k, i) g_k
     q^(k-i), joined by a Horner pass in X.  Each q^m = s^(e m) r^m is kept
     sparse, one monomial for a linear base.  The weights shift by their
     powers of two less the one all share, which the denominator leaves out.
     """
-    a, da = f.ints, f.den
     b, db = base.ints or (0,), base.den
     nw, dw = r2.numerator, r2.denominator
     n = max(f.degree, 0)
     half = n // 2
-    g, scale = list(a[-1:]) or [0], 1  # g(y), lowest power first
-    for c in reversed(a[:-1]):
-        scale *= db
-        g = [b[0] * x + y for x, y in zip(g + [0], [0] + g)]
-        g[0] += c * scale
+    g, _ = taylor_shift(f.ints or (0,), b[0], 1, db)  # g(y), lowest power first
     e = next((k for k, v in enumerate(b) if k and v), 0)  # q = s^e r, or e = 0 for q = 0
     r_pow = list(itertools.accumulate([b[e:] if e else []] * n, convolve, initial=[1]))  # r^m
     zb, zw = (db & -db).bit_length() - 1, (dw & -dw).bit_length() - 1
@@ -103,7 +98,7 @@ def _symmetric_pair_poly(
                 c = w * g[k] * math.comb(k, i)
                 for j, v in enumerate(r_pow[k - i], e * (k - i)):
                     out[j] += c * v
-    return RationalPoly.from_integers(out, da * db**n * dw**half >> z0)
+    return RationalPoly.from_integers(out, f.den * db**n * dw**half >> z0)
 
 
 def build_omega(c: Certificate, psi: float) -> ProfilePoly:
@@ -248,7 +243,7 @@ def icosahedron_pair_classes() -> MappingProxyType[Fraction, int]:
     """The ordered pairs of `sphere.icosahedron`'s 12 vertices, each with
     itself included, counted by their exact squared cosine c^2: 24 at 1 (a
     vertex with itself or its antipode) and 120 at 1/5.  The vertices are
-    the cyclic (0, +-1, +-tau) family, a + b tau held as (a, b), with
+    `sphere.icosahedron_vertices`, a + b tau held as (a, b), with
     tau^2 = tau + 1.  Every norm is tau + 2, whose square is 5 + 5 tau, so
     c^2 = x / 5 where (u.v)^2 = x + x tau: one `Fraction` per class."""
 
@@ -259,8 +254,7 @@ def icosahedron_pair_classes() -> MappingProxyType[Fraction, int]:
     def dot(u, v):
         return tuple(map(sum, zip(*map(mul, u, v))))
 
-    signs = itertools.product(((1, 0), (-1, 0)), ((0, 1), (0, -1)))
-    vs = {v for a, b in signs for v in (((0, 0), a, b), (a, b, (0, 0)), (b, (0, 0), a))}
+    vs = sphere.icosahedron_vertices((0, 0), ((1, 0), (-1, 0)), ((0, 1), (0, -1)))
     (norm,) = {dot(u, u) for u in vs}  # tau + 2 for every vertex
     p, q = mul(norm, norm)
     squares = Counter(mul(dot(u, v), dot(u, v)) for u in vs for v in vs)

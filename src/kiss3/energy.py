@@ -40,20 +40,19 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
 
     J(i) collects the j with cos dist < -t0; membership is tested against the
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
-    only increase T_i -- conservative for the < 13 direction.  J(i) and the
-    minimum separation are read from the batch's cosines.  A set of no
-    points has S = 0 and no per-point rows.  `energy_json` writes the summary
-    as the `kiss3 energy` report.
+    only increase T_i -- conservative for the < 13 direction.  J(i) is read
+    from the deep-cap mask `point_energies` gives, and the minimum
+    separation from the batch's cosines.  A set of no points has S = 0 and
+    no per-point rows.  `energy_json` writes the summary as the
+    `kiss3 energy` report.
     """
     n = len(ps)
     if not n:
         return EnergySummary(n=0, S=0.0, per_point=(), min_sep=math.nan)
     batch = CosineBatch.of(ps)
-    S, S_i, T_i = point_energies(batch, c)
-    cosm = batch.cos.reshape(n, n)
-    sep = min_angle(cosm) if n >= 2 else math.nan
-    deep = cosm < -c.t0.lo  # the diagonal is 1.0, never in J(i)
-    J = [tuple(row.nonzero()[0].tolist()) for row in deep]
+    S, S_i, T_i, deep = point_energies(batch, c)
+    sep = min_angle(batch.cos.reshape(n, n)) if n >= 2 else math.nan
+    J = [tuple(row.nonzero()[0].tolist()) for row in deep.reshape(n, n)]
     per_point = tuple(map(PerPoint, S_i.tolist(), T_i.tolist(), J))
     return EnergySummary(n=n, S=float(S[0]), per_point=per_point, min_sep=sep)
 
@@ -118,13 +117,15 @@ def check_lemma2(ps: PointSet, c: Certificate) -> bool:
 
 
 def point_energies(batch: CosineBatch, c: Certificate):
-    """S, S_i and T_i for every set of a batch: S one per set, and S_i and
-    T_i one per point, set after set; `energy` is its one-set call.
+    """S, S_i and T_i for every set of a batch, and its deep-cap mask: S one
+    per set, S_i and T_i one per point, set after set, and the mask one per
+    flat cosine; `energy` is its one-set call.
 
     S and the S_i are sums of the f values over each set's block and over
-    each row of it; T_i is f(1) plus the row's sum over the terms whose
-    cosine lies below -t0.lo, the lower endpoint (see `energy`), with every
-    other term multiplied by zero in place.
+    each row of it.  The mask is true where the cosine lies below -t0.lo,
+    the lower endpoint (see `energy`), never on the diagonal (1.0); T_i is
+    f(1) plus the row's sum over those terms, with every other term
+    multiplied by zero in place.
     """
     import numpy as np
     values = _f_values(batch, c)
@@ -133,10 +134,10 @@ def point_energies(batch: CosineBatch, c: Certificate):
     r = np.arange(len(batch.diagonal)) - batch.first_points.repeat(batch.sizes)
     rows = batch.diagonal - r
     S_i = np.add.reduceat(values, rows)
-    deep = batch.cos < -c.t0.lo  # the diagonal is 1.0, never deep
+    deep = batch.cos < -c.t0.lo
     np.multiply(values, deep, out=values)
     T_i = c.f_at_1 + np.add.reduceat(values, rows)
-    return S, S_i, T_i
+    return S, S_i, T_i, deep
 
 
 def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +159,7 @@ def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.nda
     if close.size:
         sep = float(np.arccos(closest[close[0]]))
         raise SeparationViolation(f"min separation {math.degrees(sep):.4f} deg < 60 deg")
-    S, S_i, T_i = point_energies(batch, c)
+    S, S_i, T_i, _ = point_energies(batch, c)
     points_hold = (S_i <= T_i + 1e-9) & (T_i < 13.0)
     return S < 13.0 * batch.sizes, np.logical_and.reduceat(points_hold, batch.first_points)
 

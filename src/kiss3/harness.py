@@ -35,7 +35,6 @@ from .certificate import (
 )
 from .errors import Kiss3Error
 from .legendre import addition_theorem_residual, gegenbauer_sums
-from .polynomial import Interval
 
 SCHEMA_VERSION = 2
 
@@ -104,6 +103,15 @@ class SuiteResult:
         else:
             self.failed += 1
             self.failures.append(label)
+
+    def check_reference(self, label: str, value: float, expected: float, tol: str):
+        """A computed value against the paper's printed one: within `tol`,
+        spelled as the failure message prints it.  `label` names the value,
+        with {} where the value goes."""
+        self.check(
+            abs(value - expected) <= float(tol),
+            f"{label.format(value)} != {expected} ({tol})",
+        )
 
     def check_sets(self, sets: int, *checks: tuple[int, str]):
         """Checks over `sets` tested point sets, each given as (how many sets
@@ -202,15 +210,9 @@ def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
     )
     s.check(verify_property_i(cert), "f is not monotone decreasing on [-1, -t0]")
     s.check(verify_property_ii(cert), "f is not negative on (-t0, 1/2]")
-    s.check(
-        abs(cert.t0.mid - REFERENCE_VALUES["t0"]) <= 5e-5,
-        f"t0 enclosure midpoint {cert.t0.mid} != {REFERENCE_VALUES['t0']} (5e-5)",
-    )
+    s.check_reference("t0 enclosure midpoint {}", cert.t0.mid, REFERENCE_VALUES["t0"], "5e-5")
     theta0_deg = math.degrees(cert.theta0.mid)
-    s.check(
-        abs(theta0_deg - REFERENCE_VALUES["theta0_deg"]) <= 1e-3,
-        f"theta0 {theta0_deg} deg != {REFERENCE_VALUES['theta0_deg']} (1e-3)",
-    )
+    s.check_reference("theta0 {} deg", theta0_deg, REFERENCE_VALUES["theta0_deg"], "1e-3")
     s.check(classic_delsarte_gap(cert) > 0, "f(-1) is not positive")
     report.certificate_summary = {
         "degree": cert.f.degree,
@@ -243,21 +245,13 @@ def _suite_bounds(report: VerificationReport, cert) -> SuiteResult:
         abs(math.degrees(bounds_mod.R0) - REFERENCE_VALUES["R0_deg"]) <= 1e-4,
         "circumradius R0 mismatch",
     )
-    s.check(
-        abs(table.h[2].mid - REFERENCE_VALUES["h2"]) <= 5e-4,
-        f"h2 {table.h[2].mid} != {REFERENCE_VALUES['h2']} (5e-4)",
-    )
     case1, case2 = table.h4_case_bounds
-    s.check(
-        abs(case1.mid - REFERENCE_VALUES["h4_case1"]) <= 5e-4,
-        f"h4 case 1 {case1.mid} != {REFERENCE_VALUES['h4_case1']} (5e-4)",
-    )
-    s.check(
-        abs(case2.mid - REFERENCE_VALUES["h4_case2"]) <= 5e-4,
-        f"h4 case 2 {case2.mid} != {REFERENCE_VALUES['h4_case2']} (5e-4)",
-    )
+    checked = [("h2", table.h[2], "h2"), ("h4 case 1", case1, "h4_case1")]
+    checked += [("h4 case 2", case2, "h4_case2")]
+    for label, iv, key in checked:
+        s.check_reference(label + " {}", iv.mid, REFERENCE_VALUES[key], "5e-4")
     for i, (w, expected) in enumerate(zip(table.w, REFERENCE_VALUES["w"]), start=1):
-        s.check(abs(w.mid - expected) <= 5e-4, f"w{i} {w.mid} != {expected} (5e-4)")
+        s.check_reference(f"w{i} {{}}", w.mid, expected, "5e-4")
     s.check(table.verdict, "some h_m upper endpoint reaches 13")
     return s
 
@@ -408,14 +402,8 @@ def _suite_refine(report: VerificationReport, cert) -> SuiteResult:
     s = SuiteResult("refine")
     h3_est, h4_est = bounds_mod.refine_h34(cert)
     report.refined = {"h3": h3_est, "h4": h4_est}
-    s.check(
-        abs(h3_est - REFERENCE_VALUES["h3_refined"]) <= 1e-3,
-        f"refined h3 {h3_est} != {REFERENCE_VALUES['h3_refined']} (1e-3)",
-    )
-    s.check(
-        abs(h4_est - REFERENCE_VALUES["h4_refined"]) <= 1e-3,
-        f"refined h4 {h4_est} != {REFERENCE_VALUES['h4_refined']} (1e-3)",
-    )
+    s.check_reference("refined h3 {}", h3_est, REFERENCE_VALUES["h3_refined"], "1e-3")
+    s.check_reference("refined h4 {}", h4_est, REFERENCE_VALUES["h4_refined"], "1e-3")
     # the cross-checks against the rigorous enclosures need the bound table,
     # which only the bounds and theorem suites build
     if report.bound_table is None:
@@ -488,52 +476,34 @@ def emit_table(report: VerificationReport, output_format: str = "text") -> str:
     if output_format == "json":
         return report.to_json()
     lines = []
+
+    def row(label: str, expected: float, computed: str):
+        """One computed value beside the paper's printed one."""
+        lines.append(f"  {label:<8} reference {expected:<10} computed {computed}")
+
+    ref = REFERENCE_VALUES
     cert = report.certificate_summary
     if cert:
         lines.append("certificate")
-        t0 = cert["t0"]
-        lines.append(
-            f"  t0       reference {REFERENCE_VALUES['t0']:<10} computed "
-            f"[{t0[0]:.10f}, {t0[1]:.10f}]"
-        )
-        th = cert["theta0_deg"]
-        lines.append(
-            f"  theta0   reference {REFERENCE_VALUES['theta0_deg']:<10} computed "
-            f"[{th[0]:.6f}, {th[1]:.6f}] deg"
-        )
+        t0, th = cert["t0"], cert["theta0_deg"]
+        row("t0", ref["t0"], f"[{t0[0]:.10f}, {t0[1]:.10f}]")
+        row("theta0", ref["theta0_deg"], f"[{th[0]:.6f}, {th[1]:.6f}] deg")
         lines.append(f"  f(1)     = {cert['f_at_1']}, f(-1) = {cert['f_at_minus_1']}")
     table = report.bound_table
     if table is not None:
         lines.append("bounds")
-        lines.append(
-            f"  mu-angle reference {REFERENCE_VALUES['mu_angle_deg']:<10} computed "
-            f"{table.mu_angle_deg:.4f} deg (mu = {table.mu})"
-        )
-
-        def row(label: str, expected: float, iv: Interval):
-            lines.append(
-                f"  {label:<8} reference {expected:<10} computed [{iv.lo:.7f}, {iv.hi:.7f}]"
-                f"  margin {13.0 - iv.hi:+.4f}"
-            )
-
-        row("h0", REFERENCE_VALUES["h0"], table.h[0])
-        row("h1", REFERENCE_VALUES["h1"], table.h[1])
-        row("h2", REFERENCE_VALUES["h2"], table.h[2])
-        row("h4/1", REFERENCE_VALUES["h4_case1"], table.h4_case_bounds[0])
-        row("h4/2", REFERENCE_VALUES["h4_case2"], table.h4_case_bounds[1])
-        for i, (w, expected) in enumerate(zip(table.w, REFERENCE_VALUES["w"]), start=1):
-            row(f"w{i}", expected, w)
+        row("mu-angle", ref["mu_angle_deg"], f"{table.mu_angle_deg:.4f} deg (mu = {table.mu})")
+        (h0, h1, h2, _, _), (case1, case2) = table.h, table.h4_case_bounds
+        rows = [("h0", ref["h0"], h0), ("h1", ref["h1"], h1), ("h2", ref["h2"], h2)]
+        rows += [("h4/1", ref["h4_case1"], case1), ("h4/2", ref["h4_case2"], case2)]
+        rows += [(f"w{i}", *pair) for i, pair in enumerate(zip(ref["w"], table.w), start=1)]
+        for label, expected, iv in rows:
+            row(label, expected, f"[{iv.lo:.7f}, {iv.hi:.7f}]  margin {13.0 - iv.hi:+.4f}")
         lines.append(f"  verdict: {'h_max < 13' if table.verdict else 'FAILED'}")
     if report.refined:
         lines.append("refined estimates (non-rigorous)")
-        lines.append(
-            f"  h3       reference {REFERENCE_VALUES['h3_refined']:<10} computed "
-            f"{report.refined['h3']:.6f}"
-        )
-        lines.append(
-            f"  h4       reference {REFERENCE_VALUES['h4_refined']:<10} computed "
-            f"{report.refined['h4']:.6f}"
-        )
+        row("h3", ref["h3_refined"], f"{report.refined['h3']:.6f}")
+        row("h4", ref["h4_refined"], f"{report.refined['h4']:.6f}")
     for spot in report.energy_spot_checks:
         lines.append(
             f"witness {spot['config']}: n = {spot['n']}, min sep "

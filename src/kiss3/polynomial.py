@@ -459,25 +459,33 @@ def _outward(lo: Scalar | float, hi: Scalar | float) -> Interval:
     )
 
 
+def taylor_shift(ints: Sequence[int], a: int, h: int, d: int) -> tuple[list[int], int]:
+    """The Taylor shift of sum_i ints[i] x^i to x = (a + h y) / d, scaled by
+    d^n, n = len(ints) - 1: the integer coefficients of
+    sum_i ints[i] (a + h y)^i d^(n - i), lowest power of y first, and d^n.
+    One homogeneous Horner pass (von zur Gathen and Gerhard, ISSAC 1997)."""
+    q, scale = [ints[-1]], 1
+    for c in reversed(ints[:-1]):
+        scale *= d
+        q = [a * x + h * y for x, y in zip(q + [0], [0] + q)]
+        q[0] += c * scale
+    return q, scale
+
+
 def _bernstein(p: RationalPoly, a: Fraction, b: Fraction) -> tuple[list[int], int]:
     """The Bernstein coefficients of p on [a, b], n = max(deg p, 0), as
     integers over one scale: b_0 = p(a) and b_n = p(b).
 
-    A homogeneous Horner sum_i ints[i] (A + H t)^i d^(n - i), with a = A / d
-    and b - a = H / d, gives the Taylor shift p(a + (b - a) t) as integers
-    Q_i over den d^n.  Then b_k = sum_i C(k, i) Q_i / C(n, i), so with
-    P_i = i! (n - i)! Q_i each n! b_k = sum_i C(k, i) P_i is an integer over
-    n! den d^n, and n rounds of Pascal's rule, row[k] += row[k - 1], take the
-    P_i to these sums with additions alone."""
+    `taylor_shift` to (A + H t) / d, with a = A / d and b - a = H / d,
+    gives p(a + (b - a) t) as integers Q_i over den d^n.  Then b_k =
+    sum_i C(k, i) Q_i / C(n, i), so with P_i = i! (n - i)! Q_i each
+    n! b_k = sum_i C(k, i) P_i is an integer over n! den d^n, and n rounds
+    of Pascal's rule, row[k] += row[k - 1], take the P_i to these sums with
+    additions alone."""
     ints = p.ints or (0,)
     n = len(ints) - 1
     d = math.lcm(a.denominator, (b - a).denominator)
-    A, H = int(a * d), int((b - a) * d)
-    q, scale = [ints[-1]], 1
-    for c in reversed(ints[:-1]):
-        scale *= d
-        q = [A * x + H * y for x, y in zip(q + [0], [0] + q)]
-        q[0] += c * scale
+    q, scale = taylor_shift(ints, int(a * d), int((b - a) * d), d)
     fact = math.factorial
     row = [fact(i) * fact(n - i) * v for i, v in enumerate(q)]
     for j in range(1, n + 1):

@@ -15,7 +15,7 @@ import operator
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,6 +27,12 @@ TWO_PI = 2.0 * math.pi
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
     """x clipped into [lo, hi], by comparisons: np.clip's value on a float."""
     return lo if x < lo else (hi if x > hi else x)
+
+
+def _unit_row(ct: float, st: float, phi: float) -> tuple[float, float, float]:
+    """The unit vector at azimuth phi of a colatitude with cosine ct and
+    sine st, on math floats: every point's vector is made here."""
+    return (st * math.cos(phi), st * math.sin(phi), ct)
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,7 @@ class SphericalPoint:
 
     def to_vector(self) -> np.ndarray:
         import numpy as np
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return np.array(_unit_row(math.cos(self.theta), math.sin(self.theta), self.phi))
 
     @staticmethod
     def from_vector(v) -> "SphericalPoint":
@@ -61,13 +64,9 @@ class SphericalPoint:
 @dataclass(frozen=True)
 class PointSet:
     points: tuple[SphericalPoint, ...]
-    # the points' unit vectors, from whoever made the set and already held
-    # them with the bits `vectors()` computes; not part of the set's value
-    _rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __init__(self, points, rows=None):
+    def __init__(self, points):
         object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "_rows", rows)
 
     def __len__(self):
         return len(self.points)
@@ -80,16 +79,10 @@ class PointSet:
 
     def vectors(self) -> np.ndarray:
         """One row per point, with the bits of its `to_vector`: one array
-        over tuples of the same math floats, not one array per point.  A set
-        made with its rows (random_separated_set's) returns a copy of them.
-        The shape is (n, 3), (0, 3) for a set of no points."""
-        if self._rows is not None:
-            return self._rows.copy()
+        over tuples of the same math floats, not one array per point.  The
+        shape is (n, 3), (0, 3) for a set of no points."""
         import numpy as np
-        rows = []
-        for p in self.points:
-            st = math.sin(p.theta)
-            rows.append((st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)))
+        rows = [_unit_row(math.cos(p.theta), math.sin(p.theta), p.phi) for p in self.points]
         return np.array(rows).reshape(len(rows), 3)
 
 
@@ -202,15 +195,19 @@ def min_separation(ps: PointSet) -> float:
     return min_angle(CosineBatch.of(ps).cos.reshape(n, n))
 
 
+def icosahedron_vertices(zero, ones, taus) -> list[tuple]:
+    """The 12 icosahedron vertices, the cyclic (0, +-1, +-tau) family: the
+    cyclic shifts (0, a, b), (a, b, 0) and (b, 0, a) for a in ones = (1, -1)
+    and b in taus = (tau, -tau), in the number type the arguments hold."""
+    return [v for a in ones for b in taus for v in ((zero, a, b), (a, b, zero), (b, zero, a))]
+
+
 def icosahedron() -> PointSet:
-    """The 12 icosahedron vertices from the cyclic (0, +-1, +-tau) family,
-    normalized to the unit sphere.  Minimal separation arccos(1/sqrt(5)).
+    """The 12 icosahedron vertices, normalized to the unit sphere.  Minimal
+    separation arccos(1/sqrt(5)).
     """
     tau = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = []
-    for a in (1.0, -1.0):
-        for b in (tau, -tau):
-            verts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
+    verts = icosahedron_vertices(0.0, (1.0, -1.0), (tau, -tau))
     return PointSet(SphericalPoint.from_vector(v) for v in verts)
 
 
@@ -392,9 +389,11 @@ def random_separated_sets(
     is decision-exact too.  Each set reads only its own stream, in draw
     order, and its block test sees the cosines to exactly the points it has
     accepted before each candidate, whatever the other sets do.  Its
-    rejections are counted candidate by candidate, across block ends, so a
-    stall reaches max_tries, and the jam test below, at the same candidate
-    whatever the block sizes.  So neither the blocks nor the other sets
+    rejections are counted in runs, each up to the next candidate that the
+    filter passes, across block ends; one the scalar rule rejects joins the
+    run after it, as no acceptance comes between.  So a stall reaches
+    max_tries, and the jam test's trigger below, at the same candidate
+    whatever the block sizes, and neither the blocks nor the other sets
     change what a set accepts, rejects, tests or returns.
 
     A set also stops, saturated with the same points, as soon as no later
@@ -514,14 +513,13 @@ def random_separated_sets(
                 j = nxt[row] if c <= reject_above else size
                 run = j - start[row]
                 if run:
-                    # the run of candidates the filter rejects, up to the next that survives it
+                    # the rejected candidates up to the next that survives the filter
                     r = rejections[i] = rejections[i] + run
                     if r >= max_tries or (r - run < jam_test_at <= r and jammed(first + row, i)):
                         saturated[i] = True
                         continue
                 if j == size:
                     continue
-                start[row] = j + 1
                 closest[row, j] = np.inf
                 theta = acos(cos_thetas[row])
                 phi = azimuths[row] % TWO_PI
@@ -530,16 +528,16 @@ def random_separated_sets(
                     acos(_clamp(ct * q_ct + st * q_st * cos(phi - q_phi))) >= min_sep
                     for _, q_phi, q_ct, q_st in accepted[i]
                 ):
-                    r = rejections[i] = rejections[i] + 1
-                    if r >= max_tries or (r == jam_test_at and jammed(first + row, i)):
-                        saturated[i] = True
-                        continue
+                    # rejected by the scalar rule: counted with the row's
+                    # next run, as no acceptance comes between
+                    start[row] = j
                 else:
+                    start[row] = j + 1
                     k = len(accepted[i])
                     if k == points.shape[1]:
                         copies = np.repeat(points[:, :1], k, axis=1)
                         points = np.concatenate((points, copies), axis=1)
-                    v = (st * cos(phi), st * sin(phi), ct)
+                    v = _unit_row(ct, st, phi)
                     points[first + row, k if k else slice(None)] = v
                     accepted[i].append((theta, phi, ct, st))
                     rejections[i] = 0
@@ -587,11 +585,10 @@ def random_separated_set(
     Raises SaturationError after max_tries consecutive rejections, or as
     soon as the placed points' caps are found to leave no room; its
     `placed` attribute is the PointSet accepted before saturation, in
-    order.  The returned set, and `placed`, carry the unit vectors the
-    block test used, as their `vectors()`.
+    order.
     """
-    ((angles, vectors, saturated),) = random_separated_sets([n], min_sep, [seed], max_tries)
-    ps = PointSet((SphericalPoint(theta, phi) for theta, phi in angles), rows=vectors)
+    ((angles, _, saturated),) = random_separated_sets([n], min_sep, [seed], max_tries)
+    ps = PointSet(SphericalPoint(theta, phi) for theta, phi in angles)
     if saturated:
         raise SaturationError(
             f"placed {len(ps)}/{n} points before {max_tries} "

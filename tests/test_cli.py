@@ -73,6 +73,18 @@ class TestVerify:
         golden = Path(__file__).parent / "data" / name
         assert capsys.readouterr().out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "output_format, name",
+        [("text", "perturb_9_1_100.txt"), ("json", "perturb_9_1_100.json")],
+    )
+    def test_failing_report_matches_golden(self, capsys, output_format, name):
+        # a failing full run at the default seed, byte for byte as recorded:
+        # every reference check's failure message and every table row
+        code = main(["verify", "--perturb", "9:1/100", "--format", output_format])
+        assert code == 1
+        golden = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(

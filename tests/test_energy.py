@@ -238,7 +238,7 @@ class TestLemma3Batch:
         # set's S, S_i and T_i are energy()'s bit for bit, in a mixed batch
         rng = random.Random(57)
         sets = [random_point_set(rng, n) for n in list(range(1, 41)) * 4]
-        S, S_i, T_i = point_energies(_batch(sets), cert)
+        S, S_i, T_i, _ = point_energies(_batch(sets), cert)
         assert len(S) == len(sets) and len(S_i) == len(T_i) == sum(map(len, sets))
         first = deep = 0
         for ps, s in zip(sets, S.tolist()):
@@ -250,6 +250,26 @@ class TestLemma3Batch:
             deep += sum(bool(r.J_i) for r in rows)
             first += len(ps)
         assert deep > 20
+
+    def test_deep_mask(self, cert):
+        # the mask is the batch's cosines below -t0.lo, flat as they are, and
+        # each set's rows of it are energy()'s J(i)
+        rng = random.Random(59)
+        sets = [random_point_set(rng, n) for n in list(range(1, 41)) * 2]
+        batch = _batch(sets)
+        deep = point_energies(batch, cert)[3]
+        assert deep.dtype == bool and np.array_equal(deep, batch.cos < -cert.t0.lo)
+        assert not deep[batch.diagonal].any() and deep.sum() > 100
+        # at the edge: -t0.lo itself is not deep, and the next float below is
+        edge = [-cert.t0.lo, math.nextafter(-cert.t0.lo, -1.0)]
+        batch.cos[batch.starts[-1] + 1 : batch.starts[-1] + 3] = edge
+        assert point_energies(batch, cert)[3][batch.starts[-1] + 1 :][:2].tolist() == [False, True]
+        for ps, start in zip(sets, batch.starts.tolist()):
+            n = len(ps)
+            rows = deep[start : start + n * n].reshape(n, n)
+            assert [tuple(np.flatnonzero(row)) for row in rows] == [
+                r.J_i for r in energy(ps, cert).per_point
+            ]
 
     def test_holds_on_separated_sets(self, cert):
         sets = []

@@ -124,6 +124,22 @@ class TestNegativeControls:
         assert not report.ok
 
 
+class TestCheckReference:
+    def test_tolerance_edge_and_message(self):
+        # within tol, ends included, passes; the next float out fails, and
+        # the message spells tol as given
+        s = SuiteResult("x")
+        s.check_reference("v {} deg", 0.5, 0.0, "0.5")
+        s.check_reference("v {} deg", -0.5, 0.0, "0.5")
+        s.check_reference("v {} deg", math.nextafter(0.5, 1.0), 0.0, "0.5")
+        s.check_reference("w {}", math.nextafter(-0.5, -1.0), 0.0, "5e-1")
+        assert (s.passed, s.failed) == (2, 2)
+        assert s.failures == [
+            "v 0.5000000000000001 deg != 0.0 (0.5)",
+            "w -0.5000000000000001 != 0.0 (5e-1)",
+        ]
+
+
 class TestEmitTable:
     def test_text_contains_reference_rows(self):
         report = run(RunConfig(suites=("certificate", "bounds", "theorem")))

@@ -19,6 +19,7 @@ from kiss3.polynomial import (
     isolate_root,
     max_on_interval,
     sturm_count,
+    taylor_shift,
 )
 
 F = RationalPoly(F_COEFFS)
@@ -1114,6 +1115,49 @@ class TestTaylorShiftBuild:
         for ints, den in cases:
             p = RationalPoly.from_integers(ints, den)
             assert (p.ints, p.den) == plain_lowest_terms(ints, den), (ints, den)
+
+
+class TestTaylorShift:
+    """`taylor_shift` is sum_i ints[i] x^i composed with x = (a + h y) / d,
+    as RationalPoly powers compose it, scaled by d^n, for the arguments of
+    both its callers on random integer polynomials."""
+
+    @staticmethod
+    def assert_composes(ints, a, h, d):
+        q, scale = taylor_shift(ints, a, h, d)
+        n = len(ints) - 1
+        x = RationalPoly([Fr(a, d), Fr(h, d)])
+        want = sum((RationalPoly([c]) * x**i for i, c in enumerate(ints)), RationalPoly([]))
+        assert len(q) == len(ints) and scale == d**n
+        assert RationalPoly([Fr(v, scale) for v in q]) == want, (ints, a, h, d)
+
+    @staticmethod
+    def random_ints(rng):
+        bits = rng.choice([4, 30, 200])
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 12))]
+
+    def test_bernstein_intervals(self):
+        # _bernstein's shift to [a, b]: a = A / d and b - a = H / d over
+        # their common denominator
+        rng = random.Random(103)
+        for _ in range(200):
+            a = Fr(rng.randint(-(10**6), 10**6), rng.choice([1, 3, 2 ** rng.randint(0, 60)]))
+            b = a + Fr(rng.randint(0, 10**6), rng.choice([1, 7, 2 ** rng.randint(0, 60)]))
+            d = math.lcm(a.denominator, (b - a).denominator)
+            self.assert_composes(self.random_ints(rng), int(a * d), int((b - a) * d), d)
+
+    def test_profile_bases(self):
+        # the profile build's shift to (b0 + y) / db, b0 = 0 included
+        rng = random.Random(107)
+        for _ in range(200):
+            b0 = rng.choice([0, rng.randint(-(2**60), 2**60)])
+            db = rng.choice([1, 3, 2 ** rng.randint(0, 60)])
+            self.assert_composes(self.random_ints(rng), b0, 1, db)
+
+    def test_constant_and_zero(self):
+        for ints in ([0], [5], [-(2**100)]):
+            self.assert_composes(ints, 3, 2, 7)
+            assert taylor_shift(ints, 3, 2, 7) == (ints, 1)
 
 
 class TestInterval:

@@ -167,6 +167,20 @@ class TestIcosahedron:
     def test_twelve_vertices(self):
         assert len(icosahedron()) == 12
 
+    def test_points_of_the_float_family(self):
+        # bit for bit the points of the family written out as float vectors
+        tau = (1.0 + math.sqrt(5.0)) / 2.0
+        verts = []
+        for a in (1.0, -1.0):
+            for b in (tau, -tau):
+                verts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
+        want = [SphericalPoint.from_vector(v) for v in verts]
+        got = icosahedron()
+        assert [(p.theta.hex(), p.phi.hex()) for p in got] == [
+            (p.theta.hex(), p.phi.hex()) for p in want
+        ]
+        assert got.vectors().tobytes() == PointSet(want).vectors().tobytes()
+
     def test_each_vertex_has_five_nearest_neighbors(self):
         ico = icosahedron()
         d = np.arccos(_cosines(ico))
@@ -242,7 +256,6 @@ class TestCosineBatch:
 
     def test_sampler_rows(self):
         sets = [random_separated_set(n, math.pi / 4, seed) for n, seed in ((2, 0), (8, 5), (12, 3))]
-        assert all(ps._rows is not None for ps in sets)
         self._assert_blocks(sets)
 
     def test_no_points(self):
@@ -715,7 +728,6 @@ class TestJamTest:
                 random_separated_set(13, math.pi / 3, seed, max_tries=2000)
             sets.append(info.value.placed)
         for ps in sets:
-            assert ps._rows is not None
             carried = ps.vectors()
             assert carried.tobytes() == PointSet(ps.points).vectors().tobytes()
             carried[0] = 0.0  # a copy: the set's own rows stay as they were
@@ -724,6 +736,85 @@ class TestJamTest:
         for ps, s in zip(sets, batch):
             assert s.vectors.tobytes() == ps.vectors().tobytes()
             assert PointSet(SphericalPoint(*p) for p in s.angles).points == ps.points
+
+
+def _rejections(n, min_sep, seed, max_tries):
+    """The rejections of `_scalar_loop`'s run, in draw order, each as (the
+    rejections its stall has counted with it, the points placed, the largest
+    scalar cosine from the candidate to them, and the sums the scalar rule
+    clamps for it, up to the first that rejects it)."""
+    uniform = random.Random(seed).uniform
+    accepted, rejections, out = [], 0, []
+    while len(accepted) < n and rejections < max_tries:
+        theta = math.acos(uniform(-1.0, 1.0))
+        phi = uniform(0.0, 2.0 * math.pi) % (2.0 * math.pi)
+        ct, st = math.cos(theta), math.sin(theta)
+        sums = [ct * q_ct + st * q_st * math.cos(phi - q_phi) for _, q_phi, q_ct, q_st in accepted]
+        close = [math.acos(min(max(c, -1.0), 1.0)) < min_sep for c in sums]
+        if any(close):
+            rejections += 1
+            out.append((rejections, len(accepted), max(sums), sums[: close.index(True) + 1]))
+        else:
+            accepted.append((theta, phi, ct, st))
+            rejections = 0
+    return out
+
+
+class TestStopRuleEdges:
+    """A rejection by the scalar rule counts toward max_tries and the jam
+    test as one by the filter does: as the max_tries-th rejection of a stall
+    it stops the set, and as the SAMPLER_BLOCK-th it triggers the jam test,
+    at that candidate.  A band of 0.2 around cos(60 degrees) sends every
+    candidate whose largest cosine lies in (0.3, 0.7] to the scalar rule."""
+
+    MARGIN = 0.2
+
+    def _scalar_decided(self, largest):
+        # clear of the band's edge by more than the filter's error
+        return largest < math.cos(math.pi / 3) + self.MARGIN - 1e-6
+
+    def test_scalar_rejection_reaches_max_tries(self, monkeypatch):
+        monkeypatch.setattr(sphere, "SAMPLER_MARGIN", self.MARGIN)
+        clamped = []
+        monkeypatch.setattr(sphere, "_clamp", lambda x: clamped.append(x) or min(max(x, -1.0), 1.0))
+        cases = 0
+        for seed in range(6):
+            longest = 0
+            for count, _, largest, sums in _rejections(13, math.pi / 3, seed, 600):
+                # the first rejection to reach `count`: max_tries = count stops the set there
+                if count > longest and self._scalar_decided(largest):
+                    expected = _scalar_loop(13, math.pi / 3, seed, count)
+                    assert expected[0] == "saturated"
+                    assert _block_test(13, math.pi / 3, seed, count) == expected, (seed, count)
+                    clamped.clear()
+                    with pytest.raises(SaturationError):
+                        random_separated_set(13, math.pi / 3, seed, count)
+                    assert clamped[-len(sums) :] == sums  # the scalar rule's last test
+                    cases += 1
+                longest = max(longest, count)
+        assert cases > 50
+
+    def test_scalar_rejection_triggers_the_jam_test(self, monkeypatch, sampler_counts):
+        # max_tries over two blocks: no run of rejections reaches both it
+        # and SAMPLER_BLOCK, where max_tries would stop the set untested
+        monkeypatch.setattr(sphere, "SAMPLER_MARGIN", self.MARGIN)
+        answers = []
+        for seed in range(150):
+            for count, placed, largest, _ in _rejections(13, math.pi / 3, seed, 1100):
+                if count == SAMPLER_BLOCK and self._scalar_decided(largest):
+                    expected = _scalar_loop(13, math.pi / 3, seed, 1100)
+                    sampler_counts["tests"].clear()
+                    assert _block_test(13, math.pi / 3, seed, 1100) == expected, seed
+                    # tested once through each entry point on the points
+                    # placed then, the one test of that stall
+                    mine = [
+                        covered
+                        for first, k, covered in sampler_counts["tests"]
+                        if first == _first_row(expected) and k == placed
+                    ]
+                    assert len(mine) == 2 and mine[0] == mine[1], seed
+                    answers.append(mine[0])
+        assert len(answers) >= 10
 
 
 def test_more_points_than_one_block():
