@@ -152,7 +152,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_energy(args) -> int:
     """Print the energy summary of a point-set file as `energy.energy_json`
-    writes it; a file that cannot be read or holds no points exits 2."""
+    writes it; a file that cannot be read or holds no points exits 2, and so
+    does a set whose n x n cosines (8 n^2 bytes) cannot be allocated."""
     try:
         ps = sphere.parse_points(args.points.read_text())
     except (OSError, ValueError) as exc:
@@ -161,7 +162,15 @@ def _cmd_energy(args) -> int:
     if len(ps) == 0:
         print(f"cannot read point set: {args.points} holds no points", file=sys.stderr)
         return 2
-    summary = energy(ps, build_certificate())
+    try:
+        summary = energy(ps, build_certificate())
+    except MemoryError:
+        n = len(ps)
+        print(
+            f"cannot hold the point set: the pairwise cosines of {n} points need {8 * n * n} bytes",
+            file=sys.stderr,
+        )
+        return 2
     print(energy_json(summary))
     return 0
 

@@ -40,66 +40,76 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
 
     J(i) collects the j with cos dist < -t0; membership is tested against the
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
-    only increase T_i -- conservative for the < 13 direction.  J(i) is read
-    from the deep-cap mask `point_energies` gives, and the minimum
-    separation from the batch's cosines.  A set of no points has S = 0 and
-    no per-point rows.  `energy_json` writes the summary as the
-    `kiss3 energy` report.
+    only increase T_i -- conservative for the < 13 direction.  The minimum
+    separation is read from the batch's cosines before `point_energies`
+    spends the batch, so a set holds one n x n float64 array and the n x n
+    deep-cap mask (about 9 n^2 bytes), and J(i), read from the mask, is
+    built after the floats are freed.  A set of no points has S = 0 and no
+    per-point rows.  `energy_json` writes the summary as the `kiss3 energy`
+    report.
     """
     n = len(ps)
     if not n:
         return EnergySummary(n=0, S=0.0, per_point=(), min_sep=math.nan)
     batch = CosineBatch.of(ps)
-    S, S_i, T_i, deep = point_energies(batch, c)
     sep = min_angle(batch.cos.reshape(n, n)) if n >= 2 else math.nan
+    S, S_i, T_i, deep = point_energies(batch, c)
     J = [tuple(row.nonzero()[0].tolist()) for row in deep.reshape(n, n)]
     per_point = tuple(map(PerPoint, S_i.tolist(), T_i.tolist(), J))
     return EnergySummary(n=n, S=float(S[0]), per_point=per_point, min_sep=sep)
 
 
 # Entries per slice of `_eval_f`'s Horner steps: a slice of the cosines and
-# one of the values take 256 KB each, which stay in a core's 2 MB L2 cache
-# through all the steps; a 1000-point matrix (8 MB each) does not.  Measured
+# the accumulator take 256 KB each, which stay in a core's 2 MB L2 cache
+# through all the steps; a 1000-point matrix (8 MB) does not.  Measured
 # on that 1M-entry matrix (2-core VM, numpy 2.4): 10.0 ms in one pass per
 # step, 4.7-5.1 ms at 16K-64K entries a slice, 9.5 ms at 256K.  The lemma
 # batches, at most about 32K entries, are one slice.
 EVAL_CHUNK = 32768
 
 
-def _eval_f(cos: np.ndarray, c: Certificate) -> np.ndarray:
-    """f at every entry of `cos`, in one new array.
+def _eval_f(x: np.ndarray, c: Certificate) -> np.ndarray:
+    """f at every entry of the C-contiguous array `x`, written over `x`,
+    which is returned.
 
-    These are np.polyval's own Horner steps -- start from the leading
-    coefficient, then multiply by the cosine and add the next coefficient --
-    done in place, so the bits are np.polyval(c.f.real_coeffs(), cos)'s
-    without a new temporary array at each step.  The steps run over the
-    flat entries EVAL_CHUNK at a time, all steps on one slice before the
-    next, so each slice stays in cache; every entry still gets the same
-    operations in the same order.
+    These are np.polyval's own Horner steps in its order -- start from the
+    leading coefficient, then multiply by the cosine and add the next
+    coefficient -- so the bits are np.polyval(c.f.real_coeffs(), x)'s, for f
+    of any degree.  They run over the flat entries EVAL_CHUNK at a time, all
+    steps on one slice before the next, so each slice stays in cache, with
+    the accumulator in one EVAL_CHUNK scratch; the last step multiplies it
+    into the slice of `x`.
     """
     import numpy as np
-    lead, *rest = c.f.real_coeffs()
-    values = np.empty(cos.shape)
-    flat, x = values.reshape(-1), cos.reshape(-1)
+    *head, a0 = c.f.real_coeffs()
+    lead, *middle = head or [0.0]  # a constant f: np.polyval's 0 * x + a_0
+    flat = x.reshape(-1)
+    acc = np.empty(min(flat.size, EVAL_CHUNK))
     for start in range(0, flat.size, EVAL_CHUNK):
-        v, xs = flat[start : start + EVAL_CHUNK], x[start : start + EVAL_CHUNK]
+        xs = flat[start : start + EVAL_CHUNK]
+        v = acc[: xs.size]
         v.fill(lead)
-        for a in rest:
+        for a in middle:
             v *= xs
             v += a
-    return values
+        np.multiply(v, xs, out=xs)
+        xs += a0
+    return x
 
 
 def _f_values(batch: CosineBatch, c: Certificate) -> np.ndarray:
-    """f of every flat cosine of a batch, each diagonal term set to f(1)."""
+    """f of every flat cosine of a batch, each diagonal term set to f(1),
+    written over the batch's cosines: the batch is spent, and a later read
+    of its `cos` raises AttributeError rather than give f's values."""
     values = _eval_f(batch.cos, c)
+    del batch.cos
     values[batch.diagonal] = c.f_at_1
     return values
 
 
 def set_energies(batch: CosineBatch, c: Certificate) -> np.ndarray:
     """S(X) of every set of a batch: f over the flat cosines, each diagonal
-    term set to f(1), and one sum per set."""
+    term set to f(1), and one sum per set; spends the batch."""
     import numpy as np
     return np.add.reduceat(_f_values(batch, c), batch.starts)
 
@@ -125,16 +135,17 @@ def point_energies(batch: CosineBatch, c: Certificate):
     each row of it.  The mask is true where the cosine lies below -t0.lo,
     the lower endpoint (see `energy`), never on the diagonal (1.0); T_i is
     f(1) plus the row's sum over those terms, with every other term
-    multiplied by zero in place.
+    multiplied by zero in place.  The mask is taken before f's values
+    overwrite the cosines: the batch is spent.
     """
     import numpy as np
+    deep = batch.cos < -c.t0.lo
     values = _f_values(batch, c)
     S = np.add.reduceat(values, batch.starts)
     # row r of a set starts r entries before its diagonal entry
     r = np.arange(len(batch.diagonal)) - batch.first_points.repeat(batch.sizes)
     rows = batch.diagonal - r
     S_i = np.add.reduceat(values, rows)
-    deep = batch.cos < -c.t0.lo
     np.multiply(values, deep, out=values)
     T_i = c.f_at_1 + np.add.reduceat(values, rows)
     return S, S_i, T_i, deep

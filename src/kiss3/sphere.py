@@ -110,6 +110,11 @@ class CosineBatch:
     its slice.  numpy takes it by BLAS syrk and mirrors one triangle, so the
     block is exactly symmetric, and a set's cosines have the same bits
     whichever batch holds it.
+
+    The energy kernels (energy.set_energies, energy.point_energies) spend a
+    batch: they take `cos` out of it and overwrite it with f's values, so a
+    later read of `cos` raises AttributeError.  Read what else a batch
+    gives (the separation, the Gegenbauer sums) before them.
     """
 
     def __init__(self, vectors: np.ndarray, sizes):

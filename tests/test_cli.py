@@ -259,6 +259,29 @@ class TestSampleAndEnergy:
         message = f"line 1: colatitude out of range: {theta} degrees"
         assert captured.err == f"cannot read point set: {message}\n"
 
+    def test_energy_set_too_large_to_hold(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the n x n cosines, as it does for a file of about
+        # 400k points: one line naming n and the bytes, no traceback
+        import numpy as np
+
+        empty = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if np.prod(shape) >= 3 * 3:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        pts = tmp_path / "pts.txt"
+        pts.write_text("10 20\n30 40\n50 60\n")
+        code = main(["energy", "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "cannot hold the point set: the pairwise cosines of 3 points need 72 bytes\n"
+        )
+
     def test_energy_no_points(self, tmp_path, capsys):
         pts = tmp_path / "empty.txt"
         pts.write_text("# theta_deg phi_deg\n\n")

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import re
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +24,12 @@ from kiss3.energy import (
     lemma3_holds,
     linearity_gap,
     point_energies,
+    set_energies,
 )
 from kiss3.errors import SaturationError, SeparationViolation
 from kiss3.harness import perturbed_coeffs
 from kiss3.legendre import gegenbauer_sums
+from kiss3.polynomial import RationalPoly
 from kiss3.sphere import (
     CosineBatch,
     PointSet,
@@ -253,17 +257,21 @@ class TestLemma3Batch:
 
     def test_deep_mask(self, cert):
         # the mask is the batch's cosines below -t0.lo, flat as they are, and
-        # each set's rows of it are energy()'s J(i)
+        # each set's rows of it are energy()'s J(i); point_energies spends
+        # the batch, so the expected mask is taken before the call
         rng = random.Random(59)
         sets = [random_point_set(rng, n) for n in list(range(1, 41)) * 2]
         batch = _batch(sets)
+        expected = batch.cos < -cert.t0.lo
         deep = point_energies(batch, cert)[3]
-        assert deep.dtype == bool and np.array_equal(deep, batch.cos < -cert.t0.lo)
+        assert deep.dtype == bool and np.array_equal(deep, expected)
         assert not deep[batch.diagonal].any() and deep.sum() > 100
-        # at the edge: -t0.lo itself is not deep, and the next float below is
+        # at the edge, in a fresh batch: -t0.lo itself is not deep, and the
+        # next float below is
         edge = [-cert.t0.lo, math.nextafter(-cert.t0.lo, -1.0)]
-        batch.cos[batch.starts[-1] + 1 : batch.starts[-1] + 3] = edge
-        assert point_energies(batch, cert)[3][batch.starts[-1] + 1 :][:2].tolist() == [False, True]
+        fresh = _batch(sets)
+        fresh.cos[fresh.starts[-1] + 1 : fresh.starts[-1] + 3] = edge
+        assert point_energies(fresh, cert)[3][fresh.starts[-1] + 1 :][:2].tolist() == [False, True]
         for ps, start in zip(sets, batch.starts.tolist()):
             n = len(ps)
             rows = deep[start : start + n * n].reshape(n, n)
@@ -441,3 +449,73 @@ class TestEvalF:
         cos[0] = -1.0
         expected = np.polyval(certificate.f.real_coeffs(), cos)
         assert np.array_equal(_eval_f(cos, certificate), expected)
+
+
+class TestEvalFInPlace:
+    """_eval_f writes f over the array it is given and returns that array,
+    with np.polyval's bits, for f of any degree and across slice ends."""
+
+    @pytest.fixture(scope="class", params=["paper", "constant", "linear"])
+    def certificate(self, request, cert):
+        f = {
+            "paper": cert.f,
+            "constant": RationalPoly([Fraction(3, 7)]),
+            "linear": RationalPoly([Fraction(1, 3), Fraction(-5, 11)]),
+        }[request.param]
+        return replace(cert, f=f)
+
+    @pytest.mark.parametrize(
+        "size", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 3 * EVAL_CHUNK + 7]
+    )
+    def test_polyval_bits(self, certificate, size):
+        x = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+        x[0] = -1.0
+        expected = np.polyval(certificate.f.real_coeffs(), x)
+        assert _eval_f(x, certificate) is x
+        assert x.tobytes() == expected.tobytes()
+
+
+class TestSpentBatch:
+    """The energy kernels evaluate f over the batch's own cosines."""
+
+    @pytest.mark.parametrize("kernel", [set_energies, point_energies])
+    def test_spent_batch_has_no_cosines(self, cert, kernel):
+        batch = CosineBatch.of(icosahedron())
+        kernel(batch, cert)
+        with pytest.raises(AttributeError):
+            batch.cos
+
+    @pytest.mark.parametrize("n", [181, 182])
+    def test_energy_matches_out_of_place_reference(self, cert, n):
+        # n^2 on either side of EVAL_CHUNK: one slice, and one full slice
+        # and a partial one; the reference is np.polyval into a new array
+        # and the same reduceat calls
+        assert (n * n < EVAL_CHUNK) == (n == 181)
+        ps = random_point_set(random.Random(n), n)
+        batch = CosineBatch.of(ps)
+        values = np.polyval(cert.f.real_coeffs(), batch.cos)
+        values[batch.diagonal] = cert.f_at_1
+        rows = np.arange(n) * n
+        S_i = np.add.reduceat(values, rows)
+        T_i = cert.f_at_1 + np.add.reduceat(values * (batch.cos < -cert.t0.lo), rows)
+        summary = energy(ps, cert)
+        assert summary.S.hex() == float(np.add.reduceat(values, [0])[0]).hex()
+        assert np.array([r.S_i for r in summary.per_point]).tobytes() == S_i.tobytes()
+        assert np.array([r.T_i for r in summary.per_point]).tobytes() == T_i.tobytes()
+        assert sum(bool(r.J_i) for r in summary.per_point) > n // 2
+
+    def test_energy_holds_one_float_array(self, cert):
+        # the n x n cosines become f's values in place and are freed before
+        # the J(i) tuples are built, so the traced peak is about 8 n^2 bytes
+        # of floats and n^2 of mask; a second n x n float array reads 2.1
+        n = 1000
+        rng = random.Random(62)
+        ps = random_point_set(rng, n)
+        energy(random_point_set(rng, 5), cert)  # imports and cached coefficients
+        tracemalloc.start()
+        try:
+            energy(ps, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * n
