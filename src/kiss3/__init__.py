@@ -9,7 +9,7 @@ its profile maximizations, and the energy inequalities n^2 <= S(X) < 13n.
 
 from .bounds import BoundTable, compute_bound_table, refine_h34, verify_theorem
 from .certificate import Certificate, build_certificate
-from .energy import EnergySummary, check_lemma1, check_lemma2, check_lemma3, energy
+from .energy import EnergySummary, check_lemma2, check_lemma3, energy
 from .harness import RunConfig, VerificationReport, run
 from .legendre import gegenbauer_sum, legendre, legendre_rodrigues
 from .polynomial import Interval, RationalPoly
@@ -28,7 +28,6 @@ __all__ = [
     "SphericalPoint",
     "VerificationReport",
     "build_certificate",
-    "check_lemma1",
     "check_lemma2",
     "check_lemma3",
     "compute_bound_table",

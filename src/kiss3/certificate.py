@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import CertificateInvalid
 from .legendre import from_legendre_basis, to_legendre_basis
-from .polynomial import Interval, RationalPoly, SturmChain, isolate_root, sturm_count
+from .polynomial import Interval, RationalPoly, SturmChain, isolate_root, max_on_interval
 
 # Monomial coefficients, lowest power first.
 F_COEFFS = (
@@ -70,8 +70,9 @@ class Certificate:
 
     @cached_property
     def sturm_chain(self) -> SturmChain:
-        """The Sturm chain of f: the one build_certificate counted and
-        isolated the root with, or built on first use."""
+        """The Sturm chain of f, the only one a certificate builds: the one
+        build_certificate counted and isolated the root with, which property
+        ii counts with again, or built on first use by a copy."""
         return SturmChain(self.f)
 
 
@@ -81,7 +82,8 @@ def build_certificate(coeffs=F_COEFFS) -> Certificate:
     The root of f on (-1, 0) is isolated by exact bisection; t0 is its
     magnitude and theta0 = arccos(t0), both carried as outward enclosures.
     One Sturm chain of f counts the roots, isolates t0 and becomes the
-    certificate's `sturm_chain`.  Raises CertificateInvalid on any
+    certificate's `sturm_chain`, the only chain it builds: property i reads
+    the Bernstein maximum of f' instead.  Raises CertificateInvalid on any
     structural failure.
     """
     f = RationalPoly(coeffs)
@@ -131,14 +133,12 @@ def verify_expansion(c: Certificate, expected=None) -> bool:
 
 
 def verify_property_i(c: Certificate) -> bool:
-    """f is monotone decreasing on [-1, -t0]: the derivative has no root
-    there (exact Sturm count on the conservative enclosure endpoint) and is
-    negative at -1.
+    """f is decreasing on [-1, -t0]: f' is negative on [-1, -t0.lo], which
+    holds it, as the upper end of the rigorous enclosure of its maximum there
+    (`max_on_interval`, from Bernstein coefficients) is below 0.  A root of
+    f' anywhere in the closed interval, ends included, fails the test.
     """
-    df = c.f.derivative()
-    if df.eval(-1) >= 0:
-        return False
-    return sturm_count(df, Fraction(-1), Fraction(-c.t0.lo)) == 0
+    return max_on_interval(c.f.derivative(), -1.0, -c.t0.lo).hi < 0
 
 
 def verify_property_ii(c: Certificate) -> bool:

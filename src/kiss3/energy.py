@@ -189,13 +189,6 @@ def lemma1_holds(sums: np.ndarray, n) -> np.ndarray:
     return (sums >= -1e-9 * n**2).all(axis=0)
 
 
-def check_lemma1(ps: PointSet) -> list[float]:
-    """The Gegenbauer sums for k = 0 ... 9, the degrees of f; each is >= 0 up
-    to rounding."""
-    batch = CosineBatch.of(ps)
-    return gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()
-
-
 def expansion_energies(sums: np.ndarray, c: Certificate) -> np.ndarray:
     """sum_k c_k * (Gegenbauer sum at k) for every set of a batch, with c_k
     the Legendre coefficients of f.  `sums` holds the sets' Gegenbauer sums

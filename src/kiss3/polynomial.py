@@ -378,17 +378,6 @@ def _count(at_a: Sequence[Fraction], at_b: Sequence[Fraction]) -> int:
     return _sign_changes(at_a) - _sign_changes(at_b) - (at_b[0] == 0)
 
 
-def sturm_count(p: RationalPoly, a: Scalar, b: Scalar) -> int:
-    """Exact number of distinct real roots of p in the open interval (a, b);
-    a root at a or b is left out by the count itself (`_count`)."""
-    a, b = _to_fraction(a), _to_fraction(b)
-    if a >= b:
-        raise ValueError("require a < b")
-    if p.is_zero():
-        raise DegenerateEndpoint("the zero polynomial has no isolated roots")
-    return SturmChain(p).count_open(a, b)
-
-
 def isolate_root(
     p: RationalPoly, a: Scalar, b: Scalar, width: float = 1e-9, chain: SturmChain | None = None
 ) -> Interval:

@@ -447,22 +447,22 @@ def random_separated_sets(
     accepted = [[] for _ in sizes]
     rejections = [0] * len(sizes)
     saturated = [False] * len(sizes)
-    # The sets still sampling, and for each, the unit vectors of its k
-    # accepted points in points[row, :k] and copies of the first in its later
-    # rows, which leave the largest cosine to the set's points as it is.  The
-    # rows double as they fill up: a target may be far more than memory holds.
+    # The sets still sampling, and row i of points for set i, for the whole
+    # call: the unit vectors of its k accepted points in points[i, :k], and
+    # copies of the first in its later columns, which leave the largest
+    # cosine to the set's points as it is.  The columns double as they fill
+    # up, as a target may be far more than memory holds; only a target above
+    # SAMPLER_BLOCK grows them, and growing copies every row, finished ones
+    # too.  No caller batches such a target with other sets: lemma 3's
+    # targets are at most 12, and random_separated_set samples one set.
     live = list(range(len(sizes)))
     points = np.zeros((len(sizes), min(max(sizes, default=1), SAMPLER_BLOCK), 3))
 
-    def jammed(row, i) -> bool:
-        k = len(accepted[i])
-        return k <= JAM_TEST_POINTS and caps_cover(points[row, :k], reject_above)
-
-    def sample(first: int, rows: int, size: int):
-        """One round of the `rows` sets from live[first], `size` candidates each."""
+    def sample(ids: list, size: int):
+        """One round of the sets in `ids`, `size` candidates each."""
         nonlocal points
-        draws = [states[i].random_sample(2 * size) for i in live[first : first + rows]]
-        draws = np.concatenate(draws) if rows > 1 else draws[0]
+        rows = len(ids)
+        draws = np.concatenate([states[i].random_sample(2 * size) for i in ids])
         # Five planes over the candidates, set after set: their unit vectors'
         # x, y and z, whose (rows, 3, size) view holds each set's block of
         # columns, so that the largest cosine of each candidate reduces the
@@ -479,33 +479,33 @@ def random_separated_sets(
         _filter_xy(z, azimuth, x, y)
         block = table[:3].reshape(3, rows, size).transpose(1, 0, 2)
         closest = closest.reshape(rows, size)
+        closest.fill(-np.inf)
         # every set accepts the first candidate of its first round, so a
-        # round's sets have all accepted points or none
-        k = max(len(accepted[i]) for i in live[first : first + rows])
-        if k:
-            # on at most 2^15 products (256 kB) at a time: whole sets, or part of one
-            sets = max(1, (1 << 15) // (k * size))
-            part = min(k, (1 << 15) // size)
-            for r in range(0, rows, sets):
-                their = points[first + r : first + min(r + sets, rows)]
-                top = closest[r : r + sets]
-                (their[:, :part] @ block[r : r + sets]).max(axis=1, out=top)
-                for p in range(part, k, part):
-                    product = their[:, p : p + part] @ block[r : r + sets]
-                    np.maximum(top, product.max(axis=1), out=top)
-        else:
-            closest.fill(-np.inf)
+        # round's sets have all accepted points or none; the products run on
+        # at most 2^15 (256 kB) at a time: whole sets, or part of one
+        k = max(len(accepted[i]) for i in ids)
+        part = min(max(k, 1), (1 << 15) // size)
+        sets = (1 << 15) // (part * size)
+        for r in range(0, rows, sets):
+            their = points[ids[r : r + sets]]
+            top = closest[r : r + sets]
+            for p in range(0, k, part):
+                # each product is freed by its max before the next is made:
+                # two alive at once took fresh pages for every 256 kB product
+                largest = (their[:, p : p + part] @ block[r : r + sets]).max(axis=1)
+                np.maximum(top, largest, out=top)
         # The lockstep: each active row takes its next candidate that the
         # filter does not reject, and marks it taken with a cosine of +inf.
         # One gather reads the candidates' z, azimuths and cosines.  new[row]
         # is a point the row's set has accepted, the latest once it accepts
         # one in this round: raising the set's cosines by their cosines to it
-        # leaves them right.
+        # leaves them right.  (A set with no point yet accepts the first
+        # candidate of the first step, before new is read.)
         start = [0] * rows
         active = list(range(rows))
         offsets = np.arange(0, rows * size, size)
         read = table[2:]
-        new = None
+        new = points[ids, :1]
         while active:
             nxt = (closest <= reject_above).argmax(axis=1)
             cos_thetas, azimuths, cosines = read.take(nxt + offsets, axis=1).tolist()
@@ -513,14 +513,19 @@ def random_separated_sets(
             going = []
             grew = False
             for row in active:
-                i = live[first + row]
+                i = ids[row]
+                k = len(accepted[i])
                 c = cosines[row]
                 j = nxt[row] if c <= reject_above else size
                 run = j - start[row]
                 if run:
                     # the rejected candidates up to the next that survives the filter
                     r = rejections[i] = rejections[i] + run
-                    if r >= max_tries or (r - run < jam_test_at <= r and jammed(first + row, i)):
+                    if r >= max_tries or (
+                        r - run < jam_test_at <= r
+                        and k <= JAM_TEST_POINTS
+                        and caps_cover(points[i, :k], reject_above)
+                    ):
                         saturated[i] = True
                         continue
                 if j == size:
@@ -538,18 +543,15 @@ def random_separated_sets(
                     start[row] = j
                 else:
                     start[row] = j + 1
-                    k = len(accepted[i])
                     if k == points.shape[1]:
                         copies = np.repeat(points[:, :1], k, axis=1)
                         points = np.concatenate((points, copies), axis=1)
                     v = _unit_row(ct, st, phi)
-                    points[first + row, k if k else slice(None)] = v
+                    points[i, k if k else slice(None)] = v
                     accepted[i].append((theta, phi, ct, st))
                     rejections[i] = 0
                     if k + 1 == sizes[i]:
                         continue
-                    if new is None:
-                        new = points[first : first + rows, :1].copy()
                     new[row, 0] = v
                     grew = True
                 going.append(row)
@@ -557,26 +559,17 @@ def random_separated_sets(
                 np.maximum(closest, (new @ block)[:, 0], out=closest)
             active = going
 
-    done = [None] * len(sizes)  # each set's points' unit vectors, once it stops
     size = SAMPLER_FIRST_BLOCK
     while live:
         # a round's sets go in groups of at most 2^13 candidates, so that
         # its arrays stay under 1 MB
         group = max(1, (1 << 13) // size)
         for first in range(0, len(live), group):
-            sample(first, min(group, len(live) - first), size)
-        keep = []
-        for row, i in enumerate(live):
-            if saturated[i] or len(accepted[i]) == sizes[i]:
-                done[i] = points[row, : len(accepted[i])]
-            else:
-                keep.append(row)
-        if len(keep) < len(live):
-            live = [live[row] for row in keep]
-            points = points[keep]
+            sample(live[first : first + group], size)
+        live = [i for i in live if not saturated[i] and len(accepted[i]) < sizes[i]]
         size = min(2 * size, SAMPLER_BLOCK)
     return [
-        SampledSet([(theta, phi) for theta, phi, _, _ in placed], done[i], saturated[i])
+        SampledSet([p[:2] for p in placed], points[i, : len(placed)], saturated[i])
         for i, placed in enumerate(accepted)
     ]
 

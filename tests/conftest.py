@@ -17,6 +17,21 @@ def bound_table(cert):
     return compute_bound_table(cert)
 
 
+@pytest.fixture(scope="session")
+def lemma1_sums():
+    """The Gegenbauer sums of one point set for k = 0 ... 9, the degrees of
+    f, as a list: the one-set form of what the lemma1 suite computes for its
+    whole batch at once."""
+    from kiss3.legendre import gegenbauer_sums
+    from kiss3.sphere import CosineBatch
+
+    def sums(ps):
+        batch = CosineBatch.of(ps)
+        return gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()
+
+    return sums
+
+
 def energy_to_json_dict(summary) -> dict:
     """An energy summary as the dict the `kiss3 energy` report encodes."""
     return {

@@ -11,7 +11,7 @@ from fractions import Fraction as Fr
 from kiss3 import bounds as bounds_mod
 from kiss3.certificate import EXPECTED_LEGENDRE_COEFFS
 from kiss3.cli import main
-from kiss3.energy import check_lemma1, check_lemma2, check_lemma3, energy, linearity_gap
+from kiss3.energy import check_lemma2, check_lemma3, energy, linearity_gap
 from kiss3.errors import SaturationError
 from kiss3.harness import RunConfig, perturbed_coeffs, run
 from kiss3.legendre import addition_theorem_residual, legendre, legendre_rodrigues
@@ -82,7 +82,7 @@ class TestCriterion4RefinedEstimates:
 
 
 class TestCriterion5PropertySuites:
-    def test_property_suites(self, cert):
+    def test_property_suites(self, cert, lemma1_sums):
         rng = random.Random(42)
         sets = [
             PointSet(random_point(rng) for _ in range(rng.randint(1, 16)))
@@ -91,7 +91,7 @@ class TestCriterion5PropertySuites:
         ok1 = all(
             v >= -1e-9 * len(ps) ** 2
             for ps in sets
-            for v in check_lemma1(ps)
+            for v in lemma1_sums(ps)
         )
         ok2 = all(check_lemma2(ps, cert) for ps in sets)
         ok_bridge = all(

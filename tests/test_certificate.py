@@ -1,4 +1,3 @@
-import collections
 import math
 from dataclasses import replace
 from fractions import Fraction as Fr
@@ -24,6 +23,19 @@ def perturbed(index, delta):
     coeffs = list(F_COEFFS)
     coeffs[index] += Fr(delta)
     return tuple(coeffs)
+
+
+#: Perturbation steps: +-2^-k for k = 1 ... 18, and +-1/1000 ... +-1/2.
+STEPS = [s * Fr(1, 2**k) for k in range(1, 19) for s in (1, -1)] + [
+    s * Fr(1, d) for d in (1000, 500, 200, 100, 50, 20, 10, 5, 2) for s in (1, -1)
+]
+
+
+def sturm_property_i(c):
+    """Property i by the Sturm argument, the oracle for verify_property_i's
+    Bernstein test: f'(-1) < 0, and f' has no root in (-1, -t0.lo)."""
+    df = c.f.derivative()
+    return df.eval(-1) < 0 and SturmChain(df).count_open(Fr(-1), Fr(-c.t0.lo)) == 0
 
 
 class TestBuild:
@@ -111,21 +123,52 @@ class TestAnalyticProperties:
         assert verify_property_ii(c) is holds
 
     def test_monotone_quadratic(self, cert):
-        # t^2 is decreasing on [-1, -t0]; same two-part test applies
-        from kiss3.polynomial import sturm_count
-
-        df = RationalPoly([0, 0, 1]).derivative()
-        assert df.eval(-1) < 0
-        assert sturm_count(df, Fr(-1), Fr(-cert.t0.lo)) == 0
+        # t^2 is decreasing on [-1, -t0]: its derivative is negative at -1
+        # and has no root inside, and its maximum there is below 0
+        c = replace(cert, f=RationalPoly([0, 0, 1]))
+        assert SturmChain(c.f.derivative()).count_open(Fr(-1), Fr(-cert.t0.lo)) == 0
+        assert sturm_property_i(c) and verify_property_i(c)
 
     def test_interior_critical_point_detected(self, cert):
-        # t^3 - (3 * 0.8^2 / 2) t has a critical point at -0.8, inside the
+        # t^3 - (3 * 0.8^2) t has a critical point at -0.8, inside the
         # interval, so the derivative root count is nonzero
-        from kiss3.polynomial import sturm_count
-
         p = RationalPoly([0, Fr(-96, 50), 0, 1])
-        count = sturm_count(p.derivative(), Fr(-1), Fr(-cert.t0.lo))
-        assert count == 1
+        assert SturmChain(p.derivative()).count_open(Fr(-1), Fr(-cert.t0.lo)) == 1
+        c = replace(cert, f=p)
+        assert not sturm_property_i(c) and not verify_property_i(c)
+
+    @pytest.mark.parametrize(
+        "f, at_minus_one, roots_inside",
+        [
+            # f' = -1 - t: zero at -1, negative on the rest of the interval
+            (RationalPoly([0, -1, Fr(-1, 2)]), 0, 0),
+            # f' = -(t + 4/5)(t + 7/10): negative at -1, positive between its roots
+            (RationalPoly([0, Fr(-14, 25), Fr(-3, 4), Fr(-1, 3)]), Fr(-3, 50), 2),
+        ],
+    )
+    def test_property_i_fails(self, cert, f, at_minus_one, roots_inside):
+        c = replace(cert, f=f)
+        df = f.derivative()
+        assert df.eval(-1) == at_minus_one
+        assert SturmChain(df).count_open(Fr(-1), Fr(-cert.t0.lo)) == roots_inside
+        assert not sturm_property_i(c)
+        assert not verify_property_i(c)
+
+    def test_property_i_agrees_with_the_sturm_oracle(self, cert):
+        built = []
+        for index in range(10):
+            for delta in STEPS:
+                try:
+                    built.append(build_certificate(perturbed(index, delta)))
+                except CertificateInvalid:
+                    pass
+        assert len(built) == 81  # 71 of the 2^-k steps, 10 of the others
+        assert [verify_property_i(c) for c in built] == [sturm_property_i(c) for c in built]
+        # the same f's on the seed certificate's t0, where some fail
+        copies = [replace(cert, f=RationalPoly(perturbed(i, d))) for i in range(10) for d in STEPS]
+        outcomes = [verify_property_i(c) for c in copies]
+        assert outcomes == [sturm_property_i(c) for c in copies]
+        assert 0 < outcomes.count(False) < len(outcomes)
 
     def test_f_sign_values(self, cert):
         assert cert.f.eval(Fr(1, 2)) < 0
@@ -134,29 +177,27 @@ class TestAnalyticProperties:
 
 class TestEvaluationsOnce:
     def test_exact_suites_evaluate_each_pair_once(self, monkeypatch):
-        # a certificate+bounds+theorem run evaluates each (polynomial, point)
-        # pair once per chain and once per certificate; the only repeats are
-        # f' chain terms equal to terms of f's chain (its first, f' made
-        # primitive, and its last, a constant), both at -1
-        seen = []
-        original = RationalPoly.eval
+        # a certificate+bounds+theorem run builds one Sturm chain, of f, which
+        # evaluates each point once; property i reads Bernstein coefficients,
+        # and f(-1) and f(1) are taken once (`Certificate.f_ends`), so no
+        # (polynomial, point) pair is evaluated twice
+        seen, chains = [], []
+        original, init = RationalPoly.eval, SturmChain.__init__
 
         def counted(q, t):
             seen.append((q, Fr(t)))
             return original(q, t)
 
+        def counted_init(chain, p):
+            chains.append(p)
+            init(chain, p)
+
         monkeypatch.setattr(RationalPoly, "eval", counted)
+        monkeypatch.setattr(SturmChain, "__init__", counted_init)
         report = harness.run(harness.RunConfig(suites=("certificate", "bounds", "theorem")))
         assert report.ok
-        monkeypatch.undo()
-        f = build_certificate().f
-        f_chain, df_chain = SturmChain(f).chain, SturmChain(f.derivative()).chain
-        repeats = collections.Counter(seen) - collections.Counter(set(seen))
-        assert sorted(repeats.items(), key=lambda kv: kv[0][0].degree) == [
-            ((df_chain[-1], -1), 1),
-            ((df_chain[0], -1), 1),
-        ]
-        assert df_chain[0] == f_chain[1] and df_chain[-1] == f_chain[-1]
+        assert chains == [RationalPoly(F_COEFFS)]
+        assert seen and len(seen) == len(set(seen))
 
     def test_one_legendre_reconstruction(self, monkeypatch):
         # build_certificate checks that the expansion rebuilds f, and the

@@ -15,7 +15,6 @@ from kiss3.energy import (
     EnergySummary,
     PerPoint,
     _eval_f,
-    check_lemma1,
     check_lemma2,
     check_lemma3,
     energy,
@@ -310,11 +309,11 @@ class TestLemma3Batch:
 
 
 class TestLemma1:
-    def test_sums_nonnegative(self):
+    def test_sums_nonnegative(self, lemma1_sums):
         rng = random.Random(54)
         for _ in range(100):
             ps = random_point_set(rng, rng.randint(1, 12))
-            sums = check_lemma1(ps)
+            sums = lemma1_sums(ps)
             assert len(sums) == 10
             assert all(v >= -1e-9 * len(ps) ** 2 for v in sums)
 
@@ -323,10 +322,10 @@ class TestLemma1:
         with pytest.raises(ValueError):
             gegenbauer_sums(batch.cos, batch.starts, [13])
 
-    def test_threshold(self):
+    def test_threshold(self, lemma1_sums):
         # an antipodal pair has a Gegenbauer sum of exactly 0 at k = 1
         pair = PointSet([SphericalPoint(0.0, 0.0), SphericalPoint(math.pi, 0.0)])
-        sums = np.array([check_lemma1(pair)]).T
+        sums = np.array([lemma1_sums(pair)]).T
         assert sums[1, 0] == 0.0
         assert lemma1_holds(sums, np.array([2])).tolist() == [True]
         slack = 1e-9 * 2**2

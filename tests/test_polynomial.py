@@ -18,7 +18,6 @@ from kiss3.polynomial import (
     _outward,
     isolate_root,
     max_on_interval,
-    sturm_count,
     taylor_shift,
 )
 
@@ -96,7 +95,7 @@ class TestFloatImage:
         big = Fr(10**400, 3)
         p = RationalPoly([big, -1, 1])  # t^2 - t + big has no real root
         assert p.eval(Fr(1, 2)) == big - Fr(1, 4)
-        assert sturm_count(p, -10, 10) == 0
+        assert SturmChain(p).count_open(-10, 10) == 0
         q, r = ref_divmod(p * p, p)
         assert q == p and r.is_zero()
         assert SturmChain(p * p).chain == FractionChain(p * p).chain
@@ -109,15 +108,13 @@ class TestEndpointDeflation:
     P = RationalPoly([0, Fr(1, 2), Fr(-3, 2), 1])
 
     def test_endpoint_roots_ignored_everywhere(self):
-        assert sturm_count(self.P, 0, 1) == 1
+        assert SturmChain(self.P).count_open(0, 1) == 1
         assert isolate_root(self.P, 0, 1).contains(0.5)
         assert isolate_root(self.P, 0, Fr(1, 2) + Fr(1, 3)).contains(0.5)
         assert isolate_root(self.P, Fr(1, 2) - Fr(1, 3), 1).contains(0.5)
 
     def test_zero_polynomial(self):
         zero = RationalPoly([])
-        with pytest.raises(DegenerateEndpoint):
-            sturm_count(zero, 0, 1)
         with pytest.raises(DegenerateEndpoint):
             isolate_root(zero, 0, 1)
         assert max_on_interval(zero, 0.0, 1.0) == _outward(Fr(0), Fr(0))
@@ -149,13 +146,13 @@ class TestDerivative:
 
 class TestSturm:
     def test_quadratic_one_root(self):
-        assert sturm_count(RationalPoly([-1, 0, 1]), 0, 2) == 1
+        assert SturmChain(RationalPoly([-1, 0, 1])).count_open(0, 2) == 1
 
     def test_f_single_root_on_feasible_range(self):
-        assert sturm_count(F, -1, Fr(1, 2)) == 1
+        assert SturmChain(F).count_open(-1, Fr(1, 2)) == 1
 
     def test_f_derivative_no_root_left_of_t0(self):
-        assert sturm_count(F.derivative(), -1, Fr(-59, 100)) == 0
+        assert SturmChain(F.derivative()).count_open(-1, Fr(-59, 100)) == 0
 
     def test_additivity(self):
         rng = random.Random(2)
@@ -166,15 +163,16 @@ class TestSturm:
             a, b, c = Fr(-3), Fr(1, 3), Fr(3)
             if p.eval(a) == 0 or p.eval(b) == 0 or p.eval(c) == 0:
                 continue
-            assert sturm_count(p, a, b) + sturm_count(p, b, c) == sturm_count(p, a, c)
+            chain = SturmChain(p)
+            assert chain.count_open(a, b) + chain.count_open(b, c) == chain.count_open(a, c)
 
     def test_endpoint_root_not_counted(self):
         p = RationalPoly([0, 1]) * RationalPoly([-1, 2])  # roots 0, 1/2
-        assert sturm_count(p, 0, 1) == 1
+        assert SturmChain(p).count_open(0, 1) == 1
 
     def test_multiple_root_counted_once(self):
         p = RationalPoly([-1, 1]) ** 2 * RationalPoly([-3, 1])
-        assert sturm_count(p, 0, 4) == 2
+        assert SturmChain(p).count_open(0, 4) == 2
 
     def test_count_open_evaluates_each_term_once_per_end(self, monkeypatch):
         chain = SturmChain(RationalPoly([0, -1, 0, 1]))  # roots -1, 0, 1
@@ -628,7 +626,7 @@ class TestOnePassMatchesTwoPass:
             rng = random.Random(1000 + seed + k)
             for a, b in comparison_intervals(rng, roots):
                 width = rng.choice([1e-3, 1e-6])
-                assert outcome(sturm_count, p, a, b) == outcome(ref_sturm_count, p, a, b)
+                assert outcome(SturmChain(p).count_open, a, b) == outcome(ref_sturm_count, p, a, b)
                 assert outcome(isolate_root, p, a, b, width) == outcome(
                     ref_isolate_root, p, a, b, width
                 )

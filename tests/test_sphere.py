@@ -825,6 +825,23 @@ def test_more_points_than_one_block():
     assert _block_test(n, 0.002, 3, 2000) == expected
 
 
+def test_growth_keeps_the_finished_sets():
+    # the sets of 2, 3 and 5 points finish in the first round; the one of
+    # 2 SAMPLER_BLOCK + 1 then outgrows the rows, which copies their rows
+    # too, and each set still equals its one-set call bit for bit
+    sizes, seeds = [2, 3, 2 * SAMPLER_BLOCK + 1, 5], [7, 8, 3, 9]
+    batch = random_separated_sets(sizes, 0.002, seeds, 2000)
+    assert [len(s.angles) for s in batch] == sizes
+    for n, seed, s in zip(sizes, seeds, batch):
+        (alone,) = random_separated_sets([n], 0.002, [seed], 2000)
+        assert [(t.hex(), p.hex()) for t, p in s.angles] == [
+            (t.hex(), p.hex()) for t, p in alone.angles
+        ]
+        assert s.vectors.shape == (n, 3)
+        assert s.vectors.tobytes() == alone.vectors.tobytes()
+        assert s.saturated is alone.saturated is False
+
+
 class TestTextFormat:
     def test_round_trip(self):
         ps = random_separated_set(7, math.pi / 4, seed=3)

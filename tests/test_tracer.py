@@ -38,14 +38,14 @@ def test_install_trace_uninstall(tracer):
     assert report.ok
     metrics = t.metrics()
     # one chain of f, shared by the certificate's root count, its t0
-    # isolation and property ii, and one of f' for property i; the F1/F2
-    # maxima come from Bernstein coefficients and build none
-    assert metrics["polynomial.sturm_chain.calls"] == 2
+    # isolation and property ii; property i and the F1/F2 maxima come from
+    # Bernstein coefficients and build none
+    assert metrics["polynomial.sturm_chain.calls"] == 1
     assert metrics["polynomial.sturm_chain.max_bits"] == 129
-    # each chain evaluates each point once, the root isolation bisects on
+    # the chain evaluates each point once, the root isolation bisects on
     # integer signs without `RationalPoly.eval`, and f(-1) and f(1) are
     # taken once per certificate (`Certificate.f_ends`)
-    assert metrics["polynomial.eval.calls"] == 57
+    assert metrics["polynomial.eval.calls"] == 38
     assert metrics["polynomial.isolate_root.calls"] > 0
     # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
     assert metrics["bounds.refine_h34.calls"] == 1
