@@ -302,39 +302,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _triangle_score(c: Certificate, f_at_1: float, psi, u):
-    """The triangle profile at (psi, u) plus f_at_1 = float(f(1)).  Takes
-    floats, or numpy arrays that broadcast together."""
-    c1 = sphere.cos_law(60.0 * DEG, psi, R0 - u)
-    c2 = sphere.cos_law(60.0 * DEG, psi, R0 + u)
-    cos_psi = sphere.array_module(psi).cos(psi)
-    f = c.f
-    return f_at_1 + f.eval_real(-c1) + f.eval_real(-c2) + f.eval_real(-cos_psi)
-
-
-def _rhombus_cosines(d1, te, pe):
-    """Cosines of the pole distances to the four vertices of the unit-edge
-    rhombus with diagonals d1 and rho(d1), pole at colatitude te / azimuth pe
-    relative to the rhombus center.  Floats give a list of the four cosines;
-    numpy arrays that broadcast together give them along a new first axis."""
-    xp = sphere.array_module(d1, te, pe)
-    clip = sphere._clamp if xp is math else xp.clip
-    d1 = clip(d1, 1e-9, 2.0 * math.pi / 3.0 - 1e-9)
-    d2 = sphere.rho(d1)
-    s1, c1 = xp.sin(d1 / 2.0), xp.cos(d1 / 2.0)
-    s2, c2 = xp.sin(d2 / 2.0), xp.cos(d2 / 2.0)
-    ex, ey, ez = xp.sin(te) * xp.cos(pe), xp.sin(te) * xp.sin(pe), xp.cos(te)
-    verts = [s1 * ex + c1 * ez, s2 * ey + c2 * ez, c1 * ez - s1 * ex, c2 * ez - s2 * ey]
-    return list(map(clip, verts)) if xp is math else clip(xp.array(verts), -1.0, 1.0)
-
-
-def _rhombus_score(c: Certificate, f_at_1: float, cos_th):
-    """The rhombus profile at the vertex cosines `_rhombus_cosines` gives,
-    plus f_at_1 = float(f(1)); one score per cell for array cosines."""
-    f = c.f
-    return f_at_1 + sum(f.eval_real(-x) for x in cos_th)
-
-
 def refine_h34(c: Certificate) -> tuple[float, float]:
     """Non-rigorous estimates of the true suprema h_3 and h_4 over the
     extremal configuration spaces: the regular triangle (psi, u) and the
@@ -343,27 +310,34 @@ def refine_h34(c: Certificate) -> tuple[float, float]:
     supremum, not a bound; it is reported beside the rigorous enclosures and
     feeds no verdict.
 
-    Both are closed forms.  The triangle profile peaks at a corner of its
-    space: the farthest vertex on the cap circle, psi = theta0, and the
-    pole on the circumcenter direction, u = 0.
+    Both are closed forms, on math floats.  The triangle profile peaks at a
+    corner of its space: the farthest vertex on the cap circle, psi =
+    theta0, and the pole on the circumcenter direction, u = 0, where both
+    near vertices have cosine cos_law(60 deg, theta0, R0).
 
     The rhombus optimum lies on the cap constraint: the rhombus with three
     vertices on the cap circle, symmetric about the plane of its short
-    diagonal, d1 = pi - 2 theta0, te = 2 theta0 - pi/2, pe = 0.  Vertex 3
-    is then at d1/2 + te = theta0.  Vertices 2 and 4 have cosine
+    diagonal, d1 = pi - 2 theta0, te = 2 theta0 - pi/2, pe = 0; the pole
+    is at (sin te, 0, cos te) in the frame of the rhombus.  Vertex 3 is
+    then at d1/2 + te = theta0.  Vertices 2 and 4 have one cosine,
     cos(d2/2) cos te = sin(2 theta0) / (2 sin theta0) = cos theta0, since
     the unit edge gives cos(d1/2) cos(d2/2) = 1/2.  Vertex 1 is inside the
     cap, at |3 theta0 - pi|, so the score is f(1) + f(cos 3 theta0)
     + 3 f(-t0).
 
-    The tests score both spaces on whole grids and check that no cell
-    beats either closed form."""
+    The tests score both spaces on whole grids, with their own objective,
+    and check that no feasible cell beats either closed form."""
     theta0 = c.theta0.mid
-    f_at_1 = c.f_at_1
-    h3 = _triangle_score(c, f_at_1, theta0, 0.0)
-    cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
-    h4 = _rhombus_score(c, f_at_1, cos_th)
-    return float(h3), float(h4)
+    f, f_at_1 = c.f, c.f_at_1
+    near = f.eval_real(-sphere.cos_law(60.0 * DEG, theta0, R0))
+    h3 = f_at_1 + near + near + f.eval_real(-math.cos(theta0))
+    d1, te = math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0
+    s1, c1 = math.sin(d1 / 2.0), math.cos(d1 / 2.0)
+    c2 = math.cos(sphere.rho(d1) / 2.0)
+    ex, ez = math.sin(te), math.cos(te)
+    first, third, side = s1 * ex + c1 * ez, c1 * ez - s1 * ex, f.eval_real(-(c2 * ez))
+    h4 = f_at_1 + (f.eval_real(-first) + side + f.eval_real(-third) + side)
+    return h3, h4
 
 
 # -- export ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import CertificateInvalid
 from .legendre import from_legendre_basis, to_legendre_basis
-from .polynomial import Interval, RationalPoly, SturmChain, isolate_root, max_on_interval
+from .polynomial import Interval, RationalPoly, SturmChain, _outward, isolate_root, max_on_interval
 
 # Monomial coefficients, lowest power first.
 F_COEFFS = (
@@ -103,10 +103,7 @@ def build_certificate(coeffs=F_COEFFS) -> Certificate:
     t0 = Interval(-neg_root.hi, -neg_root.lo)
     if not (0.59 < t0.lo and t0.hi < 0.591):
         raise CertificateInvalid(f"t0 enclosure {t0} outside (0.59, 0.591)")
-    theta0 = Interval(
-        math.nextafter(math.acos(t0.hi), 0.0),
-        math.nextafter(math.acos(t0.lo), math.pi),
-    )
+    theta0 = _outward(math.acos(t0.hi), math.acos(t0.lo))
     cert = Certificate(f=f, legendre_coeffs=expansion, t0=t0, theta0=theta0)
     # seed the cached properties with the reconstruction checked above and
     # the chain t0 came from; a copy made by dataclasses.replace checks and

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .certificate import Certificate
 from .errors import SeparationViolation
 from .legendre import gegenbauer_sums
-from .sphere import CosineBatch, PointSet, min_angle
+from .sphere import CosineBatch, PointSet
 
 SIXTY_DEG = math.pi / 3.0
 
@@ -48,11 +48,12 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
     per-point rows.  `energy_json` writes the summary as the `kiss3 energy`
     report.
     """
+    import numpy as np
     n = len(ps)
     if not n:
         return EnergySummary(n=0, S=0.0, per_point=(), min_sep=math.nan)
     batch = CosineBatch.of(ps)
-    sep = min_angle(batch.cos.reshape(n, n)) if n >= 2 else math.nan
+    sep = float(np.arccos(batch.nearest()[0])) if n >= 2 else math.nan
     S, S_i, T_i, deep = point_energies(batch, c)
     J = [tuple(row.nonzero()[0].tolist()) for row in deep.reshape(n, n)]
     per_point = tuple(map(PerPoint, S_i.tolist(), T_i.tolist(), J))
@@ -158,14 +159,12 @@ def lemma3_holds(batch: CosineBatch, c: Certificate) -> tuple[np.ndarray, np.nda
     its proof, and implies the sum up to the slack.
 
     Lemma 3 is about 60-degree separated sets, so this first takes each
-    set's largest off-diagonal cosine, and raises SeparationViolation for
-    the first set whose smallest angle is below 60 degrees less 1e-9.  A
-    diagonal entry counts as -1 there, so a one-point set always passes.
+    set's largest off-diagonal cosine (`CosineBatch.nearest`, -1 for a
+    one-point set, which always passes), and raises SeparationViolation
+    for the first set whose smallest angle is below 60 degrees less 1e-9.
     """
     import numpy as np
-    off = batch.cos.copy()
-    off[batch.diagonal] = -1.0
-    closest = np.maximum.reduceat(off, batch.starts)
+    closest = batch.nearest()
     close = np.flatnonzero(np.arccos(closest) < SIXTY_DEG - 1e-9)
     if close.size:
         sep = float(np.arccos(closest[close[0]]))

@@ -287,13 +287,13 @@ def _random_set_counts(config: RunConfig, cert=None) -> _RandomSetCounts:
     return _RandomSetCounts(negative, below, gaps, rng)
 
 
-def _suite_lemma1(config: RunConfig, shared=None) -> SuiteResult:
+def _suite_lemma1(config: RunConfig, shared) -> SuiteResult:
     """Lemma 1 on the random sets, and on 1000 addition-theorem samples.
-    `shared`, when the run shares one pass over the sets with lemma 2,
-    gives its `_random_set_counts`."""
+    `shared()` gives the `_random_set_counts` of the run's one pass over
+    the sets, which lemma 2 shares."""
     import numpy as np
     s = SuiteResult("lemma1")
-    counts = shared() if shared else _random_set_counts(config)
+    counts = shared()
     bad = counts.negative_sums
     s.check_sets(config.lemma1_sets, (bad, f"{bad} point sets with a negative Gegenbauer sum"))
     # each sample is rng.randint(0, 9), then rng.uniform(0, pi) twice and
@@ -308,12 +308,12 @@ def _suite_lemma1(config: RunConfig, shared=None) -> SuiteResult:
     return s
 
 
-def _suite_lemma2(config: RunConfig, cert, shared=None) -> SuiteResult:
-    """Lemma 2 and its linearity bridge on the random sets.  `shared`, when
-    the run shares one pass over the sets with lemma 1, gives its
-    `_random_set_counts`."""
+def _suite_lemma2(config: RunConfig, cert, shared) -> SuiteResult:
+    """Lemma 2 and its linearity bridge on the random sets.  `shared()`
+    gives the `_random_set_counts` of the run's one pass over the sets, made
+    with `cert`, which lemma 1 shares."""
     s = SuiteResult("lemma2")
-    counts = shared() if shared else _random_set_counts(config, cert)
+    counts = shared()
     bad, bad_bridge = counts.below_n2, counts.bridge_gaps
     s.check_sets(
         config.lemma1_sets,

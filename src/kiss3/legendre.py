@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomial import RationalPoly, X
-from .sphere import CosineBatch, cos_law
+from .sphere import CosineBatch
 
 DEGREE_CAP = 12
 
@@ -116,11 +116,12 @@ def addition_theorem_residual(k, theta1, theta2, phi):
     floating-point evaluation error of the two independent routes.  Takes
     floats, or numpy arrays that broadcast together; the degree k is an
     integer, or an integer array that broadcasts with the angles, one degree
-    per sample.  All samples are evaluated at once: the powers of t and of
-    cos and sin of both colatitudes meet zero-padded float tables of every
-    degree's derivative coefficients, in one matrix product for the left
-    side and one per order m for the right, and each sample keeps its own
-    degree's row.
+    per sample.  All samples are evaluated at once: t, by the law of cosines
+    clipped into [-1, 1], and the powers of t and of cos and sin of both
+    colatitudes, which t is formed from, meet zero-padded float tables of
+    every degree's derivative coefficients, in one matrix product for the
+    left side and one per order m for the right, and each sample keeps its
+    own degree's row.
     """
     import numpy as np
     k, theta1, theta2, phi = np.broadcast_arrays(k, theta1, theta2, phi)
@@ -136,9 +137,10 @@ def addition_theorem_residual(k, theta1, theta2, phi):
     # 1 - cos(theta)^2 rounds to 0 and would drop every m >= 1 term
     powers = np.empty((size, 5, n))
     powers[0] = 1.0
-    t = cos_law(theta1, theta2, phi)
+    c1, c2, s1, s2 = np.cos(theta1), np.cos(theta2), np.sin(theta1), np.sin(theta2)
+    t = np.clip(c1 * c2 + s1 * s2 * np.cos(phi), -1.0, 1.0)
     # row 1 as a slice, which is empty when every degree is 0
-    powers[1:2] = (t, np.cos(theta1), np.cos(theta2), np.sin(theta1), np.sin(theta2))
+    powers[1:2] = (t, c1, c2, s1, s2)
     for j in range(2, size):
         np.multiply(powers[j - 1], powers[1], out=powers[j])
     flat = powers.reshape(size, 5 * n)

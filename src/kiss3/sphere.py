@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 import random
-import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,7 +103,8 @@ class CosineBatch:
     one per point: starts[s] + r (n + 1) for row r.  Its points are rows
     first_points[s] onward of the vectors the batch was made from.  Per-set
     sums are np.add.reduceat(values, starts); every set has a point, so no
-    segment is empty.
+    segment is empty.  `nearest` is the one reading of each set's closest
+    pair, for min_separation, energy.energy and energy.lemma3_holds.
 
     Each block is one np.matmul(v, v.T) of the set's vectors, written into
     its slice.  numpy takes it by BLAS syrk and mirrors one triangle, so the
@@ -140,64 +140,53 @@ class CosineBatch:
         self.diagonal += step.repeat(self.sizes) * np.arange(len(vectors))
         self.cos[self.diagonal] = 1.0
 
+    def nearest(self) -> np.ndarray:
+        """Every set's largest off-diagonal cosine, the cosine of its closest
+        pair (-1 for a one-point set): one np.maximum.reduceat with each
+        diagonal entry set to -1 in place, so the cosines are not copied.
+        The diagonal is then restored to exactly 1: a -1 left there would
+        enter the deep-cap mask cos < -t0.lo (energy.point_energies)."""
+        import numpy as np
+        self.cos[self.diagonal] = -1.0
+        closest = np.maximum.reduceat(self.cos, self.starts)
+        self.cos[self.diagonal] = 1.0
+        return closest
+
     @classmethod
     def of(cls, ps: PointSet) -> "CosineBatch":
         """The one-set batch of a point set."""
         return cls(ps.vectors(), [len(ps)])
 
 
-def array_module(*xs):
-    """numpy if any argument is a numpy array, else math, never loading numpy.
-    Floats keep math's bits: numpy's vectorised trigonometry may differ."""
-    np = sys.modules.get("numpy")
-    return np if np and any(isinstance(x, np.ndarray) for x in xs) else math
-
-
-def cos_law(theta1, theta2, dphi):
-    """Spherical law of cosines: cosine of the side opposite the angle dphi.
-    Takes floats, or numpy arrays that broadcast together."""
-    xp = array_module(theta1, theta2, dphi)
-    c = xp.cos(theta1) * xp.cos(theta2) + xp.sin(theta1) * xp.sin(theta2) * xp.cos(dphi)
-    return _clamp(c) if xp is math else xp.clip(c, -1.0, 1.0)
+def cos_law(theta1: float, theta2: float, dphi: float) -> float:
+    """Spherical law of cosines: cosine of the side opposite the angle dphi,
+    on math floats, clamped into [-1, 1]."""
+    cos, sin = math.cos, math.sin
+    return _clamp(cos(theta1) * cos(theta2) + sin(theta1) * sin(theta2) * cos(dphi))
 
 
 def angular_distance(p: SphericalPoint, q: SphericalPoint) -> float:
     return math.acos(cos_law(p.theta, q.theta, p.phi - q.phi))
 
 
-def rho(s):
+def rho(s: float) -> float:
     """Companion diagonal of a unit-edge (60 degree) spherical rhombus.
 
     The diagonals d1, d2 satisfy cos(d1/2) cos(d2/2) = 1/2, so
-    rho(s) = 2 arccos(1 / (2 cos(s/2))); an involution with rho(pi/2) = pi/2.
-    Takes a float or a numpy array.
+    rho(s) = 2 arccos(1 / (2 cos(s/2))), on math floats; an involution with
+    rho(pi/2) = pi/2.
     """
-    xp = array_module(s)
-    c = xp.cos(s / 2.0)
-    if (c <= 0.5) if xp is math else xp.any(c <= 0.5):
+    c = math.cos(s / 2.0)
+    if c <= 0.5:
         raise DomainError(f"rho requires cos(s/2) > 1/2, got s = {s}")
-    return 2.0 * (math.acos if xp is math else xp.arccos)(1.0 / (2.0 * c))
-
-
-def min_angle(cosm: np.ndarray) -> float:
-    """Smallest angle arccos(cosm[i, j]) over the pairs i < j of a symmetric
-    matrix of pairwise cosines (at least 2 x 2).
-
-    arccos is decreasing, so this is the arccos of the largest off-diagonal
-    cosine.  The off-diagonal entries are read as a view: after the first
-    entry, the n^2 - 1 flat entries fall into n - 1 rows of n + 1 whose last
-    entry is the next diagonal one.
-    """
-    import numpy as np
-    n = len(cosm)
-    return float(np.arccos(cosm.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].max()))
+    return 2.0 * math.acos(1.0 / (2.0 * c))
 
 
 def min_separation(ps: PointSet) -> float:
     if len(ps) < 2:
         raise TooFewPoints("min_separation needs at least two points")
-    n = len(ps)
-    return min_angle(CosineBatch.of(ps).cos.reshape(n, n))
+    import numpy as np
+    return float(np.arccos(CosineBatch.of(ps).nearest()[0]))
 
 
 def icosahedron_vertices(zero, ones, taus) -> list[tuple]:

@@ -14,9 +14,6 @@ from kiss3.bounds import (
     R0,
     F1,
     F2,
-    _rhombus_cosines,
-    _rhombus_score,
-    _triangle_score,
     build_omega,
     build_triangle_profile,
     compute_bound_table,
@@ -403,6 +400,71 @@ def _triangle_u0(psi):
     return np.maximum(np.arccos(np.minimum(cot / math.sqrt(3.0), 1.0)) - R0, 0.0)
 
 
+#: Half the vertex angle arccos(1/3) of the unit-edge regular spherical
+#: triangle: the angle at a vertex between an edge and the direction to the
+#: circumcentre.
+HALF_VERTEX_ANGLE = math.acos(1.0 / 3.0) / 2.0
+
+
+def _triangle_vertices(psi, u):
+    """The unit vectors of the unit-edge regular triangle whose farthest
+    vertex a lies at colatitude psi, azimuth 0, with the direction from a to
+    the circumcentre at angle u from the direction from a to the pole: a,
+    then the two vertices 60 degrees from a along the directions at angles
+    u -+ HALF_VERTEX_ANGLE, each as a (3, ...) array over the broadcast
+    grid."""
+    psi, u = np.broadcast_arrays(psi, u)
+    zero, one = np.zeros_like(psi), np.ones_like(psi)
+    a = np.stack((np.sin(psi), zero, np.cos(psi)))
+    north = np.stack((-np.cos(psi), zero, np.sin(psi)))  # along the sphere, toward the pole
+    east = np.stack((zero, one, zero))
+    near = [
+        0.5 * a + math.sqrt(0.75) * (np.cos(alpha) * north + np.sin(alpha) * east)
+        for alpha in (u - HALF_VERTEX_ANGLE, u + HALF_VERTEX_ANGLE)
+    ]
+    return [a, *near]
+
+
+def _rhombus_vertices(d1):
+    """The unit vectors of the unit-edge rhombus with diagonals d1 and
+    d2 = 2 arccos(1 / (2 cos(d1/2))), centred on the z axis with d1 along x,
+    each as a (3, ...) array; cos(d1/2) cos(d2/2) = 1/2 is the unit edge."""
+    h1 = d1 / 2.0
+    h2 = np.arccos(0.5 / np.cos(h1))
+    zero = np.zeros_like(h1)
+    return [
+        np.stack((np.sin(h1), zero, np.cos(h1))),
+        np.stack((zero, np.sin(h2), np.cos(h2))),
+        np.stack((-np.sin(h1), zero, np.cos(h1))),
+        np.stack((zero, -np.sin(h2), np.cos(h2))),
+    ]
+
+
+def _rhombus_cosines(d1, te, pe):
+    """The cosines from the pole, at colatitude te and azimuth pe in the
+    rhombus frame, to the four vertices of `_rhombus_vertices(d1)`, along a
+    new first axis over the broadcast grid."""
+    ex, ey, ez = np.sin(te) * np.cos(pe), np.sin(te) * np.sin(pe), np.cos(te)
+    pole = np.stack(np.broadcast_arrays(ex, ey, ez))
+    cosines = [(v * pole).sum(axis=0) for v in _rhombus_vertices(np.asarray(d1))]
+    return np.clip(np.array(np.broadcast_arrays(*cosines)), -1.0, 1.0)
+
+
+def _objective(cert, cosines):
+    """The score of a configuration: f(1) for the point at the pole plus f(-c)
+    for each cosine c from the pole to a vertex, by np.polyval."""
+    coeffs = cert.f.real_coeffs()
+    return float(cert.f.eval(1)) + sum(np.polyval(coeffs, -c) for c in cosines)
+
+
+def _triangle_objective(cert, psi, u):
+    return _objective(cert, [np.clip(v[2], -1.0, 1.0) for v in _triangle_vertices(psi, u)])
+
+
+def _rhombus_objective(cert, d1, te, pe):
+    return _objective(cert, _rhombus_cosines(d1, te, pe))
+
+
 #: Scan densities (2 * isqrt(N) points per axis) and perturbed certificates
 #: the closed forms are checked against; (9, 1/100) stays fourth so that
 #: its test ids keep their names.
@@ -416,6 +478,34 @@ REFINE_CASES = [
     ((7, Fraction(1, 1000)), 256),
 ]
 
+#: refine_h34's two values on the seed certificate and four perturbed ones.
+REFINE_HEX = [
+    (None, "0x1.9be867c0ee945p+3", "0x1.8f84a385444bfp+3"),
+    ((9, Fraction(1, 100)), "0x1.9c0c8eb05db2fp+3", "0x1.8f87426c6f090p+3"),
+    ((3, Fraction(-1, 1000)), "0x1.9becfbe89a5ffp+3", "0x1.8fc790ec1eacdp+3"),
+    ((5, Fraction(1, 1000)), "0x1.9be7dc334ee46p+3", "0x1.8f6ed728d7895p+3"),
+    ((7, Fraction(1, 1000)), "0x1.9bea5a36a5dd0p+3", "0x1.8f7eed8576809p+3"),
+]
+
+
+def _triangle_scan(cert, n):
+    psi, t = np.ix_(np.linspace(R0, cert.theta0.mid, n), np.linspace(0.0, 1.0, n))
+    return _triangle_objective(cert, psi, t * _triangle_u0(psi))
+
+
+def _rhombus_scan(cert, n):
+    """The rhombus scan's scores and which of its cells keep every vertex in
+    the cap."""
+    theta0 = cert.theta0.mid
+    axes = (
+        np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n),
+        np.linspace(0.0, theta0, n),
+        np.linspace(0.0, math.pi, n),
+    )
+    cells = _rhombus_cosines(*np.ix_(*axes))
+    feasible = np.all(np.arccos(cells) <= theta0, axis=0)
+    return _objective(cert, cells), feasible
+
 
 class TestRefine:
     def test_estimates_and_dominance(self, cert, bound_table):
@@ -425,24 +515,35 @@ class TestRefine:
         assert h3_est <= bound_table.h[3].hi
         assert h4_est <= bound_table.h[4].hi
 
+    @pytest.mark.parametrize("perturbation, h3_hex, h4_hex", REFINE_HEX)
+    def test_values_are_pinned(self, cert, perturbation, h3_hex, h4_hex):
+        if perturbation:
+            cert = build_certificate(harness.perturbed_coeffs(*perturbation))
+        h3_est, h4_est = refine_h34(cert)
+        assert (h3_est.hex(), h4_est.hex()) == (h3_hex, h4_hex)
+
+    def test_objectives_are_unit_edge(self, cert):
+        # the scans' configurations are the unit-edge (60 degree) triangle
+        # and rhombus: every edge's cosine is 1/2
+        assert HALF_VERTEX_ANGLE == pytest.approx(R0, abs=1e-15)
+        psi, t = np.ix_(np.linspace(R0, cert.theta0.mid, 9), np.linspace(0.0, 1.0, 7))
+        a, b, c = _triangle_vertices(psi, t * _triangle_u0(psi))
+        for v, w in ((a, b), (b, c), (c, a)):
+            assert np.allclose((v * w).sum(axis=0), 0.5, rtol=0.0, atol=1e-14)
+        vertices = _rhombus_vertices(np.linspace(1.0, 2.0, 11))
+        for v, w in zip(vertices, vertices[1:] + vertices[:1]):
+            assert np.allclose((v * w).sum(axis=0), 0.5, rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("grid_density", [64, 256, 1024])
     def test_same_optimum_at_every_density(self, cert, bound_table, grid_density):
         # the optimum of the 556-start multistart search the closed forms
         # replaced; a scan at this density, as the retired refine ran, finds
         # no cell that moves it
         h3_est, h4_est = refine_h34(cert)
-        theta0 = cert.theta0.mid
         n = 2 * math.isqrt(grid_density)
-        psi, t = np.ix_(np.linspace(R0, theta0, n), np.linspace(0.0, 1.0, n))
-        h3_scan = _triangle_score(cert, cert.f_at_1, psi, t * _triangle_u0(psi)).max()
-        axes = (
-            np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n),
-            np.linspace(0.0, theta0, n),
-            np.linspace(0.0, math.pi, n),
-        )
-        cells = _rhombus_cosines(*np.ix_(*axes))
-        feasible = np.all(np.arccos(cells) <= theta0, axis=0)
-        h4_scan = _rhombus_score(cert, cert.f_at_1, cells)[feasible].max()
+        h3_scan = _triangle_scan(cert, n).max()
+        scores, feasible = _rhombus_scan(cert, n)
+        h4_scan = scores[feasible].max()
         for best in (h3_est, max(h3_est, h3_scan)):
             assert abs(best - 12.87211978609106) <= 1e-9
         for best in (h4_est, max(h4_est, h4_scan)):
@@ -466,12 +567,11 @@ class TestRefine:
         if perturbation:
             cert = build_certificate(harness.perturbed_coeffs(*perturbation))
         n = 2 * math.isqrt(grid_density)
-        psi, t = np.ix_(np.linspace(R0, cert.theta0.mid, n), np.linspace(0.0, 1.0, n))
-        grid = _triangle_score(cert, cert.f_at_1, psi, t * _triangle_u0(psi))
+        grid = _triangle_scan(cert, n)
         assert np.unravel_index(grid.argmax(), grid.shape) == (n - 1, 0)
-        corner = _triangle_score(cert, cert.f_at_1, cert.theta0.mid, 0.0)
+        corner = _triangle_objective(cert, cert.theta0.mid, 0.0)
         h3_est, _ = refine_h34(cert)
-        assert h3_est.hex() == float(corner).hex()
+        assert h3_est == pytest.approx(float(corner), rel=1e-12)
         assert h3_est >= grid.max()
 
     @pytest.mark.parametrize("perturbation, grid_density", REFINE_CASES)
@@ -481,94 +581,21 @@ class TestRefine:
         if perturbation:
             cert = build_certificate(harness.perturbed_coeffs(*perturbation))
         theta0 = cert.theta0.mid
-        cos_th = _rhombus_cosines(math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
-        angles = np.arccos(cos_th)
+        cell = (math.pi - 2.0 * theta0, 2.0 * theta0 - math.pi / 2.0, 0.0)
+        angles = np.arccos(_rhombus_cosines(*cell))
         assert angles[1:] == pytest.approx([theta0] * 3, abs=1e-12)
         assert angles[0] == pytest.approx(abs(3.0 * theta0 - math.pi), abs=1e-12)
         assert angles[0] < theta0
-        best = _rhombus_score(cert, cert.f_at_1, cos_th)
+        best = float(_rhombus_objective(cert, *cell))
         f = cert.f
         closed = cert.f_at_1 + f.eval_real(math.cos(3.0 * theta0)) + 3 * f.eval_real(-cert.t0.mid)
         assert best == pytest.approx(closed, rel=1e-12)
 
-        n = 2 * math.isqrt(grid_density)
-        axes = (
-            np.linspace(sphere.rho(2.0 * theta0), math.pi / 2.0, n),
-            np.linspace(0.0, theta0, n),
-            np.linspace(0.0, math.pi, n),
-        )
-        cells = _rhombus_cosines(*np.ix_(*axes))
-        feasible = np.all(np.arccos(cells) <= theta0, axis=0)
+        scores, feasible = _rhombus_scan(cert, 2 * math.isqrt(grid_density))
         assert feasible.any()
         _, h4_est = refine_h34(cert)
-        assert h4_est.hex() == float(best).hex()
-        assert h4_est >= _rhombus_score(cert, cert.f_at_1, cells)[feasible].max()
-
-
-class TestRefineScores:
-    """The objectives with f(1) hoisted match the formulas that evaluate f(1)
-    exactly on every call, bit for bit."""
-
-    def test_triangle(self, cert):
-        f = cert.f
-        f_at_1 = float(f.eval(1))
-        rng = random.Random(47)
-        for _ in range(300):
-            psi = rng.uniform(R0, cert.theta0.mid)
-            u = rng.uniform(0.0, 0.3)
-            c1 = sphere.cos_law(60.0 * DEG, psi, R0 - u)
-            c2 = sphere.cos_law(60.0 * DEG, psi, R0 + u)
-            original = (
-                float(f.eval(1))
-                + f.eval_real(-c1)
-                + f.eval_real(-c2)
-                + f.eval_real(-math.cos(psi))
-            )
-            assert _triangle_score(cert, f_at_1, psi, u).hex() == original.hex()
-
-    def test_rhombus(self, cert):
-        f = cert.f
-        f_at_1 = float(f.eval(1))
-        rng = random.Random(48)
-        for _ in range(300):
-            x = np.array(
-                [rng.uniform(1.0, math.pi / 2.0), rng.uniform(0.0, 0.9), rng.uniform(0.0, math.pi)]
-            )
-            cos_th = _rhombus_cosines(*x)
-            original = float(f.eval(1)) + sum(f.eval_real(-v) for v in cos_th)
-            assert _rhombus_score(cert, f_at_1, cos_th).hex() == original.hex()
-
-
-class TestRefineScan:
-    """The tests' scans score whole grids with the same formulas the closed
-    forms evaluate on floats; numpy's vectorised trigonometry may move the last
-    bits."""
-
-    def test_triangle_grid(self, cert):
-        f_at_1 = float(cert.f.eval(1))
-        psi, u = np.ix_(np.linspace(R0, cert.theta0.mid, 7), np.linspace(0.0, 0.3, 5))
-        grid = _triangle_score(cert, f_at_1, psi, u)
-        assert grid.shape == (7, 5)
-        for i, j in np.ndindex(grid.shape):
-            expected = _triangle_score(cert, f_at_1, float(psi[i, 0]), float(u[0, j]))
-            assert grid[i, j] == pytest.approx(expected, rel=1e-12)
-
-    def test_rhombus_grid(self, cert):
-        f_at_1 = float(cert.f.eval(1))
-        axes = (
-            np.linspace(1.0, math.pi / 2.0, 4),
-            np.linspace(0.0, 0.9, 3),
-            np.linspace(0.0, math.pi, 5),
-        )
-        cos_th = _rhombus_cosines(*np.ix_(*axes))
-        grid = _rhombus_score(cert, f_at_1, cos_th)
-        assert cos_th.shape == (4, 4, 3, 5) and grid.shape == (4, 3, 5)
-        for cell in np.ndindex(grid.shape):
-            point = [float(axis[k]) for axis, k in zip(axes, cell)]
-            cos_point = _rhombus_cosines(*point)
-            assert cos_th[(slice(None),) + cell] == pytest.approx(cos_point, abs=1e-14)
-            expected = _rhombus_score(cert, f_at_1, cos_point)
-            assert grid[cell] == pytest.approx(expected, rel=1e-12)
+        assert h4_est == pytest.approx(best, rel=1e-12)
+        assert h4_est >= scores[feasible].max()
 
 
 class TestOneEvaluation:

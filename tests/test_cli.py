@@ -85,6 +85,17 @@ class TestVerify:
         golden = Path(__file__).parent / "data" / name
         assert capsys.readouterr().out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize(
+        "output_format, name", [("text", "verify_seed42.txt"), ("json", "verify_seed42.json")]
+    )
+    def test_default_report_matches_golden(self, capsys, output_format, name):
+        # the default run, every suite, byte for byte as recorded: the
+        # refined estimates' bytes among the rest
+        code = main(["verify", "--seed", "42", "--format", output_format])
+        assert code == 0
+        golden = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(

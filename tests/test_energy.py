@@ -34,7 +34,6 @@ from kiss3.sphere import (
     PointSet,
     SphericalPoint,
     icosahedron,
-    min_angle,
     random_point,
     random_separated_set,
 )
@@ -139,7 +138,7 @@ def _loop_energy(ps, c):
     test and T_i as f(1) plus the sum over J(i)."""
     n = len(ps)
     cosm = CosineBatch.of(ps).cos.reshape(n, n)
-    sep = min_angle(cosm) if n >= 2 else math.nan
+    sep = float(np.arccos(cosm[np.triu_indices(n, 1)].max())) if n >= 2 else math.nan
     values = np.polyval([float(x) for x in reversed(c.f.coeffs)], cosm)
     f_at_1 = float(c.f.eval(1))
     np.fill_diagonal(values, f_at_1)

@@ -17,6 +17,7 @@ from kiss3.harness import (
     RunConfig,
     SCHEMA_VERSION,
     SuiteResult,
+    _random_set_counts,
     _random_sets,
     _suite_lemma1,
     _suite_lemma2,
@@ -322,8 +323,9 @@ class TestLemmaBatch:
     )
     def test_suites_match_reference(self, cert, count):
         config = RunConfig(seed=11, lemma1_sets=count)
-        assert _suite_lemma1(config) == _reference_lemma1(config)
-        assert _suite_lemma2(config, cert) == _reference_lemma2(config, cert)
+        assert _suite_lemma1(config, _shared(config)) == _reference_lemma1(config)
+        lemma2 = _suite_lemma2(config, cert, _shared(config, cert))
+        assert lemma2 == _reference_lemma2(config, cert)
 
     @pytest.mark.parametrize("value, bad", [(Fr(1, 2), LEMMA_BLOCK + 1), (Fr(1), 0)])
     def test_lemma2_for_constant_f(self, cert, value, bad):
@@ -333,7 +335,7 @@ class TestLemmaBatch:
         f = RationalPoly([value])
         constant = replace(cert, f=f, legendre_coeffs=to_legendre_basis(f))
         config = RunConfig(seed=11, lemma1_sets=LEMMA_BLOCK + 1)
-        result = _suite_lemma2(config, constant)
+        result = _suite_lemma2(config, constant, _shared(config, constant))
         assert result == _reference_lemma2(config, constant)
         assert result.failures == ([f"{bad} point sets with S < n^2"] if bad else [])
 
@@ -344,9 +346,15 @@ class TestLemmaBatch:
         half = to_legendre_basis(RationalPoly([Fr(1, 2)]))
         mismatched = replace(cert, legendre_coeffs=half)
         config = RunConfig(seed=12, lemma1_sets=count)
-        result = _suite_lemma2(config, mismatched)
+        result = _suite_lemma2(config, mismatched, _shared(config, mismatched))
         assert result == _reference_lemma2(config, mismatched)
         assert result.failures == [f"{count} linearity-bridge gaps over 1e-8 n^2"]
+
+
+def _shared(config, cert=None):
+    """The `shared` argument `run` gives the lemma 1 and 2 suites: one pass
+    over the random sets, made with `cert` when lemma 2 reads it."""
+    return lambda: _random_set_counts(config, cert)
 
 
 # -- the lemma 3 suite against a one-set-at-a-time reference ----------------

@@ -1,8 +1,8 @@
 """Static hygiene of the package source, read with `ast` alone: no module
 imports a name it never uses, no private module-level name goes
-unreferenced across the package, and no public module-level function or
-class goes unreferenced by the package, its `__all__`, the demos and the
-benchmark's tracer."""
+unreferenced across the package, no public module-level function or class
+goes unreferenced by the package, its `__all__`, the demos and the
+benchmark's tracer, and no module reads `sys.modules`."""
 
 import ast
 from pathlib import Path
@@ -100,6 +100,43 @@ def test_package_is_clean():
     users = {str(path.relative_to(ROOT)): path.read_text() for path in USERS}
     assert len(sources) > 1 and "bench/tracer.py" in users and len(users) > 1
     assert findings(sources, users) == []
+
+
+def module_table_reads(tree: ast.Module) -> list[int]:
+    """The lines where a module reads `sys.modules`, as an attribute of
+    `sys` or imported from it: what a module does to pick numpy or math by
+    whether numpy is loaded."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "modules":
+            if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            lines += [node.lineno for alias in node.names if alias.name == "modules"]
+    return lines
+
+
+def test_no_module_reads_sys_modules():
+    # a function takes floats or arrays, not whichever the loaded modules suggest
+    reads = {
+        path.name: module_table_reads(ast.parse(path.read_text(), path.name))
+        for path in SRC.glob("*.py")
+    }
+    assert len(reads) > 1
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import sys\nnp = sys.modules.get('numpy')\n", [2]),
+        ("import sys\n\ndef f():\n    return 'numpy' in sys.modules\n", [4]),
+        ("from sys import modules\n", [1]),
+        ("import sys\nsys.argv\nmodules = {}\nmodules.get('numpy')\n", []),
+    ],
+)
+def test_module_table_reads(source, expected):
+    assert module_table_reads(ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from kiss3.legendre import (
     to_legendre_basis,
 )
 from kiss3.polynomial import RationalPoly
-from kiss3.sphere import CosineBatch, PointSet, SphericalPoint, cos_law, icosahedron
+from kiss3.sphere import CosineBatch, PointSet, SphericalPoint, icosahedron
 
 legendre_module = importlib.import_module("kiss3.legendre")
 
@@ -116,7 +116,9 @@ def polyval_residual(k, theta1, theta2, phi):
     """The addition-theorem residual for one degree k by the route the
     batched one replaced: two np.polyval calls per order m."""
     c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
-    lhs = np.polyval(legendre(k).real_coeffs(), cos_law(theta1, theta2, phi))
+    # the law of cosines in cos_law's operand order, on arrays
+    t = np.clip(c1 * c2 + s1 * s2 * np.cos(phi), -1.0, 1.0)
+    lhs = np.polyval(legendre(k).real_coeffs(), t)
     p, rhs = legendre(k), 0.0
     for m, w in enumerate(addition_weights(k)):
         polar1 = np.polyval(p.real_coeffs(), c1) * s1**m
@@ -228,12 +230,12 @@ class TestAdditionTheoremMutants:
             mutate(coeffs, weights)
             return coeffs, weights
 
-        config = harness.RunConfig(seed=42, lemma1_sets=0)
-        assert harness._suite_lemma1(config).ok
+        config = harness.RunConfig(suites=("lemma1",), seed=42, lemma1_sets=0)
+        assert harness.run(config).suites["lemma1"].ok
         monkeypatch.setattr(legendre_module, "_addition_tables", mutated)
         k, theta1, theta2, phi = mixed_samples(7, 1000)
         assert addition_theorem_residual(k, theta1, theta2, phi).max() >= 1e-9
-        suite = harness._suite_lemma1(config)
+        suite = harness.run(config).suites["lemma1"]
         assert suite.failed == 1
         assert suite.failures[0].endswith("addition-theorem residuals >= 1e-9")
 
@@ -243,7 +245,8 @@ class TestAdditionTheoremMutants:
             return np.where(np.arange(k.size) == 17, value, 0.0)
 
         monkeypatch.setattr(harness, "addition_theorem_residual", residual)
-        suite = harness._suite_lemma1(harness.RunConfig(seed=42, lemma1_sets=0))
+        config = harness.RunConfig(suites=("lemma1",), seed=42, lemma1_sets=0)
+        suite = harness.run(config).suites["lemma1"]
         assert suite.ok is ok
         assert suite.failures == ([] if ok else ["1 addition-theorem residuals >= 1e-9"])
 

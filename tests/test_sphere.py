@@ -19,7 +19,6 @@ from kiss3.sphere import (
     cos_law,
     format_points,
     icosahedron,
-    min_angle,
     min_separation,
     parse_points,
     random_point,
@@ -158,9 +157,66 @@ class TestMinSeparation:
         rng = random.Random(57)
         sizes = [n for n in range(2, 41) for _ in range(25)] + [1000]
         for n in sizes:
-            cosm = _cosines(PointSet(random_point(rng) for _ in range(n)))
-            upper = float(np.arccos(cosm[np.triu_indices(n, 1)]).min())
-            assert min_angle(cosm).hex() == upper.hex()
+            ps = PointSet(random_point(rng) for _ in range(n))
+            upper = float(np.arccos(_cosines(ps)[np.triu_indices(n, 1)]).min())
+            assert min_separation(ps).hex() == upper.hex()
+
+
+def _strided_nearest(cosm):
+    """The largest off-diagonal cosine of an n x n matrix, n >= 2, read as a
+    view: after the first entry, the n^2 - 1 flat entries fall into n - 1
+    rows of n + 1 whose last entry is the next diagonal one."""
+    n = len(cosm)
+    return cosm.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].max()
+
+
+def _copied_nearest(batch):
+    """Every set's largest off-diagonal cosine, from a copy of the batch's
+    cosines with -1 written on the diagonal."""
+    off = batch.cos.copy()
+    off[batch.diagonal] = -1.0
+    return np.maximum.reduceat(off, batch.starts)
+
+
+class TestNearest:
+    """`CosineBatch.nearest` leaves the cosines' bytes as they were and
+    gives, bit for bit, what the strided view of one set's matrix and the
+    copy with -1 on the diagonal gave."""
+
+    def test_lemma3_batches(self):
+        rng = random.Random(58)
+        for chunk in range(4):
+            sizes = [rng.randint(2, 12) for _ in range(100)]
+            seeds = range(100 * chunk, 100 * chunk + 100)
+            vectors = [v for _, v, _ in random_separated_sets(sizes, math.pi / 3, seeds)]
+            batch = CosineBatch(np.concatenate(vectors), [len(v) for v in vectors])
+            before = batch.cos.tobytes()
+            expected = _copied_nearest(batch)
+            assert batch.nearest().tobytes() == expected.tobytes()
+            assert batch.cos.tobytes() == before
+
+    def test_mixed_sizes_and_one_point_sets(self):
+        rng = random.Random(59)
+        sets = [PointSet(random_point(rng) for _ in range(n)) for n in [1, 2, 1, 7, 40, 1]]
+        vectors = [ps.vectors() for ps in sets]
+        batch = CosineBatch(np.concatenate(vectors), [len(v) for v in vectors])
+        before = batch.cos.tobytes()
+        closest = batch.nearest()
+        assert closest.tobytes() == _copied_nearest(batch).tobytes()
+        assert closest[[0, 2, 5]].tolist() == [-1.0] * 3
+        for ps, c in zip(sets, closest.tolist()):
+            if len(ps) >= 2:
+                assert c == _strided_nearest(_cosines(ps))
+        assert batch.cos.tobytes() == before
+
+    def test_thousand_points(self):
+        rng = random.Random(60)
+        batch = CosineBatch.of(PointSet(random_point(rng) for _ in range(1000)))
+        before = batch.cos.tobytes()
+        (closest,) = batch.nearest()
+        assert closest.hex() == float(_strided_nearest(batch.cos.reshape(1000, 1000))).hex()
+        assert batch.cos.tobytes() == before
+        assert np.all(batch.cos[batch.diagonal] == 1.0)
 
 
 class TestIcosahedron:
@@ -474,7 +530,11 @@ class TestBlockTest:
         points = np.stack(
             (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)), axis=1
         )
-        scalar = cos_law(theta[:, None], np.arccos(z), azimuth - phi[:, None])
+        # the law of cosines in cos_law's operand order, on arrays
+        t1, t2, dphi = theta[:, None], np.arccos(z), azimuth - phi[:, None]
+        scalar = np.clip(
+            np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(dphi), -1.0, 1.0
+        )
         error = np.abs(points @ block - scalar).max()
         assert 0.0 < error <= sphere.SAMPLER_MARGIN / 8
 
