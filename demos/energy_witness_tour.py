@@ -8,8 +8,8 @@ import math
 
 from kiss3.certificate import build_certificate
 from kiss3.energy import energy
-from kiss3.legendre import gegenbauer_sum
-from kiss3.sphere import icosahedron, min_separation
+from kiss3.legendre import gegenbauer_sums
+from kiss3.sphere import CosineBatch, icosahedron, min_separation
 
 cert = build_certificate()
 ico = icosahedron()
@@ -30,5 +30,6 @@ for i, rec in enumerate(summary.per_point):
 
 print()
 print("Gegenbauer sums for k = 0 ... 9 (each >= 0 by positive definiteness):")
-for k in range(10):
-    print(f"  k = {k}: {gegenbauer_sum(ico, k):.6e}")
+batch = CosineBatch.of(ico)
+for k, total in enumerate(gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()):
+    print(f"  k = {k}: {total:.6e}")

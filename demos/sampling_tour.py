@@ -7,9 +7,9 @@ Run:  python3 demos/sampling_tour.py
 import math
 
 from kiss3.certificate import build_certificate
-from kiss3.energy import check_lemma2, check_lemma3, energy
+from kiss3.energy import energy, lemma2_holds, lemma3_holds
 from kiss3.errors import SaturationError
-from kiss3.sphere import format_points, min_separation, random_separated_set
+from kiss3.sphere import CosineBatch, format_points, min_separation, random_separated_set
 
 cert = build_certificate()
 
@@ -30,7 +30,8 @@ for n in range(2, 10):
         except SaturationError:
             seed += 1
     S = energy(ps, cert).S
-    ok = check_lemma2(ps, cert) and check_lemma3(ps, cert)
+    sum_holds, chain_holds = lemma3_holds(CosineBatch.of(ps), cert)
+    ok = lemma2_holds(S, n) and sum_holds[0] and chain_holds[0]
     print(f"  n = {n:2d}: S = {S:9.4f}  in [n^2, 13n) = [{n * n}, {13 * n})  {'ok' if ok else 'VIOLATION'}")
 
 print()

@@ -153,25 +153,33 @@ def _cmd_sample(args) -> int:
 def _cmd_energy(args) -> int:
     """Print the energy summary of a point-set file as `energy.energy_json`
     writes it; a file that cannot be read or holds no points exits 2, and so
-    does a set whose n x n cosines (8 n^2 bytes) cannot be allocated."""
+    does a set whose n x n cosines (8 n^2 bytes) cannot be allocated, or
+    whose report (about 2.7 n^2 bytes at random) cannot be built."""
     try:
         ps = sphere.parse_points(args.points.read_text())
     except (OSError, ValueError) as exc:
         print(f"cannot read point set: {exc}", file=sys.stderr)
         return 2
-    if len(ps) == 0:
+    n = len(ps)
+    if n == 0:
         print(f"cannot read point set: {args.points} holds no points", file=sys.stderr)
         return 2
     try:
         summary = energy(ps, build_certificate())
     except MemoryError:
-        n = len(ps)
         print(
             f"cannot hold the point set: the pairwise cosines of {n} points need {8 * n * n} bytes",
             file=sys.stderr,
         )
         return 2
-    print(energy_json(summary))
+    try:
+        print(energy_json(summary))
+    except MemoryError:
+        print(
+            f"cannot build the report: the energy report of {n} points does not fit in memory",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

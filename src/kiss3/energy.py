@@ -24,12 +24,25 @@ class PerPoint:
     J_i: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergySummary:
+    """S(X) of a set of n points, its per-point sums S_i and T_i, one array
+    entry per point, and its n x n deep-cap mask: deep[i, j] is true when j
+    is in J(i).  `per_point` is the same data as one PerPoint row per point,
+    J_i a tuple of Python ints.  Summaries compare by identity: their fields
+    are arrays."""
+
     n: int
     S: float
-    per_point: tuple[PerPoint, ...]
+    S_i: np.ndarray
+    T_i: np.ndarray
+    deep: np.ndarray
     min_sep: float  # radians; nan for singletons
+
+    @property
+    def per_point(self) -> tuple[PerPoint, ...]:
+        J = [tuple(row.nonzero()[0].tolist()) for row in self.deep]
+        return tuple(map(PerPoint, self.S_i.tolist(), self.T_i.tolist(), J))
 
 
 def energy(ps: PointSet, c: Certificate) -> EnergySummary:
@@ -40,24 +53,25 @@ def energy(ps: PointSet, c: Certificate) -> EnergySummary:
 
     J(i) collects the j with cos dist < -t0; membership is tested against the
     lower enclosure endpoint of t0, which can only enlarge J(i) and therefore
-    only increase T_i -- conservative for the < 13 direction.  The minimum
-    separation is read from the batch's cosines before `point_energies`
-    spends the batch, so a set holds one n x n float64 array and the n x n
-    deep-cap mask (about 9 n^2 bytes), and J(i), read from the mask, is
-    built after the floats are freed.  A set of no points has S = 0 and no
-    per-point rows.  `energy_json` writes the summary as the `kiss3 energy`
-    report.
+    only increase T_i -- conservative for the < 13 direction; the summary
+    keeps J(i) as the kernel's deep-cap mask, reshaped to n x n.  The
+    minimum separation is read from the batch's cosines before
+    `point_energies` spends the batch, so a set holds one n x n float64
+    array and the mask, about 9 n^2 bytes, and its summary the mask alone,
+    n^2 bytes.  A set of no points has S = 0 and empty arrays.
+    `energy_json` writes the summary as the `kiss3 energy` report.
     """
     import numpy as np
     n = len(ps)
     if not n:
-        return EnergySummary(n=0, S=0.0, per_point=(), min_sep=math.nan)
+        none = np.empty(0)
+        return EnergySummary(0, 0.0, none, none, np.empty((0, 0), bool), math.nan)
     batch = CosineBatch.of(ps)
     sep = float(np.arccos(batch.nearest()[0])) if n >= 2 else math.nan
     S, S_i, T_i, deep = point_energies(batch, c)
-    J = [tuple(row.nonzero()[0].tolist()) for row in deep.reshape(n, n)]
-    per_point = tuple(map(PerPoint, S_i.tolist(), T_i.tolist(), J))
-    return EnergySummary(n=n, S=float(S[0]), per_point=per_point, min_sep=sep)
+    return EnergySummary(
+        n=n, S=float(S[0]), S_i=S_i, T_i=T_i, deep=deep.reshape(n, n), min_sep=sep
+    )
 
 
 # Entries per slice of `_eval_f`'s Horner steps: a slice of the cosines and
@@ -215,30 +229,65 @@ def energy_json(summary: EnergySummary) -> str:
     min_sep_deg is null for a singleton (min_sep is nan).  S, min_sep_deg
     and every S_i and T_i go through one encode of json's own encoder, as a
     list split on its ", " separator, which no float's spelling holds, so
-    each float's repr and NaN/Infinity spelling are json's.  J(i) is [] when
-    empty and otherwise one index a line, each looked up in one table of
-    str(j), j < n.  per_point is [] for a summary of no points.
+    each float's repr and NaN/Infinity spelling are json's.  They go into
+    the text between one row's J(i) and the next, and `_interleave` writes
+    that text and every J(i) from the deep-cap mask in one gather.
+    per_point is [] for a summary of no points.
     """
+    import numpy as np
+    n = summary.n
     sep = summary.min_sep
     values = [summary.S, None if math.isnan(sep) else math.degrees(sep)]
-    for r in summary.per_point:
-        values += (r.S_i, r.T_i)
+    values += np.column_stack((summary.S_i, summary.T_i)).ravel().tolist()
     S, min_sep_deg, *numbers = json.JSONEncoder().encode(values)[1:-1].split(", ")
-    names = [str(j) for j in range(summary.n)]
-    rows = []
-    for r, S_i, T_i in zip(summary.per_point, numbers[0::2], numbers[1::2]):
-        J = "[]"
-        if r.J_i:
-            J = "[\n        " + ",\n        ".join([names[j] for j in r.J_i]) + "\n      ]"
-        rows.append(
-            f'    {{\n      "J_i": {J},\n'
-            f'      "S_i": {S_i},\n'
-            f'      "T_i": {T_i}\n    }}'
-        )
-    per_point = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return (
-        f'{{\n  "S": {S},\n'
-        f'  "min_sep_deg": {min_sep_deg},\n'
-        f'  "n": {summary.n},\n'
-        f'  "per_point": {per_point}\n}}'
-    )
+    head = f'{{\n  "S": {S},\n  "min_sep_deg": {min_sep_deg},\n  "n": {n},\n  "per_point": '
+    if not n:
+        return head + "[]\n}"
+    counts = np.count_nonzero(summary.deep, axis=1)
+    start = '    {\n      "J_i": ['
+    close = ("]", "\n      ]")  # J(i) empty, or one index a line
+    ends = [
+        f'{close[k > 0]},\n      "S_i": {S_i},\n      "T_i": {T_i}\n    }}'
+        for k, S_i, T_i in zip(counts.tolist(), numbers[0::2], numbers[1::2])
+    ]
+    glue = [f"{head}[\n{start}", *(f"{e},\n{start}" for e in ends[:-1]), f"{ends[-1]}\n  ]\n}}"]
+    return _interleave(glue, summary.deep, counts)
+
+
+def _interleave(glue: list[str], deep: np.ndarray, counts: np.ndarray) -> str:
+    """glue[0], J(0), glue[1], ..., J(n - 1), glue[n] as one text: J(i) is
+    the true columns j of row i of the n x n deep-cap mask, counts[i] of
+    them, each written "\\n        j", after a comma but for the first.
+
+    It is one gather from a table of NUL-padded entries of one width: the
+    comma and the comma-less form of each index, then each glue string cut
+    into k entries.  The mask, widened by k true columns in front of each
+    row and by a last row of k, has its flat true entries in the order of
+    the text: glue i's k slots, then row i's columns.  Less its row's
+    offset, each is the index of its column; then each row's first index
+    takes the comma-less form, and the glue slots their entries.  The
+    gathered bytes, NULs dropped, are the text.  The widened mask, the
+    picks and the gather are each freed once the next is made.
+    """
+    import numpy as np
+    n = len(deep)
+    index = [f",\n        {j}" for j in range(n)] + [f"\n        {j}" for j in range(n)]
+    index = np.array(index, dtype="S")
+    width = index.itemsize
+    k = -(-max(map(len, glue)) // width)
+    table = np.concatenate((index, np.array(glue, dtype=f"S{k * width}").view(index.dtype)))
+    wide = np.zeros((n + 1, k + n), dtype=bool)
+    wide[:, :k] = True
+    wide[:n, k:] = deep
+    picks = np.flatnonzero(wide)
+    del wide
+    per_row = np.append(counts, 0) + k
+    picks -= np.repeat(np.arange(n + 1) * (k + n) + k, per_row)  # column k + j is index j
+    at = np.cumsum(per_row) - per_row  # where each row's glue starts
+    picks[(at[:n] + k)[counts > 0]] += n
+    picks[(at[:, None] + np.arange(k)).ravel()] = np.arange(2 * n, len(table))
+    text = table.take(picks)
+    del picks
+    text = text.tobytes()
+    text = text.replace(b"\0", b"")
+    return text.decode()

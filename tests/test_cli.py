@@ -293,6 +293,26 @@ class TestSampleAndEnergy:
             "cannot hold the point set: the pairwise cosines of 3 points need 72 bytes\n"
         )
 
+    def test_energy_report_too_large_to_build(self, tmp_path, capsys, monkeypatch):
+        # the cosines fit, but numpy refuses the render's widened mask, as
+        # it may for a report of about 2.7 n^2 bytes at n = 10k: one line
+        # naming n, no traceback and no partial report
+        import numpy as np
+
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        pts = tmp_path / "pts.txt"
+        pts.write_text("10 20\n30 40\n170 60\n")
+        code = main(["energy", "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "cannot build the report: the energy report of 3 points does not fit in memory\n"
+        )
+
     def test_energy_no_points(self, tmp_path, capsys):
         pts = tmp_path / "empty.txt"
         pts.write_text("# theta_deg phi_deg\n\n")

@@ -112,6 +112,21 @@ class TestEnergy:
             for rec in summary.per_point:
                 assert len(rec.J_i) <= 4
 
+    def test_per_point_view(self):
+        # one PerPoint row per point: floats, and J_i the true columns of
+        # the point's mask row as a tuple of Python ints
+        summary = EnergySummary(
+            n=3,
+            S=4.5,
+            S_i=np.array([0.5, 1.5, 2.5]),
+            T_i=np.array([1.0, 2.0, 3.0]),
+            deep=np.array([[False, False, True], [False, False, False], [True, True, False]]),
+            min_sep=0.1,
+        )
+        rows = summary.per_point
+        assert rows == (PerPoint(0.5, 1.0, (2,)), PerPoint(1.5, 2.0, ()), PerPoint(2.5, 3.0, (0, 1)))
+        assert {type(x) for r in rows for x in (r.S_i, r.T_i, *r.J_i)} == {float, int}
+
     def test_s_i_below_t_i_for_separated_sets(self, cert):
         for ps in separated_sets(9, 10, start_seed=100):
             summary = energy(ps, cert)
@@ -378,7 +393,9 @@ class TestJsonExport:
         summary = EnergySummary(
             n=2,
             S=math.inf,
-            per_point=(PerPoint(math.nan, -math.inf, (1,)), PerPoint(0.1, 1e300, ())),
+            S_i=np.array([math.nan, 0.1]),
+            T_i=np.array([-math.inf, 1e300]),
+            deep=np.array([[False, True], [False, False]]),
             min_sep=0.5,
         )
         assert energy_report_difference(energy_json(summary), summary) is None
@@ -391,11 +408,9 @@ class TestJsonExport:
         summary = EnergySummary(
             n=3,
             S=math.nan,
-            per_point=(
-                PerPoint(S_i, T_i, (2,)),
-                PerPoint(T_i, S_i, ()),
-                PerPoint(1e-300, -2.5, (0, 1)),
-            ),
+            S_i=np.array([S_i, T_i, 1e-300]),
+            T_i=np.array([T_i, S_i, -2.5]),
+            deep=np.array([[False, False, True], [False, False, False], [True, True, False]]),
             min_sep=math.inf,
         )
         assert energy_report_difference(energy_json(summary), summary) is None
@@ -403,6 +418,31 @@ class TestJsonExport:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_thousand_points(self, cert, energy_report_difference, seed):
         summary = energy(random_point_set(random.Random(seed), 1000), cert)
+        assert energy_report_difference(energy_json(summary), summary) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001])
+    def test_every_index_width(self, cert, energy_report_difference, n):
+        # n on either side of each index width: the widest index of the
+        # table is n - 1, and every narrower one is NUL-padded to it
+        summary = energy(random_point_set(random.Random(n), n), cert)
+        assert energy_report_difference(energy_json(summary), summary) is None
+
+    def test_clustered_rows(self, cert, energy_report_difference):
+        # 40 points by the north pole, 20 on a 60-degree arc of the equator
+        # and 41 by the south pole: each polar row holds the other cap, the
+        # first and the last index among them, and every equatorial row is
+        # empty
+        rng = random.Random(63)
+        north = [SphericalPoint(rng.uniform(0.0, 0.15), rng.uniform(0.0, 6.0)) for _ in range(40)]
+        arc = [SphericalPoint(math.pi / 2, rng.uniform(0.0, math.pi / 3)) for _ in range(20)]
+        south = [
+            SphericalPoint(math.pi - rng.uniform(0.0, 0.15), rng.uniform(0.0, 6.0))
+            for _ in range(41)
+        ]
+        summary = energy(PointSet(north + arc + south), cert)
+        J = [r.J_i for r in summary.per_point]
+        assert J[:40] == [tuple(range(60, 101))] * 40 and J[60:] == [tuple(range(40))] * 41
+        assert J[40:60] == [()] * 20
         assert energy_report_difference(energy_json(summary), summary) is None
 
 
@@ -503,9 +543,10 @@ class TestSpentBatch:
         assert sum(bool(r.J_i) for r in summary.per_point) > n // 2
 
     def test_energy_holds_one_float_array(self, cert):
-        # the n x n cosines become f's values in place and are freed before
-        # the J(i) tuples are built, so the traced peak is about 8 n^2 bytes
-        # of floats and n^2 of mask; a second n x n float array reads 2.1
+        # the n x n cosines become f's values in place, and the summary
+        # keeps the n^2 bytes of mask, so the traced peak is about 8 n^2
+        # bytes of floats and n^2 of mask; a second n x n float array reads
+        # 2.1
         n = 1000
         rng = random.Random(62)
         ps = random_point_set(rng, n)
@@ -517,3 +558,18 @@ class TestSpentBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * 8 * n * n
+
+    def test_report_render_frees_as_it_goes(self, cert):
+        # the render's large intermediates (the gather, its bytes, the bytes
+        # without NULs, the text) live two at a time, so the traced peak
+        # is about 2.3 report sizes at 1,000 points; three at a time would
+        # read about 3.3
+        summary = energy(random_point_set(random.Random(64), 1000), cert)
+        energy_json(summary)  # imports
+        tracemalloc.start()
+        try:
+            text = energy_json(summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * len(text)
