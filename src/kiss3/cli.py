@@ -146,6 +146,9 @@ def _cmd_sample(args) -> int:
     except Kiss3Error as exc:
         print(f"sampling failed: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, ValueError):  # numpy's ValueError: a shape past what it indexes
+        print(f"cannot sample {args.n} points: they do not fit in memory", file=sys.stderr)
+        return 2
     sys.stdout.write(sphere.format_points(ps))
     return 0
 

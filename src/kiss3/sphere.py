@@ -211,21 +211,19 @@ def random_point(rng: random.Random) -> SphericalPoint:
 
 
 #: Candidates per set drawn and filtered together by each of the sampler's
-#: rounds after the first few.
-SAMPLER_BLOCK = 512
-#: Candidates per set in the sampler's first round; each later round draws
-#: twice as many as the one before, up to SAMPLER_BLOCK.
-SAMPLER_FIRST_BLOCK = 32
+#: rounds, and the run of rejections after which it runs its jam test.
+SAMPLER_BLOCK = 256
 #: Half-width of the cosine band around cos(min_sep) inside which the
 #: sampler decides a candidate by the scalar rule; over 16 times the error
 #: of the filter's float32 directions (see random_separated_sets).
 SAMPLER_MARGIN = 1e-5
 #: Most accepted points on which the sampler runs its jam test.  No
 #: 60-degree separated set has more: their caps of radius 30 degrees are
-#: disjoint, so k (1 - cos 30 deg) / 2 <= 1 and k <= 14.  So every lemma-3
-#: set is tested, on at most C(14, 3) = 364 planes (20-45 us for 4-14 points
-#: on a 2-core VM, about one block of candidates); the planes grow as k^3,
-#: and a huge `sample --n` builds none.
+#: disjoint, so k sin^2(15 deg) <= 1 and k <= 14, the area bound that also
+#: sizes the sampler's rows.  So every lemma-3 set is tested, on at most
+#: C(14, 3) = 364 planes (20-45 us for 4-14 points on a 2-core VM, about
+#: one block of candidates); the planes grow as k^3, and a huge
+#: `sample --n` builds none.
 JAM_TEST_POINTS = 14
 
 
@@ -373,10 +371,9 @@ def random_separated_sets(
     c <= cos(min_sep); other values, NaN included, raise ValueError.
 
     The sets are sampled together, in rounds: in each, every set not yet
-    done draws its next block, SAMPLER_FIRST_BLOCK candidates in the first
-    round and twice as many in each later one up to SAMPLER_BLOCK, and the
-    blocks' unit vectors and the largest cosine from each candidate to its
-    set's accepted points are computed for many sets at once.  Then those
+    done draws its next block of SAMPLER_BLOCK candidates, and the blocks'
+    unit vectors and the largest cosine from each candidate to its set's
+    accepted points are computed for many sets at once.  Then those
     sets step through their blocks in lockstep, each taking its next
     candidate that the filter does not reject; one that a set accepts
     raises the largest cosines of that set's later candidates.  The lockstep
@@ -387,7 +384,7 @@ def random_separated_sets(
     filter passes, across block ends; one the scalar rule rejects joins the
     run after it, as no acceptance comes between.  So a stall reaches
     max_tries, and the jam test's trigger below, at the same candidate
-    whatever the block sizes, and neither the blocks nor the other sets
+    wherever the blocks end, and neither the blocks nor the other sets
     change what a set accepts, rejects, tests or returns.
 
     A set also stops, saturated with the same points, as soon as no later
@@ -429,7 +426,8 @@ def random_separated_sets(
     reject_above = cos_sep + SAMPLER_MARGIN
     # the jam test runs once per stall, when the rejections since the last
     # acceptance first reach a whole block; never for caps of a hemisphere or more
-    jam_test_at = SAMPLER_BLOCK if cos_sep > 0.0 else -1
+    size = SAMPLER_BLOCK
+    jam_test_at = size if cos_sep > 0.0 else -1
     # (theta, phi, cos theta, sin theta) of each set's accepted points; the
     # sums are the ones cos_law forms, in the same operand order, so the
     # scalar rule agrees bit for bit with angular_distance.
@@ -439,17 +437,19 @@ def random_separated_sets(
     # The sets still sampling, and row i of points for set i, for the whole
     # call: the unit vectors of its k accepted points in points[i, :k], and
     # copies of the first in its later columns, which leave the largest
-    # cosine to the set's points as it is.  The columns double as they fill
-    # up, as a target may be far more than memory holds; only a target above
-    # SAMPLER_BLOCK grows them, and growing copies every row, finished ones
-    # too.  No caller batches such a target with other sets: lemma 3's
-    # targets are at most 12, and random_separated_set samples one set.
+    # cosine to the set's points as it is.  Caps of radius min_sep / 2 around
+    # a set's points are disjoint, and each covers sin^2(min_sep / 4) of the
+    # sphere, so no set places more than 1 / sin^2(min_sep / 4) points (14 at
+    # 60 degrees): the rows are that wide, with a column to spare, where the
+    # largest target is wider.  An area that underflows to 0 or a target past
+    # the floats' range is compared without a division by 0 or an overflow.
     live = list(range(len(sizes)))
-    points = np.zeros((len(sizes), min(max(sizes, default=1), SAMPLER_BLOCK), 3))
+    most, area = max(sizes, default=1), sin(min_sep / 4) ** 2
+    width = 1 + int(1 / area) if area and 1 / area < most else most
+    points = np.zeros((len(sizes), width, 3))
 
-    def sample(ids: list, size: int):
+    def sample(ids: list):
         """One round of the sets in `ids`, `size` candidates each."""
-        nonlocal points
         rows = len(ids)
         draws = np.concatenate([states[i].random_sample(2 * size) for i in ids])
         # Five planes over the candidates, set after set: their unit vectors'
@@ -532,9 +532,6 @@ def random_separated_sets(
                     start[row] = j
                 else:
                     start[row] = j + 1
-                    if k == points.shape[1]:
-                        copies = np.repeat(points[:, :1], k, axis=1)
-                        points = np.concatenate((points, copies), axis=1)
                     v = _unit_row(ct, st, phi)
                     points[i, k if k else slice(None)] = v
                     accepted[i].append((theta, phi, ct, st))
@@ -548,15 +545,13 @@ def random_separated_sets(
                 np.maximum(closest, (new @ block)[:, 0], out=closest)
             active = going
 
-    size = SAMPLER_FIRST_BLOCK
+    # a round's sets go in groups of 2^13 candidates, so that its arrays
+    # stay under 1 MB
+    group = (1 << 13) // size
     while live:
-        # a round's sets go in groups of at most 2^13 candidates, so that
-        # its arrays stay under 1 MB
-        group = max(1, (1 << 13) // size)
         for first in range(0, len(live), group):
-            sample(live[first : first + group], size)
+            sample(live[first : first + group])
         live = [i for i in live if not saturated[i] and len(accepted[i]) < sizes[i]]
-        size = min(2 * size, SAMPLER_BLOCK)
     return [
         SampledSet([p[:2] for p in placed], points[i, : len(placed)], saturated[i])
         for i, placed in enumerate(accepted)

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import json
 import math
 import os
@@ -180,13 +181,81 @@ class TestSampleAndEnergy:
         assert code == 1
 
     def test_sample_saturates_before_a_huge_n(self, capsys):
-        # the accepted points are kept in a buffer that grows, not one of n rows
+        # the accepted points are kept in a row as wide as 60-degree caps
+        # allow, 15 columns, not one of n columns
         code = main(["sample", "--n", "1000000000000000", "--min-sep", "60"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("sampling failed: placed 9/1000000000000000 ")
         assert captured.err.count("\n") == 1
+
+    def test_sample_too_large_to_hold(self, capsys, monkeypatch):
+        # with no separation the row is n wide: numpy refuses it, as it does
+        # 24 TB for these 10^12 points, and the run exits 2 with one line
+        # naming n, no traceback
+        import numpy as np
+
+        shapes = []
+
+        def refuse(shape, *args, **kwargs):
+            shapes.append(shape)
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code = main(["sample", "--n", "1000000000000", "--min-sep", "0"])
+        captured = capsys.readouterr()
+        assert shapes == [(1, 10**12, 3)]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "cannot sample 1000000000000 points: they do not fit in memory\n"
+        )
+
+    def test_sample_past_what_numpy_indexes(self, capsys):
+        # numpy refuses a shape of 10^19 x 3 doubles with a ValueError, before
+        # it allocates anything
+        code = main(["sample", "--n", str(10**19), "--min-sep", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"cannot sample {10**19} points: they do not fit in memory\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            ("--n 8 --min-sep 60 --seed 5", 0, "sample_n8_sep60_seed5.txt", None),
+            ("--n 300 --min-sep 5 --seed 3", 0, "sample_n300_sep5_seed3.txt", None),
+            ("--n 14 --min-sep 60 --seed 3", 1, None, "sample_n14_sep60_seed3.err"),
+        ],
+    )
+    def test_sample_matches_golden(self, capsys, argv, code, out, err):
+        # the goldens were written by the sampler whose rounds doubled from
+        # 32 candidates to 512; the points never depend on the block sizes
+        data = Path(__file__).parent / "data"
+        assert main(["sample", *argv.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.out.encode() == ((data / out).read_bytes() if out else b"")
+        assert captured.err.encode() == ((data / err).read_bytes() if err else b"")
+
+    def test_sample_of_700_points_matches_its_hash(self, capsys):
+        # 700 points at 1 degree, more than one block of candidates holds;
+        # the hash was taken where the goldens above were written
+        assert main(["sample", "--n", "700", "--min-sep", "1", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "e2325ef43a6f87cfb4371236231883961a14aef9ceea69eccf002f52a095e174"
+        )
+
+    def test_sample_antipodes_saturate(self, capsys):
+        # at 180 degrees the rows are 2 wide and the second point, which
+        # must be the first's antipode, is never drawn
+        code = main(["sample", "--n", "2", "--min-sep", "180", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("sampling failed: placed 1/2 points before 20000 ")
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_sample_nonpositive_n(self, capsys, n):
@@ -205,7 +274,7 @@ class TestSampleAndEnergy:
         assert captured.err.startswith("configuration error:")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("deg, n", [("0", 10), ("180", 1)])
+    @pytest.mark.parametrize("deg, n", [("0", 10), ("180", 1), ("1e-320", 5)])
     def test_sample_min_sep_range_ends(self, capsys, deg, n):
         code = main(["sample", "--n", str(n), "--min-sep", deg, "--seed", "2"])
         assert code == 0

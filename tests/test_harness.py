@@ -519,9 +519,9 @@ class _CountingState:
 
 
 def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
-    """The default lemma3 suite at seed 42 makes 1,578 draw calls for
-    317,440 candidates and runs 218 jam tests, 125 of which find a jam;
-    without the jam test it makes 1,946 draw calls for 505,856 candidates.
+    """The default lemma3 suite at seed 42 makes 1,199 draw calls for
+    306,944 candidates and runs 254 jam tests, 125 of which find a jam;
+    without the jam test it makes 2,040 draw calls for 522,240 candidates.
     The report is the same either way."""
     counts = {"draws": 0, "candidates": 0, "tests": 0, "jams": 0}
     seeded, caps_cover = sphere._seeded_states, sphere.caps_cover
@@ -538,8 +538,8 @@ def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
     monkeypatch.setattr(sphere, "caps_cover", counted_cover)
     config = RunConfig(seed=42)
     result = _suite_lemma3(config, cert)
-    assert counts == {"draws": 1578, "candidates": 317_440, "tests": 218, "jams": 125}
+    assert counts == {"draws": 1199, "candidates": 306_944, "tests": 254, "jams": 125}
     monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
     counts.update(draws=0, candidates=0, tests=0)
     assert _suite_lemma3(config, cert) == result
-    assert counts["draws"] == 1946 and counts["candidates"] == 505_856 and counts["tests"] == 0
+    assert counts["draws"] == 2040 and counts["candidates"] == 522_240 and counts["tests"] == 0

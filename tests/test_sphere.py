@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import random
 import re
@@ -469,7 +470,8 @@ class TestBlockTest:
 
     @pytest.mark.parametrize(
         "max_tries",
-        [0, 1, 2, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1, 2000],
+        [0, 1, 2, SAMPLER_BLOCK - 1, SAMPLER_BLOCK, SAMPLER_BLOCK + 1]
+        + [2 * SAMPLER_BLOCK - 1, 2 * SAMPLER_BLOCK, 2 * SAMPLER_BLOCK + 1, 2000],
     )
     def test_max_tries(self, max_tries):
         for seed in range(30):
@@ -878,7 +880,8 @@ class TestStopRuleEdges:
 
 
 def test_more_points_than_one_block():
-    # the accepted vectors outgrow the SAMPLER_BLOCK rows they start with
+    # more points than a round draws candidates: at 0.002 rad the caps allow
+    # about 1.6 million points, so the row is the target's n columns wide
     n = 2 * SAMPLER_BLOCK + 1
     expected = _scalar_loop(n, 0.002, 3, 2000)
     assert expected[0] == "placed"
@@ -886,9 +889,9 @@ def test_more_points_than_one_block():
 
 
 def test_growth_keeps_the_finished_sets():
-    # the sets of 2, 3 and 5 points finish in the first round; the one of
-    # 2 SAMPLER_BLOCK + 1 then outgrows the rows, which copies their rows
-    # too, and each set still equals its one-set call bit for bit
+    # the sets of 2, 3 and 5 points finish in the first round, in rows as
+    # wide as the one of 2 SAMPLER_BLOCK + 1 points, which takes many more;
+    # each set still equals its one-set call bit for bit
     sizes, seeds = [2, 3, 2 * SAMPLER_BLOCK + 1, 5], [7, 8, 3, 9]
     batch = random_separated_sets(sizes, 0.002, seeds, 2000)
     assert [len(s.angles) for s in batch] == sizes
@@ -900,6 +903,66 @@ def test_growth_keeps_the_finished_sets():
         assert s.vectors.shape == (n, 3)
         assert s.vectors.tobytes() == alone.vectors.tobytes()
         assert s.saturated is alone.saturated is False
+
+
+@pytest.mark.parametrize(
+    "sizes, min_sep, width",
+    [
+        # 1 + floor(1 / sin^2(min_sep / 4)) columns where the targets are wider
+        ([10**15], math.pi / 3, 15),
+        ([10**400], math.pi / 3, 15),
+        ([200, 3], math.radians(40.0), 34),
+        ([3, 2], math.pi, 3),
+        # the largest target where it is no wider
+        ([3, 12], math.pi / 3, 12),
+        ([2], math.pi, 2),
+        ([10], 0.0, 10),
+        ([10], 5e-324, 10),
+        ([10], 1e-161, 10),
+    ],
+)
+def test_rows_are_as_wide_as_the_caps_allow(monkeypatch, sizes, min_sep, width):
+    # caps of radius min_sep / 2 around a set's points are disjoint and each
+    # covers sin^2(min_sep / 4) of the sphere; the sets still place what the
+    # scalar loop places
+    shapes, zeros = [], np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape: shapes.append(shape) or zeros(shape))
+    sets = random_separated_sets(sizes, min_sep, range(len(sizes)), 600)
+    assert shapes == [(len(sizes), width, 3)]
+    for n, seed, s in zip(sizes, range(len(sizes)), sets):
+        status, _, points = _scalar_loop(n, min_sep, seed, 600)
+        assert [(t.hex(), p.hex()) for t, p in s.angles] == points
+        assert s.saturated == (status == "saturated")
+
+
+def _battery_digest(batches):
+    """SHA-256 over what random_separated_sets returns for seeded batches of
+    1-12 sets of 1-40 points, at no separation, 40 or 60 degrees, pi or a
+    uniform one, and max_tries from 0 to 3000: each set's angles, the bytes
+    of its vectors and whether it saturated."""
+    rng = random.Random(2004)
+    digest = hashlib.sha256()
+    for _ in range(batches):
+        count = rng.randint(1, 12)
+        sizes = [rng.randint(1, 40) for _ in range(count)]
+        seeds = [rng.randrange(-(2**40), 2**40) for _ in range(count)]
+        choices = [0.0, math.pi / 3, math.pi, math.radians(40.0), rng.uniform(0.0, math.pi)]
+        min_sep = rng.choice(choices)
+        max_tries = rng.randint(0, 3000)
+        for s in random_separated_sets(sizes, min_sep, seeds, max_tries):
+            digest.update(repr([(t.hex(), p.hex()) for t, p in s.angles]).encode())
+            digest.update(s.vectors.tobytes())
+            digest.update(b"S" if s.saturated else b"P")
+    return digest.hexdigest()
+
+
+def test_seeded_battery_keeps_its_draws():
+    # the hash of the sampler whose rounds doubled from 32 candidates to 512
+    # and whose rows grew as they filled: the draws, the decisions and the
+    # stops never depend on the block sizes or the rows' width
+    assert _battery_digest(400) == (
+        "8a308f929ec3b653ccf104fdfa3ca60be2050270382e7a4de0b5b2d48fdc0f77"
+    )
 
 
 class TestTextFormat:
