@@ -13,6 +13,7 @@ failure, 2 on configuration errors and on output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,7 +26,11 @@ from .energy import energy, energy_json
 from .errors import Kiss3Error
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand sets `handler`,
+    the function that runs it; `verify`'s defaults are `harness.RunConfig`'s."""
+    defaults = harness.RunConfig()
     parser = argparse.ArgumentParser(
         prog="kiss3",
         description="Verify the extended-Delsarte computation showing that "
@@ -34,20 +39,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification suites")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument(
         "--suite",
         action="append",
         choices=harness.ALL_SUITES,
         help="restrict to the named suite (repeatable; default: all)",
     )
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=int, default=defaults.seed)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", type=Path, default=None, help="write report here")
     verify.add_argument(
-        "--lemma1-sets", type=int, default=1000, help="random sets for lemmas 1/2"
+        "--lemma1-sets", type=int, default=defaults.lemma1_sets, help="random sets for lemmas 1/2"
     )
     verify.add_argument(
-        "--lemma3-sets", type=int, default=500, help="separated sets for lemma 3"
+        "--lemma3-sets", type=int, default=defaults.lemma3_sets, help="separated sets for lemma 3"
     )
     verify.add_argument(
         "--perturb",
@@ -58,23 +64,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table = sub.add_parser("table", help="print the reference-constant comparison table")
+    table.set_defaults(handler=_cmd_table)
     table.add_argument(
         "--skip-refine", action="store_true", help="omit the non-rigorous estimates"
     )
 
     sample = sub.add_parser("sample", help="emit a random separated point set")
+    sample.set_defaults(handler=_cmd_sample)
     sample.add_argument("--n", type=int, required=True)
     sample.add_argument("--min-sep", type=float, default=60.0, help="degrees")
     sample.add_argument("--seed", type=int, default=42)
 
     en = sub.add_parser("energy", help="energy summary of a point-set file")
+    en.set_defaults(handler=_cmd_energy)
     en.add_argument("--points", type=Path, required=True)
     return parser
-
-
-def _parse_perturbation(spec: str):
-    idx_str, delta_str = spec.split(":", 1)
-    return harness.perturbed_coeffs(int(idx_str), Fraction(delta_str))
 
 
 def _run(config: harness.RunConfig, output_format: str, out: Path | None = None) -> int:
@@ -108,7 +112,8 @@ def _cmd_verify(args) -> int:
     coeffs = harness.F_COEFFS
     if args.perturb:
         try:
-            coeffs = _parse_perturbation(args.perturb)
+            idx_str, delta_str = args.perturb.split(":", 1)
+            coeffs = harness.perturbed_coeffs(int(idx_str), Fraction(delta_str))
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             print(f"bad --perturb argument: {exc}", file=sys.stderr)
             return 2
@@ -188,14 +193,8 @@ def _cmd_energy(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-        "sample": _cmd_sample,
-        "energy": _cmd_energy,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
     except BrokenPipeError:
         # the reader has gone (say `| head`): what is left goes to os.devnull,

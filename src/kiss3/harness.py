@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -91,7 +91,6 @@ class RunConfig:
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: int = 0
     failed: int = 0
     skipped: int = 0
@@ -154,15 +153,7 @@ class VerificationReport:
                 "lemma1_sets": self.config.lemma1_sets,
                 "lemma3_sets": self.config.lemma3_sets,
             },
-            "suites": {
-                name: {
-                    "passed": s.passed,
-                    "failed": s.failed,
-                    "skipped": s.skipped,
-                    "failures": s.failures,
-                }
-                for name, s in self.suites.items()
-            },
+            "suites": {name: asdict(s) for name, s in self.suites.items()},
             "certificate": self.certificate_summary,
             "bound_table": bounds_mod.table_to_json_dict(self.bound_table)
             if self.bound_table
@@ -203,7 +194,7 @@ def _random_sets(rng: random.Random, count: int):
 
 
 def _suite_certificate(report: VerificationReport, cert) -> SuiteResult:
-    s = SuiteResult("certificate")
+    s = SuiteResult()
     s.check(
         verify_expansion(cert, EXPECTED_LEGENDRE_COEFFS),
         "Legendre expansion differs from the expected coefficients",
@@ -234,7 +225,7 @@ def _bound_table(report: VerificationReport, cert) -> bounds_mod.BoundTable:
 
 
 def _suite_bounds(report: VerificationReport, cert) -> SuiteResult:
-    s = SuiteResult("bounds")
+    s = SuiteResult()
     table = _bound_table(report, cert)
     s.check(table.mu == 4, f"mu = {table.mu}, expected 4")
     s.check(
@@ -292,7 +283,7 @@ def _suite_lemma1(config: RunConfig, shared) -> SuiteResult:
     `shared()` gives the `_random_set_counts` of the run's one pass over
     the sets, which lemma 2 shares."""
     import numpy as np
-    s = SuiteResult("lemma1")
+    s = SuiteResult()
     counts = shared()
     bad = counts.negative_sums
     s.check_sets(config.lemma1_sets, (bad, f"{bad} point sets with a negative Gegenbauer sum"))
@@ -312,7 +303,7 @@ def _suite_lemma2(config: RunConfig, cert, shared) -> SuiteResult:
     """Lemma 2 and its linearity bridge on the random sets.  `shared()`
     gives the `_random_set_counts` of the run's one pass over the sets, made
     with `cert`, which lemma 1 shares."""
-    s = SuiteResult("lemma2")
+    s = SuiteResult()
     counts = shared()
     bad, bad_bridge = counts.below_n2, counts.bridge_gaps
     s.check_sets(
@@ -354,7 +345,7 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
     names each way the sets broke it: S >= 13n, and a point with S_i > T_i
     or T_i >= 13 (the proof's chain), each with the sets that broke it."""
     import numpy as np
-    s = SuiteResult("lemma3")
+    s = SuiteResult()
     bad = bad_sum = bad_chain = generated = 0
     for batch in _separated_sets(config, s):
         generated += len(batch.sizes)
@@ -371,7 +362,7 @@ def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
 
 
 def _suite_theorem(report: VerificationReport, cert) -> SuiteResult:
-    s = SuiteResult("theorem")
+    s = SuiteResult()
     table = _bound_table(report, cert)
     theorem = bounds_mod.verify_theorem(cert, table)
     s.check(theorem.expansion_ok, "expansion side (S >= n^2) failed")
@@ -399,7 +390,7 @@ def _suite_theorem(report: VerificationReport, cert) -> SuiteResult:
 
 
 def _suite_refine(report: VerificationReport, cert) -> SuiteResult:
-    s = SuiteResult("refine")
+    s = SuiteResult()
     h3_est, h4_est = bounds_mod.refine_h34(cert)
     report.refined = {"h3": h3_est, "h4": h4_est}
     s.check_reference("refined h3 {}", h3_est, REFERENCE_VALUES["h3_refined"], "1e-3")
@@ -430,14 +421,11 @@ def run(config: RunConfig) -> VerificationReport:
     report.notes.append(W_DEFINITION_NOTE)
 
     cert = None
-    if any(
-        s in config.suites
-        for s in ("certificate", "lemma2", "lemma3", "bounds", "theorem", "refine")
-    ):
+    if set(config.suites) - {"lemma1"}:  # every other suite reads the certificate
         try:
             cert = build_certificate(config.f_coeffs)
         except Kiss3Error as exc:
-            res = SuiteResult("certificate")
+            res = SuiteResult()
             res.check(False, f"certificate construction failed: {exc}")
             report.suites["certificate"] = res
             return report
@@ -462,7 +450,7 @@ def run(config: RunConfig) -> VerificationReport:
         try:
             report.suites[name] = runners[name]()
         except Kiss3Error as exc:
-            res = SuiteResult(name)
+            res = SuiteResult()
             res.check(False, f"{type(exc).__name__}: {exc}")
             report.suites[name] = res
 

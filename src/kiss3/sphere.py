@@ -470,19 +470,15 @@ def random_separated_sets(
         closest = closest.reshape(rows, size)
         closest.fill(-np.inf)
         # every set accepts the first candidate of its first round, so a
-        # round's sets have all accepted points or none; the products run on
-        # at most 2^15 (256 kB) at a time: whole sets, or part of one
-        k = max(len(accepted[i]) for i in ids)
-        part = min(max(k, 1), (1 << 15) // size)
-        sets = (1 << 15) // (part * size)
-        for r in range(0, rows, sets):
-            their = points[ids[r : r + sets]]
-            top = closest[r : r + sets]
-            for p in range(0, k, part):
-                # each product is freed by its max before the next is made:
-                # two alive at once took fresh pages for every 256 kB product
-                largest = (their[:, p : p + part] @ block[r : r + sets]).max(axis=1)
-                np.maximum(top, largest, out=top)
+        # round's sets have all accepted points or none; the products run
+        # over column slices of all its sets, at most 2^15 (256 kB) at a
+        # time (rows * size <= 2^13, so a slice is at least 4 columns wide),
+        # each freed by its max before the next is made: two alive at once
+        # took fresh pages for every 256 kB product
+        part = (1 << 15) // (rows * size)
+        for p in range(0, max(len(accepted[i]) for i in ids), part):
+            largest = (points[ids, p : p + part] @ block).max(axis=1)
+            np.maximum(closest, largest, out=closest)
         # The lockstep: each active row takes its next candidate that the
         # filter does not reject, and marks it taken with a cosine of +inf.
         # One gather reads the candidates' z, azimuths and cosines.  new[row]

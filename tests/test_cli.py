@@ -401,6 +401,30 @@ class TestTable:
         assert "conclusion" in out
 
 
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv, says",
+        [([], "the following arguments are required: command"), (["bogus"], "invalid choice")],
+    )
+    def test_missing_or_unknown_subcommand(self, capsys, argv, says):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: kiss3")
+        assert "command" in err and says in err
+
+    def test_parser_is_built_once(self, capsys):
+        # the one parser keeps nothing of a parse: each run reports only
+        # its own --suite
+        assert _build_parser() is _build_parser()
+        for suite in ("certificate", "bounds"):
+            assert main(["verify", "--suite", suite, "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert list(report["suites"]) == [suite]
+            assert report["config"]["suites"] == [suite]
+
+
 def _last_line_of_fresh(probe: str) -> str:
     """The last line `probe` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(kiss3.__file__).parents[1]))

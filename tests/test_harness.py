@@ -129,7 +129,7 @@ class TestCheckReference:
     def test_tolerance_edge_and_message(self):
         # within tol, ends included, passes; the next float out fails, and
         # the message spells tol as given
-        s = SuiteResult("x")
+        s = SuiteResult()
         s.check_reference("v {} deg", 0.5, 0.0, "0.5")
         s.check_reference("v {} deg", -0.5, 0.0, "0.5")
         s.check_reference("v {} deg", math.nextafter(0.5, 1.0), 0.0, "0.5")
@@ -220,7 +220,7 @@ def _reference_residual(k, theta1, theta2, phi):
 
 
 def _reference_lemma1(config):
-    s = SuiteResult("lemma1")
+    s = SuiteResult()
     rng = random.Random(config.seed)
     bad = 0
     for ps in _reference_sets(rng, config.lemma1_sets):
@@ -244,7 +244,7 @@ def _reference_lemma1(config):
 
 
 def _reference_lemma2(config, cert):
-    s = SuiteResult("lemma2")
+    s = SuiteResult()
     rng = random.Random(config.seed)
     bad = bad_bridge = 0
     for ps in _reference_sets(rng, config.lemma1_sets):
@@ -374,7 +374,7 @@ def _reference_check_lemma3(ps, cert):
 
 
 def _reference_lemma3(config, cert):
-    s = SuiteResult("lemma3")
+    s = SuiteResult()
     rng = random.Random(config.seed + 1)
     bad = bad_sum = bad_chain = generated = 0
     for i in range(config.lemma3_sets):

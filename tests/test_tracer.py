@@ -4,11 +4,13 @@ Sturm chain's shape breaks `bench/run.py --trace 1`, and this catches it
 without running the benchmark."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from kiss3 import harness, polynomial
+from kiss3.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -67,3 +69,20 @@ def test_lemma1_makes_one_addition_theorem_call(tracer):
         t.uninstall()
     assert report.ok
     assert t.metrics()["legendre.addition_theorem_residual.calls"] == 1
+
+
+def test_cli_reaches_every_traced_suite(tracer, capsys):
+    # `kiss3 verify` dispatches through the module attributes the tracer
+    # wraps: each suite runs once, and the report is emitted once
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = main(["verify", "--lemma1-sets", "20", "--lemma3-sets", "5", "--format", "json"])
+    finally:
+        t.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["conclusion"] == 12
+    metrics = t.metrics()
+    for name in harness.ALL_SUITES:
+        assert metrics[f"harness.suite.{name}.calls"] == 1, name
+    assert metrics["harness.emit.calls"] == 1
