@@ -31,5 +31,5 @@ for i, rec in enumerate(summary.per_point):
 print()
 print("Gegenbauer sums for k = 0 ... 9 (each >= 0 by positive definiteness):")
 batch = CosineBatch.of(ico)
-for k, total in enumerate(gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()):
+for k, total in enumerate(gegenbauer_sums(batch.cos, batch.starts, 10)[:, 0].tolist()):
     print(f"  k = {k}: {total:.6e}")

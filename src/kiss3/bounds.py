@@ -165,10 +165,9 @@ def mu_angle(c: Certificate) -> float:
     return math.degrees(math.acos((0.5 - t * t) / (1.0 - t * t)))
 
 
-def mu_upper_bound(c: Certificate) -> int:
+def mu_upper_bound(angle: float) -> int:
     """At most 4 points fit in the cap: their azimuths are pairwise more than
-    72 degrees apart."""
-    angle = mu_angle(c)
+    `angle` degrees apart (`mu_angle`), and that is more than 72."""
     if angle <= 72.0:
         raise BoundFailure(f"azimuth separation bound {angle} deg is not > 72 deg")
     return int(360.0 // angle)
@@ -195,7 +194,8 @@ def compute_bound_table(c: Certificate) -> BoundTable:
     f(-cos psi_i) at its float argument and each F1/F2 maximum are exact
     values rounded outward, and each sum rounds its ends outward.
     """
-    mu = mu_upper_bound(c)
+    angle = mu_angle(c)
+    mu = mu_upper_bound(angle)
     f_at_m1, f_at_1 = c.f_ends
     grid = psi_grid(c)
     split = RHOMBUS_SPLIT_DEG * DEG
@@ -233,7 +233,7 @@ def compute_bound_table(c: Certificate) -> BoundTable:
         psi_grid=grid,
         w=ws,
         h4_case_bounds=cases,
-        mu_angle_deg=mu_angle(c),
+        mu_angle_deg=angle,
         verdict=all(h.hi < 13.0 for h in hs),
     )
 

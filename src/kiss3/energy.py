@@ -217,7 +217,7 @@ def expansion_energies(sums: np.ndarray, c: Certificate) -> np.ndarray:
 def linearity_gap(ps: PointSet, c: Certificate) -> float:
     """|S(X) - `expansion_energies`| for one point set."""
     batch = CosineBatch.of(ps)
-    sums = gegenbauer_sums(batch.cos, batch.starts, range(len(c.legendre_coeffs)))
+    sums = gegenbauer_sums(batch.cos, batch.starts, len(c.legendre_coeffs))
     return float(abs(set_energies(batch, c) - expansion_energies(sums, c))[0])
 
 

@@ -232,10 +232,7 @@ def _suite_bounds(report: VerificationReport, cert) -> SuiteResult:
         abs(table.mu_angle_deg - REFERENCE_VALUES["mu_angle_deg"]) <= 1e-3,
         f"mu angle {table.mu_angle_deg} deg != {REFERENCE_VALUES['mu_angle_deg']}",
     )
-    s.check(
-        abs(math.degrees(bounds_mod.R0) - REFERENCE_VALUES["R0_deg"]) <= 1e-4,
-        "circumradius R0 mismatch",
-    )
+    s.check_reference("R0 {} deg", math.degrees(bounds_mod.R0), REFERENCE_VALUES["R0_deg"], "1e-4")
     case1, case2 = table.h4_case_bounds
     checked = [("h2", table.h[2], "h2"), ("h4 case 1", case1, "h4_case1")]
     checked += [("h4 case 2", case2, "h4_case2")]
@@ -268,7 +265,7 @@ def _random_set_counts(config: RunConfig, cert=None) -> _RandomSetCounts:
     rng = random.Random(config.seed)
     negative = below = gaps = 0
     for batch in _random_sets(rng, config.lemma1_sets):
-        sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
+        sums = gegenbauer_sums(batch.cos, batch.starts, 10)
         negative += int(np.count_nonzero(~lemma1_holds(sums, batch.sizes)))
         if cert is not None:
             S = set_energies(batch, cert)
@@ -314,18 +311,23 @@ def _suite_lemma2(config: RunConfig, cert, shared) -> SuiteResult:
     return s
 
 
-def _separated_sets(config: RunConfig, s: SuiteResult):
-    """The lemma 3 suite's tested point sets, LEMMA_BLOCK at a time, each
-    chunk as one sphere.CosineBatch of the sampler's unit vectors; a set of
-    fewer than 2 points counts as a skip in `s` instead.
+def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
+    """Lemma 3 on the separated sets, as one check over them.  A failure
+    names each way the sets broke it: S >= 13n, and a point with S_i > T_i
+    or T_i >= 13 (the proof's chain), each with the sets that broke it.
 
-    Set i has rng.randint(2, 12) points, rng = random.Random(seed + 1), and
-    is sampled as random_separated_set(n, 60 degrees, seed + 1000 + i) would
-    sample it, a chunk's sets together.  When that set saturates, every
-    smaller target on its seed places the same points, so the points already
-    placed are tested instead.
+    The sets come LEMMA_BLOCK at a time, each chunk as one
+    sphere.CosineBatch of the sampler's unit vectors; a set of fewer than 2
+    points counts as a skip instead.  Set i has rng.randint(2, 12) points,
+    rng = random.Random(seed + 1), and is sampled as
+    random_separated_set(n, 60 degrees, seed + 1000 + i) would sample it, a
+    chunk's sets together.  When that set saturates, every smaller target on
+    its seed places the same points, so the points already placed are
+    tested instead.
     """
     import numpy as np
+    s = SuiteResult()
+    bad = bad_sum = bad_chain = generated = 0
     rng = random.Random(config.seed + 1)
     for first in range(0, config.lemma3_sets, LEMMA_BLOCK):
         seeds = range(
@@ -337,22 +339,12 @@ def _separated_sets(config: RunConfig, s: SuiteResult):
         tested = [vectors for _, vectors, _ in sampled if len(vectors) >= 2]
         s.skipped += len(sampled) - len(tested)
         if tested:
-            yield sphere.CosineBatch(np.concatenate(tested), [len(v) for v in tested])
-
-
-def _suite_lemma3(config: RunConfig, cert) -> SuiteResult:
-    """Lemma 3 on the separated sets, as one check over them.  A failure
-    names each way the sets broke it: S >= 13n, and a point with S_i > T_i
-    or T_i >= 13 (the proof's chain), each with the sets that broke it."""
-    import numpy as np
-    s = SuiteResult()
-    bad = bad_sum = bad_chain = generated = 0
-    for batch in _separated_sets(config, s):
-        generated += len(batch.sizes)
-        sum_holds, chain_holds = lemma3_holds(batch, cert)
-        bad += int(np.count_nonzero(~(sum_holds & chain_holds)))
-        bad_sum += int(np.count_nonzero(~sum_holds))
-        bad_chain += int(np.count_nonzero(~chain_holds))
+            batch = sphere.CosineBatch(np.concatenate(tested), [len(v) for v in tested])
+            generated += len(tested)
+            sum_holds, chain_holds = lemma3_holds(batch, cert)
+            bad += int(np.count_nonzero(~(sum_holds & chain_holds)))
+            bad_sum += int(np.count_nonzero(~sum_holds))
+            bad_chain += int(np.count_nonzero(~chain_holds))
     kinds = [
         (bad_sum, f"{bad_sum} separated sets with S >= 13n"),
         (bad_chain, f"{bad_chain} separated sets with a point where S_i > T_i or T_i >= 13"),

@@ -159,25 +159,22 @@ def addition_theorem_residual(k, theta1, theta2, phi):
     return np.abs(lhs - rhs).reshape(k.shape)[()]
 
 
-def gegenbauer_sums(cos: np.ndarray, starts: np.ndarray, degrees) -> np.ndarray:
-    """Segmented double sums of P_k: row r holds, for the r-th k in degrees,
-    the sum of P_k over each segment cos[starts[s] : starts[s + 1]] of a flat
-    array of cosines (the last segment runs to the end; see
-    sphere.CosineBatch).
+def gegenbauer_sums(cos: np.ndarray, starts: np.ndarray, count: int) -> np.ndarray:
+    """Segmented double sums of P_0 ... P_{count - 1}: row k holds the sum of
+    P_k over each segment cos[starts[s] : starts[s + 1]] of a flat array of
+    cosines (the last segment runs to the end; see sphere.CosineBatch).
 
     P_0 = 1, P_1 = t and (k + 1) P_{k+1} = (2k + 1) t P_k - k P_{k-1} give
-    one pass over the array per degree, up to the highest one asked for.
+    one pass over the array per degree.
     """
     import numpy as np
-    degrees = tuple(degrees)
-    for k in degrees:
-        _check_degree(k)
-    sums = np.empty((len(degrees), len(starts)))
+    _check_degree(count - 1)
+    sums = np.empty((count, len(starts)))
     p_prev, p = np.zeros_like(cos), np.ones_like(cos)
-    for k in range(max(degrees, default=-1) + 1):
+    for k in range(count):
         if k:
             p_prev, p = p, ((2 * k - 1) * cos * p - (k - 1) * p_prev) / k
-        sums[[r for r, d in enumerate(degrees) if d == k]] = np.add.reduceat(p, starts)
+        sums[k] = np.add.reduceat(p, starts)
     return sums
 
 
@@ -187,4 +184,4 @@ def gegenbauer_sum(points, k: int) -> float:
     set on the sphere; this is the positive-definiteness the proof rests on.
     """
     batch = CosineBatch.of(points)
-    return float(gegenbauer_sums(batch.cos, batch.starts, (k,))[0, 0])
+    return float(gegenbauer_sums(batch.cos, batch.starts, k + 1)[k, 0])

@@ -62,15 +62,8 @@ class Interval:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
     def __add__(self, other: "Interval") -> "Interval":
         """The sum, each end moved one float outward to cover its rounding."""
@@ -78,10 +71,6 @@ class Interval:
             math.nextafter(self.lo + other.lo, -math.inf),
             math.nextafter(self.hi + other.hi, math.inf),
         )
-
-    @staticmethod
-    def point(x: float) -> "Interval":
-        return Interval(x, x)
 
     @staticmethod
     def hull(intervals: Iterable["Interval"]) -> "Interval":
@@ -99,7 +88,7 @@ class RationalPoly:
     and gcd(den, *ints) = 1, so each polynomial has exactly one such pair.
     """
 
-    __slots__ = ("ints", "den", "_real")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Sequence):
         cs = [_to_fraction(c) for c in coeffs]
@@ -127,7 +116,6 @@ class RationalPoly:
             ints, den = [v // g for v in ints], den // g
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RationalPoly is immutable")
@@ -179,16 +167,12 @@ class RationalPoly:
         """The float image of the coefficients, highest power first, as
         np.polyval takes them.
 
-        Built on the first call and kept on the polynomial.  Integer true
-        division rounds correctly, so `ints[i] / den` has the bits of
-        `float(Fraction(ints[i], den))`.  Exact intermediates (Sturm chains)
-        may lie beyond the float range and never build the image.
+        Built on each call.  Integer true division rounds correctly, so
+        `ints[i] / den` has the bits of `float(Fraction(ints[i], den))`.
+        Exact intermediates (Sturm chains) may lie beyond the float range and
+        never build the image.
         """
-        real = self._real
-        if real is None:
-            real = tuple(v / self.den for v in reversed(self.ints))
-            object.__setattr__(self, "_real", real)
-        return real
+        return tuple(v / self.den for v in reversed(self.ints))
 
     def eval_real(self, t: float) -> float:
         """Floating Horner evaluation on `real_coeffs()`, for the refined
@@ -398,16 +382,14 @@ def isolate_root(
     if p.is_zero():
         raise DegenerateEndpoint("the zero polynomial has no isolated roots")
     lo, hi = _to_fraction(a), _to_fraction(b)
-    count = 0
-    if lo < hi:
-        chain = chain or SturmChain(p)
-        at_lo = chain.values(lo)
-        count = _count(at_lo, chain.values(hi))
+    chain = chain or SturmChain(p)
+    count = chain.count_open(lo, hi)
     if count == 0:
         raise NoRoot(f"no root of p in ({a}, {b})")
     if count > 1:
         raise MultipleRoots(f"{count} roots of p in ({a}, {b})")
     q = chain.squarefree.ints
+    at_lo = chain.values(lo)
     slo = (at_lo[0] or at_lo[1]) > 0
     den = math.lcm(lo.denominator, hi.denominator)
     x = lo.numerator * (den // lo.denominator)
@@ -423,7 +405,7 @@ def isolate_root(
             point = mid / (den << shift)
             num, d = point.as_integer_ratio()
             if num * (den << shift) == mid * d:
-                return Interval.point(point)
+                return Interval(point, point)
             return _outward(point, point)
         if (smid > 0) == slo:
             x = mid

@@ -27,7 +27,7 @@ def lemma1_sums():
 
     def sums(ps):
         batch = CosineBatch.of(ps)
-        return gegenbauer_sums(batch.cos, batch.starts, range(10))[:, 0].tolist()
+        return gegenbauer_sums(batch.cos, batch.starts, 10)[:, 0].tolist()
 
     return sums
 

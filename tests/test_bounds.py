@@ -36,13 +36,23 @@ class TestMu:
         assert abs(mu_angle(cert) - 76.582) < 1e-3
 
     def test_bound_is_four(self, cert):
-        assert mu_upper_bound(cert) == 4
+        assert mu_upper_bound(mu_angle(cert)) == 4
 
-    def test_failure_for_shallow_cap(self, cert):
-        # with t0 = cos 60deg = 1/2 the azimuth bound drops to about 70.5deg
-        t = 0.5
-        angle = math.degrees(math.acos((0.5 - t * t) / (1.0 - t * t)))
-        assert angle < 72.0
+    def test_failure_for_shallow_cap(self):
+        # five azimuths 72 degrees apart fit: the bound needs more than 72
+        with pytest.raises(BoundFailure) as err:
+            mu_upper_bound(72.0)
+        assert str(err.value) == "azimuth separation bound 72.0 deg is not > 72 deg"
+
+    def test_shallow_cap_fails_the_run(self, monkeypatch):
+        # with t0 = cos 60deg = 1/2 the azimuth bound drops to about 70.5deg:
+        # the bound table cannot be built, so both suites that read it fail
+        monkeypatch.setattr(bounds, "mu_angle", lambda c: 70.5)
+        report = harness.run(harness.RunConfig(suites=("bounds", "theorem")))
+        message = "BoundFailure: azimuth separation bound 70.5 deg is not > 72 deg"
+        for name in ("bounds", "theorem"):
+            assert report.suites[name].failures == [message], name
+        assert report.conclusion is None
 
     def test_q_monotone_in_first_argument(self, cert):
         # Q(a, b) = (1/2 - cos a cos b) / (sin a sin b) increases in a below
@@ -324,7 +334,7 @@ class TestBoundFailure:
     def shift_up(monkeypatch, name):
         original = getattr(bounds, name)
         monkeypatch.setattr(
-            bounds, name, lambda c, psi: original(c, psi) + Interval.point(1.0)
+            bounds, name, lambda c, psi: original(c, psi) + Interval(1.0, 1.0)
         )
 
     def test_w1_reaches_13(self, cert, monkeypatch):

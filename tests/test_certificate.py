@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from kiss3 import certificate, harness
+from kiss3.bounds import verify_theorem
 from kiss3.certificate import (
     F_COEFFS,
     EXPECTED_LEGENDRE_COEFFS,
@@ -90,6 +91,22 @@ class TestExpansion:
         other_coeffs = replace(cert, legendre_coeffs=cert.legendre_coeffs[:-1] + (Fr(9, 25),))
         assert not verify_expansion(other_f)
         assert not verify_expansion(other_coeffs)
+
+    @pytest.mark.parametrize("case", ["c0 = 2", "c6 < 0"])
+    def test_reconstructing_copy_with_bad_coefficients_fails(self, cert, bound_table, case):
+        # each copy reconstructs, so only the c_0 = 1 and c_k >= 0 rule
+        # rejects it, and the theorem concludes nothing
+        coeffs = cert.legendre_coeffs
+        if case == "c0 = 2":
+            copy = replace(cert, f=cert.f * 2, legendre_coeffs=tuple(2 * ck for ck in coeffs))
+        else:
+            coeffs = coeffs[:6] + (Fr(-1, 100),) + coeffs[7:]
+            copy = replace(cert, f=from_legendre_basis(coeffs), legendre_coeffs=coeffs)
+        assert copy._reconstructs
+        assert verify_expansion(copy) is False
+        theorem = verify_theorem(copy, bound_table)
+        assert theorem.expansion_ok is False
+        assert theorem.conclusion is None
 
     def test_perturbed_leading_coefficient_detected(self):
         cert = build_certificate(perturbed(9, Fr(1, 1000)))

@@ -393,12 +393,16 @@ class TestSampleAndEnergy:
 
 
 class TestTable:
+    DATA = Path(__file__).parent / "data"
+
+    def test_table(self, capsys):
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out.encode() == (self.DATA / "table.txt").read_bytes()
+
     def test_table_skip_refine(self, capsys):
-        code = main(["table", "--skip-refine"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "h2" in out
-        assert "conclusion" in out
+        assert main(["table", "--skip-refine"]) == 0
+        golden = self.DATA / "table_skip_refine.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestDispatch:

@@ -334,7 +334,7 @@ class TestLemma1:
     def test_kmax_cap(self):
         batch = CosineBatch.of(icosahedron())
         with pytest.raises(ValueError):
-            gegenbauer_sums(batch.cos, batch.starts, [13])
+            gegenbauer_sums(batch.cos, batch.starts, 14)
 
     def test_threshold(self, lemma1_sums):
         # an antipodal pair has a Gegenbauer sum of exactly 0 at k = 1

@@ -268,7 +268,7 @@ def _batched(seed, count, cert):
     sizes, sums, S, gaps = [], [], [], []
     for batch in _random_sets(rng, count):
         sizes += batch.sizes.tolist()
-        batch_sums = gegenbauer_sums(batch.cos, batch.starts, range(10))
+        batch_sums = gegenbauer_sums(batch.cos, batch.starts, 10)
         sums += batch_sums.T.tolist()
         energies = set_energies(batch, cert)
         S += energies.tolist()

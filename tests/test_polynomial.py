@@ -78,7 +78,7 @@ class TestFloatImage:
     )
     def test_bit_identical_to_per_call_conversion(self, poly):
         rng = random.Random(11)
-        fresh = RationalPoly(poly.coeffs)  # the first call builds the image
+        fresh = RationalPoly(poly.coeffs)
         for i in range(300):
             t = rng.uniform(-1.2, 1.2)
             if i % 2:
@@ -89,7 +89,6 @@ class TestFloatImage:
         fresh = RationalPoly(F.coeffs)
         image = fresh.real_coeffs()
         assert image == tuple(float(c) for c in reversed(F.coeffs))
-        assert fresh.real_coeffs() is image  # built once
 
     def test_beyond_float_range_is_exact(self):
         big = Fr(10**400, 3)
@@ -109,9 +108,9 @@ class TestEndpointDeflation:
 
     def test_endpoint_roots_ignored_everywhere(self):
         assert SturmChain(self.P).count_open(0, 1) == 1
-        assert isolate_root(self.P, 0, 1).contains(0.5)
-        assert isolate_root(self.P, 0, Fr(1, 2) + Fr(1, 3)).contains(0.5)
-        assert isolate_root(self.P, Fr(1, 2) - Fr(1, 3), 1).contains(0.5)
+        for a, b in [(0, 1), (0, Fr(1, 2) + Fr(1, 3)), (Fr(1, 2) - Fr(1, 3), 1)]:
+            iv = isolate_root(self.P, a, b)
+            assert iv.lo <= 0.5 <= iv.hi
 
     def test_zero_polynomial(self):
         zero = RationalPoly([])
@@ -192,12 +191,12 @@ class TestSturm:
 class TestIsolateRoot:
     def test_sqrt2(self):
         iv = isolate_root(RationalPoly([-2, 0, 1]), 1, 2, 1e-12)
-        assert iv.contains(math.sqrt(2))
-        assert iv.width < 1e-11
+        assert iv.lo <= math.sqrt(2) <= iv.hi
+        assert iv.hi - iv.lo < 1e-11
 
     def test_f_root(self):
         iv = isolate_root(F, -1, 0, 1e-10)
-        assert iv.contains(-0.59069) or abs(iv.mid + 0.5907) < 1e-4
+        assert iv.lo <= -0.59069 <= iv.hi or abs(iv.mid + 0.5907) < 1e-4
 
     def test_rational_root(self):
         iv = isolate_root(RationalPoly([Fr(-1, 3), 1]), 0, 1, 1e-12)
@@ -271,18 +270,18 @@ class TestIsolateRoot:
             assert len(seen) == len(set(seen))
         assert roots[1] == Interval(0.0, 0.0) and roots[3] == Interval(1.0, 1.0)
         for iv, root in zip(roots, (-math.sqrt(2), 0.0, 0.5, 1.0, math.sqrt(2))):
-            assert iv.contains(root) and iv.width <= 1e-6
+            assert iv.lo <= root <= iv.hi and iv.hi - iv.lo <= 1e-6
 
 
 class TestMaxOnInterval:
     def test_interior_max(self):
         iv = max_on_interval(RationalPoly([0, 0, -1]), -1, 1, 1e-9)
         assert iv.lo <= 0 <= iv.hi
-        assert iv.width <= 1e-9
+        assert iv.hi - iv.lo <= 1e-9
 
     def test_boundary_max(self):
         iv = max_on_interval(RationalPoly([0, 1]), 0, 1, 1e-9)
-        assert iv.contains(1.0)
+        assert iv.lo <= 1.0 <= iv.hi
 
     def test_constant_enclosed_outward(self):
         for v in (Fr(1, 3), Fr(-2, 3), Fr(0)):
@@ -312,7 +311,7 @@ class TestMaxOnInterval:
             )
             assert iv.hi >= grid_max - 1e-9
             assert iv.lo >= grid_max - 1e-7 - 1e-9
-            assert iv.width <= 1e-7 + 1e-12
+            assert iv.hi - iv.lo <= 1e-7 + 1e-12
 
     @pytest.mark.parametrize("root", [Fr(1, 3), Fr(2, 3)])
     def test_interior_maximum_forces_subdivision(self, root, monkeypatch):
@@ -331,7 +330,7 @@ class TestMaxOnInterval:
             halved.clear()
             iv = max_on_interval(p, 0.0, 1.0, tol)
             assert -tol <= iv.lo <= 0.0 <= iv.hi
-            assert iv.width <= tol * (1 + 1e-9)
+            assert iv.hi - iv.lo <= tol * (1 + 1e-9)
             assert len(halved) > 1
 
     def test_rejects_bad_arguments(self):
@@ -347,7 +346,7 @@ class TestMaxOnInterval:
 
         monkeypatch.setattr(SturmChain, "__init__", refuse)
         iv = max_on_interval(RationalPoly([0, 0, -1]), -1.0, 1.0)
-        assert iv.contains(0.0)
+        assert iv.lo <= 0.0 <= iv.hi
 
 
 class TestBernsteinMatchesFraction:
@@ -1174,5 +1173,5 @@ class TestInterval:
             for _ in range(1000)
         ]
         for x, y in pairs:
-            iv = Interval.point(x) + Interval.point(y)
+            iv = Interval(x, x) + Interval(y, y)
             assert Fr(iv.lo) < Fr(x) + Fr(y) < Fr(iv.hi)

@@ -48,7 +48,7 @@ def test_install_trace_uninstall(tracer):
     # integer signs without `RationalPoly.eval`, and f(-1) and f(1) are
     # taken once per certificate (`Certificate.f_ends`)
     assert metrics["polynomial.eval.calls"] == 38
-    assert metrics["polynomial.isolate_root.calls"] > 0
+    assert metrics["polynomial.isolate_root.calls"] == 1
     # refine runs no optimizer: the tracer's bounds.minimize hook stays idle
     assert metrics["bounds.refine_h34.calls"] == 1
     assert metrics["bounds.optimizer.starts"] == 0
