@@ -108,14 +108,39 @@ def _run(config: harness.RunConfig, output_format: str, out: Path | None = None)
     return 0 if report.ok else 1
 
 
+def _perturbed_coeffs(spec: str) -> tuple:
+    """The certificate coefficients that `--perturb IDX:DELTA` asks for; a
+    ValueError names the part of the spec that is wrong."""
+    idx_str, sep, delta_str = spec.partition(":")
+    if not sep:
+        raise ValueError(f"{spec!r} has no ':'")
+    try:
+        index = int(idx_str)
+    except ValueError:
+        raise ValueError(f"IDX {idx_str!r} is not an integer") from None
+    try:
+        delta = Fraction(delta_str)
+    except ValueError:
+        raise ValueError(f"DELTA {delta_str!r} is not a rational") from None
+    except ZeroDivisionError:
+        raise ValueError(f"DELTA {delta_str!r} has a zero denominator") from None
+    try:
+        return harness.perturbed_coeffs(index, delta)
+    except IndexError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _cmd_verify(args) -> int:
     coeffs = harness.F_COEFFS
     if args.perturb:
         try:
-            idx_str, delta_str = args.perturb.split(":", 1)
-            coeffs = harness.perturbed_coeffs(int(idx_str), Fraction(delta_str))
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
-            print(f"bad --perturb argument: {exc}", file=sys.stderr)
+            coeffs = _perturbed_coeffs(args.perturb)
+        except ValueError as exc:
+            print(
+                f"bad --perturb argument: expected IDX:DELTA (DELTA a rational such as "
+                f"1/100), but {exc}",
+                file=sys.stderr,
+            )
             return 2
     config = harness.RunConfig(
         seed=args.seed,

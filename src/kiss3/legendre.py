@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomial import RationalPoly, X
+from .polynomial import RationalPoly, X, _to_fraction
 from .sphere import CosineBatch
 
 DEGREE_CAP = 12
@@ -61,34 +61,48 @@ def addition_weights(k: int) -> tuple[Fraction, ...]:
 
 def to_legendre_basis(p: RationalPoly) -> tuple[Fraction, ...]:
     """Exact conversion to the Legendre basis, c_0 ... c_K, by
-    back-substitution.
+    back-substitution on p's integer image.
 
-    Peels the top degree off with c_K = a_K / lead(P_K) and recurses; no
-    quadrature, everything stays rational.
+    The remainder is held as integers R over one denominator D, from p's
+    `ints` and `den`.  Each step peels the top degree off with
+    c_k = R_k / (D lead(P_k)), P_k = legendre(k) as integers over its own
+    denominator; then R <- lead(P_k) R - R_k ints(P_k) and D <- lead(P_k) D
+    take c_k P_k away with integer row updates alone.  No quadrature, and one
+    `Fraction` per coefficient.
     """
     _check_degree(max(p.degree, 0))
     if p.is_zero():
         return (Fraction(0),)
     coeffs = [Fraction(0)] * (p.degree + 1)
-    rest = p
+    rest, den = list(p.ints), p.den
     for k in range(p.degree, -1, -1):
-        if rest.degree < k:
+        top = rest.pop()
+        if not top:
             continue
         pk = legendre(k)
-        ck = rest.coeffs[k] / pk.coeffs[-1]
-        coeffs[k] = ck
-        rest = rest - pk * ck
-    assert rest.is_zero()
+        lead = pk.ints[-1]
+        coeffs[k] = Fraction(top * pk.den, den * lead)
+        rest = [lead * r - top * v for r, v in zip(rest, pk.ints)]
+        den *= lead
     return tuple(coeffs)
 
 
 def from_legendre_basis(coeffs) -> RationalPoly:
-    """Exact reconstruction sum_k c_k P_k from c_0 ... c_K."""
-    out = RationalPoly([])
+    """Exact reconstruction sum_k c_k P_k from c_0 ... c_K: each term's
+    integers over one common denominator, summed into one polynomial."""
+    terms = []
     for k, ck in enumerate(coeffs):
-        if ck != 0:
-            out = out + legendre(k) * ck
-    return out
+        num, den = _to_fraction(ck).as_integer_ratio()
+        if num:
+            pk = legendre(k)
+            terms.append((num, den * pk.den, pk.ints))
+    den = math.lcm(*(d for _, d, _ in terms))
+    out = [0] * len(coeffs)
+    for num, d, ints in terms:
+        scale = num * (den // d)
+        for i, v in enumerate(ints):
+            out[i] += scale * v
+    return RationalPoly.from_integers(out, den)
 
 
 @lru_cache(maxsize=None)

@@ -443,20 +443,24 @@ def taylor_shift(ints: Sequence[int], a: int, h: int, d: int) -> tuple[list[int]
     return q, scale
 
 
-def _bernstein(p: RationalPoly, a: Fraction, b: Fraction) -> tuple[list[int], int]:
+def _bernstein(p: RationalPoly, a: Scalar | float, b: Scalar | float) -> tuple[list[int], int]:
     """The Bernstein coefficients of p on [a, b], n = max(deg p, 0), as
     integers over one scale: b_0 = p(a) and b_n = p(b).
 
-    `taylor_shift` to (A + H t) / d, with a = A / d and b - a = H / d,
-    gives p(a + (b - a) t) as integers Q_i over den d^n.  Then b_k =
+    The ends are read as exact integer ratios, a = A / d and b = B / d over
+    d = lcm(den a, den b), which is also lcm(den a, den(b - a)).
+    `taylor_shift` to (A + H t) / d, with H = B - A, gives
+    p(a + (b - a) t) as integers Q_i over den d^n.  Then b_k =
     sum_i C(k, i) Q_i / C(n, i), so with P_i = i! (n - i)! Q_i each
     n! b_k = sum_i C(k, i) P_i is an integer over n! den d^n, and n rounds
     of Pascal's rule, row[k] += row[k - 1], take the P_i to these sums with
     additions alone."""
     ints = p.ints or (0,)
     n = len(ints) - 1
-    d = math.lcm(a.denominator, (b - a).denominator)
-    q, scale = taylor_shift(ints, int(a * d), int((b - a) * d), d)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    d = math.lcm(ad, bd)
+    lo = an * (d // ad)
+    q, scale = taylor_shift(ints, lo, bn * (d // bd) - lo, d)
     fact = math.factorial
     row = [fact(i) * fact(n - i) * v for i, v in enumerate(q)]
     for j in range(1, n + 1):
@@ -487,15 +491,17 @@ def max_on_interval(p: RationalPoly, a: float, b: float, tol: float = 1e-7) -> I
     any other is halved by de Casteljau.  The enclosure runs from the best
     end value to the largest kept coefficient, rounded outward.
 
-    Every coefficient of a cell k halvings deep is an integer over the first
-    cell's scale times 2^(n k), so values are compared as integers
+    The ends and tol are read as exact integer ratios (`as_integer_ratio`),
+    with no `Fraction` arithmetic.  Every coefficient of a cell k halvings
+    deep is an integer over the first cell's scale times 2^(n k), so values
+    are compared as integers
     (`_excess`), and only the two ends become floats, by int/int true
     division, which rounds as `float(Fraction)` does."""
     if not (a <= b and tol > 0):
         raise ValueError(f"require a <= b and tol > 0, got a = {a}, b = {b}, tol = {tol}")
-    coeffs, scale = _bernstein(p, Fraction(a), Fraction(b))
+    coeffs, scale = _bernstein(p, a, b)
     n = len(coeffs) - 1
-    tol_num, tol_den = _to_fraction(tol).as_integer_ratio()
+    tol_num, tol_den = tol.as_integer_ratio()
     slack = tol_num * scale  # tol as an integer over scale tol_den
     # (value, e) stands for value / (scale 2^e)
     best = upper = (max(coeffs[0], coeffs[-1]), 0)

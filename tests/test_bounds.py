@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -28,7 +29,7 @@ from kiss3.bounds import (
 from kiss3.certificate import build_certificate
 from kiss3.energy import energy
 from kiss3.errors import BoundFailure, DomainError
-from kiss3.polynomial import Interval, _outward, max_on_interval
+from kiss3.polynomial import Interval, _bernstein, _outward, max_on_interval
 
 
 class TestMu:
@@ -276,6 +277,20 @@ def end_max(prof):
 
 def holds(iv, value):
     return Fraction(iv.lo) <= value <= Fraction(iv.hi)
+
+
+# SHA-256 of the seed certificate's ten bound-table profiles, each as
+# repr((ints, den, Bernstein coefficients, scale)) on its domain, in
+# `table_profiles` order, as the `Fraction` arithmetic gave them
+PROFILE_BITS = "f8da70b0ba6268b459f42ded5be64600a0ff6ea731a23b845f567a87ef20f14f"
+
+
+def test_profile_bits_are_pinned(cert):
+    digest = hashlib.sha256()
+    for _, _, prof in table_profiles(cert):
+        coeffs, scale = _bernstein(prof.poly, prof.domain.lo, prof.domain.hi)
+        digest.update(repr((prof.poly.ints, prof.poly.den, coeffs, scale)).encode())
+    assert digest.hexdigest() == PROFILE_BITS
 
 
 class TestExactEnclosures:

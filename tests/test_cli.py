@@ -121,6 +121,26 @@ class TestVerify:
         assert captured.err.startswith("bad --perturb argument:")
         assert captured.err.count("\n") == 1
 
+    PERTURB_PROBLEMS = {
+        "abc": "'abc' has no ':'",
+        "9:1/0": "DELTA '1/0' has a zero denominator",
+        "9:nan": "DELTA 'nan' is not a rational",
+        "x:1": "IDX 'x' is not an integer",
+        "99:1": "coefficient index 99 outside 0...9",
+    }
+
+    @pytest.mark.parametrize("spec", PERTURB_PROBLEMS)
+    def test_bad_perturb_names_the_form_and_the_part(self, capsys, spec):
+        problem = self.PERTURB_PROBLEMS[spec]
+        code = main(["verify", f"--perturb={spec}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "bad --perturb argument: expected IDX:DELTA (DELTA a rational such as 1/100), "
+            f"but {problem}\n"
+        )
+
     def test_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "absent" / "report.json"
         code = main(["verify", "--suite", "certificate", "--out", str(target)])

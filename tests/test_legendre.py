@@ -49,7 +49,10 @@ class TestBasisConversion:
         assert to_legendre_basis(RationalPoly(F_COEFFS)) == EXPECTED_LEGENDRE_COEFFS
 
     def test_basis_element(self):
-        assert to_legendre_basis(legendre(3)) == (Fr(0), Fr(0), Fr(0), Fr(1))
+        for k in range(13):
+            unit = (Fr(0),) * k + (Fr(1),)
+            assert to_legendre_basis(legendre(k)) == unit
+            assert from_legendre_basis(unit) == legendre(k)
 
     def test_t_squared(self):
         assert to_legendre_basis(RationalPoly([0, 0, 1])) == (Fr(1, 3), Fr(0), Fr(2, 3))
@@ -59,15 +62,107 @@ class TestBasisConversion:
         assert from_legendre_basis(to_legendre_basis(f)) == f
 
     def test_zero(self):
+        assert to_legendre_basis(RationalPoly([])) == (Fr(0),)
+        assert from_legendre_basis(()).is_zero()
         assert from_legendre_basis((Fr(0),) * 5).is_zero()
 
     def test_round_trip_random(self):
         rng = random.Random(11)
-        for _ in range(25):
-            p = RationalPoly(
-                [Fr(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(10)]
-            )
-            assert from_legendre_basis(to_legendre_basis(p)) == p
+        cases = [
+            RationalPoly([Fr(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(10)])
+            for _ in range(25)
+        ]
+        for p in cases + oracle_cases():
+            assert from_legendre_basis(to_legendre_basis(p)) == p, p
+
+
+def ref_to_legendre_basis(p):
+    """Back-substitution on `RationalPoly` remainders: c_K = a_K / lead(P_K),
+    then the rest is p - c_K P_K, one polynomial subtraction per degree."""
+    if p.is_zero():
+        return (Fr(0),)
+    coeffs = [Fr(0)] * (p.degree + 1)
+    rest = p
+    for k in range(p.degree, -1, -1):
+        if rest.degree < k:
+            continue
+        pk = legendre(k)
+        coeffs[k] = rest.coeffs[k] / pk.coeffs[-1]
+        rest = rest - pk * coeffs[k]
+    assert rest.is_zero()
+    return tuple(coeffs)
+
+
+def ref_from_legendre_basis(coeffs):
+    """The sum of `legendre(k) * c_k`, one `RationalPoly` sum per term."""
+    out = RationalPoly([])
+    for k, ck in enumerate(coeffs):
+        if ck != 0:
+            out = out + legendre(k) * ck
+    return out
+
+
+def oracle_cases():
+    """Seeded polynomials of each degree 0 to 9 in four kinds: dense, sparse
+    (about half the lower coefficients zero), all negative, and with
+    numerators and denominators past 2^64; then each P_k and zero."""
+    rng = random.Random(41)
+
+    def small():
+        return Fr(rng.randint(-50, 50), rng.randint(1, 20))
+
+    kinds = {
+        "dense": small,
+        "sparse": lambda: small() if rng.random() < 0.5 else Fr(0),
+        "negative": lambda: -Fr(rng.randint(1, 50), rng.randint(1, 20)),
+        "wide": lambda: Fr(rng.randint(-(2**80), 2**80), rng.randint(2**64, 2**72)),
+    }
+    cases = []
+    for deg in range(10):
+        for draw in kinds.values():
+            for _ in range(3):
+                lead = draw() or Fr(rng.choice([-3, 1, 7]), rng.randint(1, 9))
+                cases.append(RationalPoly([draw() for _ in range(deg)] + [lead]))
+    return cases + [legendre(k) for k in range(13)] + [RationalPoly([])]
+
+
+class TestIntegerConversionsMatchOracle:
+    """The conversions on integer images give the rationals of the
+    `RationalPoly` back-substitution and sum they replaced."""
+
+    CASES = oracle_cases()
+
+    def test_cases_cover_each_kind(self):
+        degrees = {p.degree for p in self.CASES}
+        assert degrees == set(range(-1, 13))
+        assert any(p.den > 2**64 for p in self.CASES)
+        assert any(0 in p.ints[:-1] for p in self.CASES if p.degree > 2)
+        assert any(all(v < 0 for v in p.ints) for p in self.CASES if p.degree > 2)
+
+    def test_to_basis(self):
+        for p in self.CASES:
+            assert to_legendre_basis(p) == ref_to_legendre_basis(p), p
+
+    def test_from_basis(self):
+        rng = random.Random(43)
+        expansions = [ref_to_legendre_basis(p) for p in self.CASES]
+        expansions += [
+            tuple(rng.choice([0, rng.randint(-9, 9), Fr(rng.randint(-9, 9), 7)])
+                  for _ in range(rng.randint(0, 13)))
+            for _ in range(40)
+        ]
+        for coeffs in expansions:
+            assert from_legendre_basis(coeffs) == ref_from_legendre_basis(coeffs), coeffs
+
+    def test_past_the_degree_cap(self):
+        # the exact routines stop at degree 12
+        message = "exact Legendre routines are capped at degree 12"
+        with pytest.raises(ValueError, match=message):
+            to_legendre_basis(RationalPoly([0] * 13 + [1]))
+        with pytest.raises(ValueError, match=message):
+            from_legendre_basis((0,) * 13 + (Fr(1, 3),))
+        # a zero coefficient past the cap names no P_k
+        assert from_legendre_basis((1,) + (0,) * 13) == RationalPoly([1])
 
 
 class TestAssocLegendre:

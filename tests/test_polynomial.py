@@ -369,6 +369,22 @@ class TestBernsteinMatchesFraction:
                 for cell, ends in zip(polynomial._halves(coeffs), [(a, mid), (mid, b)]):
                     assert [Fr(c, half) for c in cell] == ref_bernstein(p, *ends)
 
+    def test_ends_of_each_type(self):
+        # max_on_interval passes float ends, the tests above pass Fractions:
+        # an int, a float and a Fraction of one value give the same integers
+        rng = random.Random(39)
+        cases = [RationalPoly([]), F, F.derivative()] + [random_poly(rng) for _ in range(30)]
+        for p in cases:
+            lo = rng.randint(-3, 1)
+            for a, b in [(lo, lo + rng.randint(0, 3)), (-1, 1), (0, 1)]:
+                want = _bernstein(p, Fr(a), Fr(b))
+                assert _bernstein(p, a, b) == want == _bernstein(p, float(a), float(b))
+            a = rng.uniform(-2.0, 1.0)
+            b = a + rng.uniform(0.0, 2.0)
+            want = _bernstein(p, Fr(a), Fr(b))
+            assert _bernstein(p, a, b) == want == comb_bernstein(p, Fr(a), Fr(b))
+            assert _bernstein(p, a, Fr(b)) == want
+
 
 # -- Fraction reference --------------------------------------------------------
 # The polynomial arithmetic as it was before it ran on the integer image: each
@@ -1162,6 +1178,15 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
 
+    @pytest.mark.parametrize("ends", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite(self, ends):
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+            Interval(*ends)
+
+    def test_hull_of_nothing(self):
+        with pytest.raises(ValueError, match="^hull of no intervals$"):
+            Interval.hull([])
+
     def test_hull(self):
         h = Interval.hull([Interval(0, 1), Interval(0.5, 2)])
         assert h.lo == 0 and h.hi == 2
@@ -1175,3 +1200,24 @@ class TestInterval:
         for x, y in pairs:
             iv = Interval(x, x) + Interval(y, y)
             assert Fr(iv.lo) < Fr(x) + Fr(y) < Fr(iv.hi)
+
+
+class TestInputGuards:
+    def test_coefficient_of_another_type(self):
+        with pytest.raises(TypeError, match="^cannot coerce str to Fraction$"):
+            RationalPoly([1, "2"])
+        with pytest.raises(TypeError, match="^cannot coerce complex to Fraction$"):
+            F.eval(1j)
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="^negative power$"):
+            F ** -1
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="^RationalPoly is immutable$"):
+            F.den = 2
+
+    def test_repr(self):
+        assert repr(RationalPoly([Fr(1, 2), 0, 3])) == (
+            "RationalPoly([Fraction(1, 2), Fraction(0, 1), Fraction(3, 1)])"
+        )

@@ -76,6 +76,20 @@ class TestCosLaw:
             assert -1.0 <= c <= 1.0
 
 
+class TestSphericalPoint:
+    @pytest.mark.parametrize("theta", [-1e-9, math.pi + 1e-9, math.nan])
+    def test_colatitude_out_of_range(self, theta):
+        with pytest.raises(ValueError) as err:
+            SphericalPoint(theta, 0.0)
+        assert str(err.value) == f"colatitude out of range: {theta}"
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_azimuth_not_finite(self, phi):
+        with pytest.raises(ValueError) as err:
+            SphericalPoint(1.0, phi)
+        assert str(err.value) == f"azimuth not finite: {phi}"
+
+
 class TestAngularDistance:
     def test_identical(self):
         p = SphericalPoint(0.4, 2.0)
@@ -332,6 +346,15 @@ class TestRandomSeparatedSet:
         a = random_separated_set(6, math.pi / 3, seed=9)
         b = random_separated_set(6, math.pi / 3, seed=9)
         assert a.points == b.points
+
+    def test_one_seed_per_set(self):
+        with pytest.raises(ValueError, match="^need one seed per set$"):
+            random_separated_sets([3, 4], math.pi / 3, seeds=[1])
+
+    @pytest.mark.parametrize("sizes", [[0], [3, -1]])
+    def test_every_set_needs_a_point(self, sizes):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            random_separated_sets(sizes, math.pi / 3, seeds=range(len(sizes)))
 
     def test_thirteen_points_saturate(self):
         # no 13-point 60-degree code exists; every seed must saturate
