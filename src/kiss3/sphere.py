@@ -9,6 +9,7 @@ build or take arrays import numpy.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -106,10 +107,16 @@ class CosineBatch:
     segment is empty.  `nearest` is the one reading of each set's closest
     pair, for min_separation, energy.energy and energy.lemma3_holds.
 
-    Each block is one np.matmul(v, v.T) of the set's vectors, written into
-    its slice.  numpy takes it by BLAS syrk and mirrors one triangle, so the
-    block is exactly symmetric, and a set's cosines have the same bits
-    whichever batch holds it.
+    The blocks of all sets of one size n come from one stacked
+    np.matmul(V, V.transpose(0, 2, 1)) of their (m, n, 3) vectors.  numpy
+    takes each item of the stack by BLAS syrk, as it takes the 2-D
+    np.matmul(v, v.T) of one set, and mirrors one triangle, so every block
+    is exactly symmetric, and a set's cosines have the same bits whichever
+    batch holds it.  Where the size's sets are consecutive, their blocks
+    are one run of `cos` and the product is written straight into it; a
+    one-set batch, such as `of` makes for energy(), is such a run, so it
+    makes no n x n temporary.  Otherwise the product is made apart and
+    scattered into the sets' slices.
 
     The energy kernels (energy.set_energies, energy.point_energies) spend a
     batch: they take `cos` out of it and overwrite it with f's values, so a
@@ -128,10 +135,19 @@ class CosineBatch:
         self.starts = np.cumsum(squares) - squares
         self.first_points = np.cumsum(self.sizes) - self.sizes
         self.cos = np.empty(squares.sum())
-        blocks = zip(self.starts.tolist(), self.first_points.tolist(), self.sizes.tolist())
-        for start, first, n in blocks:
-            v = vectors[first : first + n]
-            np.matmul(v, v.T, out=self.cos[start : start + n * n].reshape(n, n))
+        # the distinct sizes from a set: np.unique's first call imports numpy.ma
+        for n in set(self.sizes.tolist()):
+            sets = np.flatnonzero(self.sizes == n)
+            m = len(sets)
+            if sets[-1] - sets[0] == m - 1:
+                first, start = self.first_points[sets[0]], self.starts[sets[0]]
+                v = vectors[first : first + m * n].reshape(m, n, 3)
+                out = self.cos[start : start + m * n * n].reshape(m, n, n)
+                np.matmul(v, v.transpose(0, 2, 1), out=out)
+            else:
+                v = vectors[self.first_points[sets, None] + np.arange(n)]
+                blocks = np.matmul(v, v.transpose(0, 2, 1)).reshape(m, n * n)
+                self.cos[self.starts[sets, None] + np.arange(n * n)] = blocks
         np.clip(self.cos, -1.0, 1.0, out=self.cos)
         # row r of set s is its point p = first_points[s] + r, and
         # starts[s] + r (n + 1) = (starts[s] - first_points[s] (n + 1)) + p (n + 1)
@@ -220,10 +236,10 @@ SAMPLER_MARGIN = 1e-5
 #: Most accepted points on which the sampler runs its jam test.  No
 #: 60-degree separated set has more: their caps of radius 30 degrees are
 #: disjoint, so k sin^2(15 deg) <= 1 and k <= 14, the area bound that also
-#: sizes the sampler's rows.  So every lemma-3 set is tested, on at most
-#: C(14, 3) = 364 planes (20-45 us for 4-14 points on a 2-core VM, about
-#: one block of candidates); the planes grow as k^3, and a huge
-#: `sample --n` builds none.
+#: sizes the sampler's rows.  So every lemma-3 set can be tested, each on
+#: at most C(14, 3) = 364 planes (20-45 us for one set of 4-14 points on a
+#: 2-core VM, about one block of candidates); the planes grow as k^3, and
+#: a huge `sample --n` builds none.
 JAM_TEST_POINTS = 14
 
 
@@ -242,13 +258,14 @@ def _plane_edges(k: int) -> np.ndarray:
     return edges
 
 
-def caps_cover(vectors: np.ndarray, h: float) -> bool:
-    """Whether the open caps {x : x . p > h}, 0 < h, around the unit vectors
-    p (the rows of `vectors`) cover the sphere.
+def caps_cover(vectors: np.ndarray, h: float) -> np.ndarray:
+    """For each of m sets of k unit vectors p, the rows of `vectors[s]` in
+    an (m, k, 3) stack, whether the open caps {x : x . p > h}, 0 < h, around
+    them cover the sphere: m booleans.  A single set is passed as v[None].
 
-    They do if and only if the support function m(u) = max_p u . p exceeds
-    h at every unit u.  Where the origin lies inside the points' convex
-    hull, the least m(u) is the distance to the nearest facet plane,
+    The caps do if and only if the support function m(u) = max_p u . p
+    exceeds h at every unit u.  Where the origin lies inside the points'
+    convex hull, the least m(u) is the distance to the nearest facet plane,
     attained at that facet's normal; where it does not, some facet normal
     has m(u) <= 0.  A facet plane passes through three of the points, and
     m(u) at any other direction is no smaller than its least value, so the
@@ -257,17 +274,25 @@ def caps_cover(vectors: np.ndarray, h: float) -> bool:
     normal and counts as uncovered).  The caps of k points cover at most
     k (1 - h) / 2 of the sphere, so fewer than 4 points, or too small caps,
     never cover it.
+
+    Each set's answer has the arithmetic it would have alone: the same
+    elementwise differences and cross products, and its heights from one
+    item of a stacked @, which numpy takes by one BLAS call per item, as it
+    takes the 2-D product of one set.
     """
-    k = len(vectors)
-    if k < 4 or k * (1.0 - h) < 2.0:
-        return False
     import numpy as np
-    xyz = vectors.T
-    b, c = (xyz[:, None, :] - xyz[:, :, None]).ravel()[_plane_edges(k)]
-    normals = b[1:4] * c[2:5] - b[2:5] * c[1:4]  # (b - a) x (c - a), a column per plane
+    m, k = vectors.shape[:2]
+    if k < 4 or k * (1.0 - h) < 2.0:
+        return np.zeros(m, dtype=bool)
+    xyz = vectors.transpose(0, 2, 1)
+    differences = (xyz[:, :, None, :] - xyz[:, :, :, None]).reshape(m, 3 * k * k)
+    gathered = differences[:, _plane_edges(k)]
+    b, c = gathered[:, 0], gathered[:, 1]
+    # (b - a) x (c - a), a column per plane
+    normals = b[:, 1:4] * c[:, 2:5] - b[:, 2:5] * c[:, 1:4]
     heights = vectors @ normals
-    reach = np.minimum(heights.max(axis=0), -heights.min(axis=0))
-    return bool(np.all(reach > h * np.sqrt((normals * normals).sum(axis=0))))
+    reach = np.minimum(heights.max(axis=1), -heights.min(axis=1))
+    return np.all(reach > h * np.sqrt((normals * normals).sum(axis=1)), axis=1)
 
 
 _thread_state = threading.local()
@@ -387,12 +412,15 @@ def random_separated_sets(
     wherever the blocks end, and neither the blocks nor the other sets
     change what a set accepts, rejects, tests or returns.
 
-    A set also stops, saturated with the same points, as soon as no later
-    candidate could be accepted: once per stall, when the rejections since
-    the last acceptance first reach SAMPLER_BLOCK, and while cos(min_sep) >
-    0 and at most JAM_TEST_POINTS points are placed, the sampler asks
-    `caps_cover` whether the caps of cosine cos(min_sep) + SAMPLER_MARGIN
-    around the placed points cover the sphere.  If they do, every candidate
+    A set also stops, saturated with the same points, once no later
+    candidate could be accepted.  A stall is marked when the rejections
+    since the last acceptance first reach SAMPLER_BLOCK, while cos(min_sep)
+    > 0 and at most JAM_TEST_POINTS points are placed.  After the round's
+    lockstep, every marked set that has accepted nothing since, so is
+    neither finished nor saturated, is tested: the sampler asks
+    `caps_cover`, in one call per point count, whether the caps of cosine
+    cos(min_sep) + SAMPLER_MARGIN around the placed points cover the sphere,
+    and stops each set whose caps do.  If they do, every candidate
     x has a placed point p with x . p > cos(min_sep) + SAMPLER_MARGIN,
     which the scalar rule rejects and the filter never accepts.  In floats the
     computed least support value can exceed the true one only by the error
@@ -407,9 +435,15 @@ def random_separated_sets(
     above that.  The filter's cosine, within 6e-7 of it, stays above
     cos(min_sep) - SAMPLER_MARGIN, so the filter never accepts the
     candidate, and the scalar rule's, within 1e-14, stays above
-    cos(min_sep), so the scalar rule rejects it.  Each set's `vectors` are
-    the unit vectors its block test used for its accepted points, from
-    their math values.
+    cos(min_sep), so the scalar rule rejects it.  So a set that jammed at
+    its stall's SAMPLER_BLOCK-th rejection rejects the rest of that round:
+    tested at the round's end, it returns the same points, and is just as
+    saturated, as if stopped at the stall (a max_tries stop in between
+    saturates it with those points too).  A set whose caps leave room is
+    not stopped either way.  Only the count of tests can differ from a test
+    at each stall: a set that accepts again after its stall, or finishes,
+    is not tested.  Each set's `vectors` are the unit vectors its block
+    test used for its accepted points, from their math values.
     """
     sizes = list(sizes)
     if len(sizes) != len(seeds):
@@ -424,7 +458,7 @@ def random_separated_sets(
     cos_sep = cos(min_sep)
     accept_below = cos_sep - SAMPLER_MARGIN
     reject_above = cos_sep + SAMPLER_MARGIN
-    # the jam test runs once per stall, when the rejections since the last
+    # a stall is marked for the jam test when the rejections since the last
     # acceptance first reach a whole block; never for caps of a hemisphere or more
     size = SAMPLER_BLOCK
     jam_test_at = size if cos_sep > 0.0 else -1
@@ -506,13 +540,11 @@ def random_separated_sets(
                 if run:
                     # the rejected candidates up to the next that survives the filter
                     r = rejections[i] = rejections[i] + run
-                    if r >= max_tries or (
-                        r - run < jam_test_at <= r
-                        and k <= JAM_TEST_POINTS
-                        and caps_cover(points[i, :k], reject_above)
-                    ):
+                    if r >= max_tries:
                         saturated[i] = True
                         continue
+                    if r - run < jam_test_at <= r and k <= JAM_TEST_POINTS:
+                        stalled.append(i)
                 if j == size:
                     continue
                 closest[row, j] = np.inf
@@ -545,8 +577,20 @@ def random_separated_sets(
     # stay under 1 MB
     group = (1 << 13) // size
     while live:
+        stalled = []
         for first in range(0, len(live), group):
             sample(live[first : first + group])
+        # the round's jam tests, one caps_cover call per point count, of the
+        # sets that have accepted nothing since their stall reached a block
+        # (any acceptance resets the count, and a block leaves too few
+        # candidates after one for a second stall to reach it)
+        tested = collections.defaultdict(list)
+        for i in stalled:
+            if not saturated[i] and rejections[i] >= size:
+                tested[len(accepted[i])].append(i)
+        for k, ids in tested.items():
+            for i, covered in zip(ids, caps_cover(points[ids, :k], reject_above).tolist()):
+                saturated[i] = covered
         live = [i for i in live if not saturated[i] and len(accepted[i]) < sizes[i]]
     return [
         SampledSet([p[:2] for p in placed], points[i, : len(placed)], saturated[i])

@@ -393,6 +393,21 @@ class TestTheorem:
             (1.0, 24),
         ]
 
+    def test_irrational_pair_class_raises(self, monkeypatch):
+        # (1, tau, 0) and (1, 0, tau) share the norm tau + 2, and their dot
+        # product 1 has the irrational squared cosine 1 / (5 + 5 tau)
+        monkeypatch.setattr(
+            sphere,
+            "icosahedron_vertices",
+            lambda zero, ones, taus: [(ones[0], taus[0], zero), (ones[0], zero, taus[0])],
+        )
+        icosahedron_pair_classes.cache_clear()
+        try:
+            with pytest.raises(DomainError, match="irrational squared cosine"):
+                icosahedron_pair_classes()
+        finally:
+            icosahedron_pair_classes.cache_clear()
+
     @pytest.mark.parametrize(
         "nearest, separated", [(Fraction(1, 4), True), (Fraction(1, 3), False)]
     )

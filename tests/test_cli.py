@@ -493,6 +493,29 @@ def test_closed_stdout_exits_two(tmp_path, argv):
     assert "Traceback" not in run.stderr
 
 
+def test_closed_stdout_exits_two_in_process(tmp_path, monkeypatch):
+    # the same branch in process: a stdout whose flush finds the pipe
+    # closed, on a temporary file's descriptor, which main points at
+    # os.devnull so that the flush at exit is quiet
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(stdout.fileno()))
+        assert main(["sample", "--n", "2", "--seed", "0"]) == 2
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+
+
 def test_import_leaves_scipy_unloaded():
     # no kiss3 code imports scipy: only the benchmark needs it
     assert not _loaded_after_cli_import("scipy")
@@ -528,6 +551,14 @@ def test_sampled_path_loads_numpy(tmp_path, argv):
     points = tmp_path / "pts.txt"
     points.write_text("0 0\n90 0\n")
     assert _loaded_after_cli_import("numpy", [a.format(points=points) for a in argv])
+
+
+def test_sampled_path_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1.6 MB of resident memory, and no kiss3 code
+    # needs it: np.unique's first call, say, would import it
+    suites = ["--suite", "lemma1", "--suite", "lemma2", "--suite", "lemma3"]
+    argv = ["verify", *suites, "--lemma1-sets", "20", "--lemma3-sets", "20"]
+    assert not _loaded_after_cli_import("numpy.ma", argv)
 
 
 def test_package_exports_survive_lazy_loading(tmp_path):

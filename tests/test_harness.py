@@ -520,16 +520,19 @@ class _CountingState:
 
 def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
     """The default lemma3 suite at seed 42 makes 1,199 draw calls for
-    306,944 candidates and runs 254 jam tests, 125 of which find a jam;
+    306,944 candidates and runs 226 jam tests, 125 of which find a jam;
     without the jam test it makes 2,040 draw calls for 522,240 candidates.
-    The report is the same either way."""
+    The report is the same either way.  A stall is tested at the end of the
+    round in which it reached SAMPLER_BLOCK rejections, so the 28 stalls
+    whose sets accepted again, or finished, later in that round are not
+    tested; a test at each stall made 254."""
     counts = {"draws": 0, "candidates": 0, "tests": 0, "jams": 0}
     seeded, caps_cover = sphere._seeded_states, sphere.caps_cover
 
     def counted_cover(vectors, h):
-        counts["tests"] += 1
+        counts["tests"] += len(vectors)
         covered = caps_cover(vectors, h)
-        counts["jams"] += covered
+        counts["jams"] += int(covered.sum())
         return covered
 
     monkeypatch.setattr(
@@ -538,7 +541,7 @@ def test_lemma3_sampler_work_at_seed_42(cert, monkeypatch):
     monkeypatch.setattr(sphere, "caps_cover", counted_cover)
     config = RunConfig(seed=42)
     result = _suite_lemma3(config, cert)
-    assert counts == {"draws": 1199, "candidates": 306_944, "tests": 254, "jams": 125}
+    assert counts == {"draws": 1199, "candidates": 306_944, "tests": 226, "jams": 125}
     monkeypatch.setattr(sphere, "JAM_TEST_POINTS", 0)
     counts.update(draws=0, candidates=0, tests=0)
     assert _suite_lemma3(config, cert) == result

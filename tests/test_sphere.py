@@ -333,6 +333,37 @@ class TestCosineBatch:
         with pytest.raises(ValueError, match="every set needs a point"):
             CosineBatch.of(PointSet([]))
 
+    @staticmethod
+    def _per_set(vectors, sizes):
+        """The flat cosines from one np.matmul(v, v.T) per set, clamped,
+        with a diagonal of 1: the reference for the stacked build."""
+        blocks, first = [], 0
+        for n in sizes:
+            v = vectors[first : first + n]
+            block = np.matmul(v, v.T)
+            np.clip(block, -1.0, 1.0, out=block)
+            np.fill_diagonal(block, 1.0)
+            blocks.append(block.ravel())
+            first += n
+        return np.concatenate(blocks)
+
+    @pytest.mark.parametrize(
+        "order", ["random sizes", "one size", "each size once", "thousand points"]
+    )
+    def test_stacked_blocks_are_the_per_set_products(self, order):
+        rng = np.random.default_rng(63)
+        sizes = {
+            "random sizes": rng.integers(1, 17, size=128).tolist(),
+            "one size": [7] * 50,
+            "each size once": rng.permutation(np.arange(1, 17)).tolist(),
+            "thousand points": [1000],
+        }[order]
+        for _ in range(5):
+            vectors = rng.normal(size=(sum(sizes), 3))
+            vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+            batch = CosineBatch(vectors, sizes)
+            assert batch.cos.tobytes() == self._per_set(vectors, sizes).tobytes()
+
 
 class TestRandomSeparatedSet:
     def test_single_point(self):
@@ -644,8 +675,8 @@ def _first_row(outcome):
 @pytest.fixture
 def sampler_counts(monkeypatch):
     """Counts the candidates the sampler draws for each seed, and records
-    each caps_cover call as (the set's first unit vector's bytes, which name
-    the set, its size, the answer)."""
+    each set of each caps_cover stack as (the set's first unit vector's
+    bytes, which name the set, its size, the answer)."""
     counts = {"drawn": collections.Counter(), "tests": []}
     seeded, caps_cover = sphere._seeded_states, sphere.caps_cover
 
@@ -655,7 +686,8 @@ def sampler_counts(monkeypatch):
 
     def counted_cover(vectors, h):
         covered = caps_cover(vectors, h)
-        counts["tests"].append((vectors[:1].tobytes(), len(vectors), covered))
+        for v, answer in zip(vectors, covered.tolist()):
+            counts["tests"].append((v[:1].tobytes(), len(v), answer))
         return covered
 
     monkeypatch.setattr(sphere, "_seeded_states", counted_states)
@@ -683,13 +715,13 @@ class TestJamTest:
         }[name]
         for seed in range(5):
             turned = vectors @ random_rotation(seed).T
-            assert sphere.caps_cover(turned, SIXTY_CAPS)
-            assert sphere.caps_cover(turned[::-1].copy(), SIXTY_CAPS)
+            assert sphere.caps_cover(turned[None], SIXTY_CAPS)
+            assert sphere.caps_cover(turned[None, ::-1].copy(), SIXTY_CAPS)
 
     def test_octahedron_is_covered_just_above_its_covering_radius(self):
         # its covering radius is arccos(1/sqrt(3)), about 54.7 degrees
-        assert sphere.caps_cover(self.OCTAHEDRON, 1.0 / math.sqrt(3.0) - 1e-9)
-        assert not sphere.caps_cover(self.OCTAHEDRON, 1.0 / math.sqrt(3.0) + 1e-9)
+        assert sphere.caps_cover(self.OCTAHEDRON[None], 1.0 / math.sqrt(3.0) - 1e-9)
+        assert not sphere.caps_cover(self.OCTAHEDRON[None], 1.0 / math.sqrt(3.0) + 1e-9)
 
     def test_five_points_never_cover(self):
         # the best five-point covering, the triangular bipyramid, needs caps
@@ -698,17 +730,17 @@ class TestJamTest:
             [_unit(0.0, 0.0), _unit(math.pi, 0.0)]
             + [_unit(math.pi / 2, k * 2 * math.pi / 3) for k in range(3)]
         )
-        assert not sphere.caps_cover(bipyramid, SIXTY_CAPS)
-        assert sphere.caps_cover(bipyramid, math.cos(math.radians(63.5)))
+        assert not sphere.caps_cover(bipyramid[None], SIXTY_CAPS)
+        assert sphere.caps_cover(bipyramid[None], math.cos(math.radians(63.5)))
         rng = np.random.default_rng(5)
         for _ in range(300):
             v = rng.normal(size=(5, 3))
             v /= np.linalg.norm(v, axis=1)[:, None]
-            assert not sphere.caps_cover(v, SIXTY_CAPS)
+            assert not sphere.caps_cover(v[None], SIXTY_CAPS)
 
     def test_fewer_than_four_points_never_cover(self):
         for k in range(4):
-            assert not sphere.caps_cover(self.OCTAHEDRON[:k], 1e-3)
+            assert not sphere.caps_cover(self.OCTAHEDRON[None, :k], 1e-3)
 
     def test_hemisphere_set_is_not_covered(self):
         # every point has z >= 0, so the south pole is outside every cap; a
@@ -716,8 +748,8 @@ class TestJamTest:
         ring = [_unit(math.pi / 2, k * math.pi / 4) for k in range(8)]
         cap = [_unit(math.pi / 4, k * math.pi / 2) for k in range(4)] + [_unit(0.0, 0.0)]
         for vectors in (np.array(ring + cap), np.array(ring[::2] + cap)):
-            assert not sphere.caps_cover(vectors, SIXTY_CAPS)
-            assert not sphere.caps_cover(vectors, 1e-3)
+            assert not sphere.caps_cover(vectors[None], SIXTY_CAPS)
+            assert not sphere.caps_cover(vectors[None], 1e-3)
 
     def test_covering_radius_just_under_sixty_degrees(self):
         # a triangle at colatitude r about the north pole, the triangle
@@ -730,17 +762,18 @@ class TestJamTest:
             + [_unit(2 * math.pi / 3, (2 * k + 1) * math.pi / 3) for k in range(3)]
             + [_unit(math.pi, 0.0)]
         )
-        assert not sphere.caps_cover(vectors, SIXTY_CAPS)
-        assert sphere.caps_cover(vectors, math.cos(r) - 1e-9)
-        assert not sphere.caps_cover(vectors, math.cos(r) + 1e-9)
+        assert not sphere.caps_cover(vectors[None], SIXTY_CAPS)
+        assert sphere.caps_cover(vectors[None], math.cos(r) - 1e-9)
+        assert not sphere.caps_cover(vectors[None], math.cos(r) + 1e-9)
 
     def test_repeated_point_is_not_covered(self):
-        assert not sphere.caps_cover(np.concatenate((self.OCTAHEDRON, self.OCTAHEDRON[:1])), 0.5)
+        repeated = np.concatenate((self.OCTAHEDRON, self.OCTAHEDRON[:1]))
+        assert not sphere.caps_cover(repeated[None], 0.5)
 
     def test_always_covered_breaks_the_block_test(self, monkeypatch):
         # the shortcut is only sound because caps_cover is: one that always
         # says "covered" stops sets that would still have grown
-        monkeypatch.setattr(sphere, "caps_cover", lambda vectors, h: True)
+        monkeypatch.setattr(sphere, "caps_cover", lambda v, h: np.ones(len(v), dtype=bool))
         with pytest.raises(AssertionError):
             TestBlockTest().test_max_tries(2000)
 
@@ -823,6 +856,96 @@ class TestJamTest:
             assert PointSet(SphericalPoint(*p) for p in s.angles).points == ps.points
 
 
+def _one_set_caps_cover(vectors, h):
+    """caps_cover's answer for one (k, 3) set, each step on that set's own
+    arrays: the reference every set of a stack must match."""
+    k = len(vectors)
+    if k < 4 or k * (1.0 - h) < 2.0:
+        return False
+    xyz = vectors.T
+    b, c = (xyz[:, None, :] - xyz[:, :, None]).ravel()[sphere._plane_edges(k)]
+    normals = b[1:4] * c[2:5] - b[2:5] * c[1:4]
+    heights = vectors @ normals
+    reach = np.minimum(heights.max(axis=0), -heights.min(axis=0))
+    return bool(np.all(reach > h * np.sqrt((normals * normals).sum(axis=0))))
+
+
+class TestJamTestStacks:
+    """Every set of a caps_cover stack gets the answer the one-set
+    reference gives it, whatever the other sets of the stack are."""
+
+    SIXTY = math.cos(math.pi / 3)
+    CAPS = [SIXTY - 1e-9, SIXTY, SIXTY + 1e-9, SIXTY_CAPS, 0.3, 1e-3]
+
+    def _assert_stack(self, stack):
+        stack = np.ascontiguousarray(stack, dtype=float)
+        answers = []
+        for h in self.CAPS:
+            covered = sphere.caps_cover(stack, h)
+            assert covered.shape == (len(stack),) and covered.dtype == bool
+            expected = [_one_set_caps_cover(v, h) for v in stack]
+            assert covered.tolist() == expected, h
+            answers += expected
+        return answers
+
+    def test_random_stacks_of_each_size(self):
+        rng = np.random.default_rng(64)
+        answers = []
+        for k in range(15):
+            for m in (0, 1, 2, 17):
+                stack = rng.normal(size=(m, k, 3))
+                stack /= np.maximum(np.linalg.norm(stack, axis=2), 1e-300)[..., None]
+                answers += self._assert_stack(stack)
+        assert True in answers and False in answers
+
+    def test_repeated_points(self):
+        rng = np.random.default_rng(65)
+        stack = rng.normal(size=(20, 8, 3))
+        stack /= np.linalg.norm(stack, axis=2)[..., None]
+        stack[::2, 5] = stack[::2, 2]
+        stack[::3, 7] = stack[::3, 0]
+        octahedra = np.array([np.concatenate((TestJamTest.OCTAHEDRON,) * 2)[:8]] * 3)
+        self._assert_stack(np.concatenate((stack, octahedra)))
+
+    def test_hemisphere_sets_among_others(self):
+        ring = [_unit(math.pi / 2, k * math.pi / 4) for k in range(8)]
+        cap = [_unit(math.pi / 4, k * math.pi / 2) for k in range(4)] + [_unit(0.0, 0.0)]
+        for hemisphere in (np.array(ring + cap), np.array(ring[::2] + cap)):
+            k = len(hemisphere)
+            turned = [hemisphere @ random_rotation(seed).T for seed in range(4)]
+            jammed = [icosahedron().vectors()[:k]] if k <= 12 else []
+            self._assert_stack(np.array([hemisphere, *turned, *jammed]))
+
+    @pytest.mark.parametrize("name", ["octahedron", "cube", "icosahedron"])
+    def test_rotated_solids_among_open_sets(self, name):
+        vectors = {
+            "octahedron": TestJamTest.OCTAHEDRON,
+            "cube": TestJamTest.CUBE,
+            "icosahedron": icosahedron().vectors(),
+        }[name]
+        rng = np.random.default_rng(66)
+        solids = [vectors @ random_rotation(seed).T for seed in range(6)]
+        open_sets = rng.normal(size=(6, len(vectors), 3))
+        open_sets[:, :, 2] = np.abs(open_sets[:, :, 2])  # all in one hemisphere
+        open_sets /= np.linalg.norm(open_sets, axis=2)[..., None]
+        stack = np.array([s for pair in zip(solids, open_sets) for s in pair])
+        covered = sphere.caps_cover(stack, SIXTY_CAPS).tolist()
+        assert covered == [True, False] * 6
+        self._assert_stack(stack)
+
+    def test_sampled_stacks_mix_jammed_and_open_sets(self):
+        sets = random_separated_sets([13] * 60, math.pi / 3, range(60), max_tries=2000)
+        by_size = collections.defaultdict(list)
+        for s in sets:
+            by_size[len(s.vectors)].append(s.vectors)
+        mixed = 0
+        for stack in by_size.values():
+            covered = sphere.caps_cover(np.array(stack), SIXTY_CAPS).tolist()
+            mixed += True in covered and False in covered
+            self._assert_stack(np.array(stack))
+        assert mixed
+
+
 def _rejections(n, min_sep, seed, max_tries):
     """The rejections of `_scalar_loop`'s run, in draw order, each as (the
     rejections its stall has counted with it, the points placed, the largest
@@ -848,8 +971,8 @@ def _rejections(n, min_sep, seed, max_tries):
 class TestStopRuleEdges:
     """A rejection by the scalar rule counts toward max_tries and the jam
     test as one by the filter does: as the max_tries-th rejection of a stall
-    it stops the set, and as the SAMPLER_BLOCK-th it triggers the jam test,
-    at that candidate.  A band of 0.2 around cos(60 degrees) sends every
+    it stops the set, and as the SAMPLER_BLOCK-th it marks the stall for
+    the jam test at the end of that round.  A band of 0.2 around cos(60 degrees) sends every
     candidate whose largest cosine lies in (0.3, 0.7] to the scalar rule."""
 
     MARGIN = 0.2
@@ -883,13 +1006,21 @@ class TestStopRuleEdges:
         # max_tries over two blocks: no run of rejections reaches both it
         # and SAMPLER_BLOCK, where max_tries would stop the set untested
         monkeypatch.setattr(sphere, "SAMPLER_MARGIN", self.MARGIN)
-        answers = []
+        answers, untested = [], 0
         for seed in range(150):
-            for count, placed, largest, _ in _rejections(13, math.pi / 3, seed, 1100):
+            rejections = _rejections(13, math.pi / 3, seed, 1100)
+            for p, (count, placed, largest, _) in enumerate(rejections):
                 if count == SAMPLER_BLOCK and self._scalar_decided(largest):
                     expected = _scalar_loop(13, math.pi / 3, seed, 1100)
                     sampler_counts["tests"].clear()
                     assert _block_test(13, math.pi / 3, seed, 1100) == expected, seed
+                    # the candidate is the (p + placed)-th drawn: the stall is
+                    # tested at its round's end unless an acceptance comes
+                    # among the `left` candidates that follow it in the round
+                    left = SAMPLER_BLOCK - 1 - (p + placed) % SAMPLER_BLOCK
+                    tested = p + left < len(rejections) and (
+                        rejections[p + left][0] == SAMPLER_BLOCK + left
+                    )
                     # tested once through each entry point on the points
                     # placed then, the one test of that stall
                     mine = [
@@ -897,9 +1028,13 @@ class TestStopRuleEdges:
                         for first, k, covered in sampler_counts["tests"]
                         if first == _first_row(expected) and k == placed
                     ]
-                    assert len(mine) == 2 and mine[0] == mine[1], seed
-                    answers.append(mine[0])
-        assert len(answers) >= 10
+                    if tested:
+                        assert len(mine) == 2 and mine[0] == mine[1], seed
+                        answers.append(mine[0])
+                    else:
+                        assert mine == [], seed
+                        untested += 1
+        assert len(answers) >= 10 and untested >= 1
 
 
 def test_more_points_than_one_block():
